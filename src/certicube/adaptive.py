@@ -1,29 +1,39 @@
-"""Certified adaptive integration by longest-edge bisection.
+"""Certified adaptive integration by batched longest-edge bisection.
 
 Each cell carries a rigorous radius K_cell * moment (times 1/2 for the
-single-point midpoint rule); both the integral and the bound are
-additive over a partition, so refining the max-radius cell until the
-summed radius meets the tolerance yields a certificate for the whole
-simplex. Summation runs in a fixed canonical order (cell creation
-order) with compensated accumulation, so results do not depend on
-execution interleaving.
+single-point midpoint rule); both are additive over a partition, so
+refining the largest-radius cells until the summed radius meets the
+tolerance certifies the whole simplex. The leaves are numpy arrays kept
+in creation order. Each round bisects, in one kernel call, every leaf
+with radius >= BAND * max, taken by (-radius, creation index), and keeps
+the longest prefix in which each leaf's radius is at least every child
+radius made before it: exactly the pops of a greedy max-heap (ties to
+the older cell). The prefix also ends where the running total reaches
+the tolerance, at max_depth and at max_cells; the other children are
+discarded. Sums use math.fsum, exactly rounded in any order.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from . import cubature as cubature_mod
 from . import field as field_mod
-from . import geometry, moments, qform
+from . import geometry, moments
 from .bounds import CertifiedResult
 from .cubature import CubatureRule
-from .errors import BudgetExhausted, RuleNotApplicable
+from .errors import (BudgetExhausted, InvariantViolation, NegativeGauge,
+                     RuleNotApplicable)
+
+# Neither constant changes the partition: BAND in (0, 1] trades rounds
+# against discarded splits, and a round splits at most as many leaves as
+# keep its integrand evaluations near POINTS_PER_ROUND, bounding memory.
+BAND = 0.25
+POINTS_PER_ROUND = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -55,22 +65,17 @@ class AdaptiveConfig:
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
         if isinstance(self.rule, str) and self.rule != "midpoint":
             raise ValueError(f"rule must be a CubatureRule or 'midpoint'")
-
-
-def kahan_sum(values):
-    total = 0.0
-    comp = 0.0
-    for value in values:
-        y = value - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+        if self.k_override is not None and not (
+                0 <= self.k_override < math.inf):
+            raise NegativeGauge(
+                f"K = {self.k_override} must be finite and >= 0")
 
 
 @dataclass
 class RunDiagnostics:
     cells: int = 0
+    rounds: int = 0
+    discarded_splits: int = 0
     depth_histogram: dict = dataclass_field(default_factory=dict)
     k_min: float = math.inf
     k_max: float = 0.0
@@ -78,44 +83,37 @@ class RunDiagnostics:
     leaves: list = dataclass_field(default_factory=list)
 
 
-def _longest_edge(verts):
-    """verts: list of coordinate lists; squared lengths suffice."""
-    best = None
-    best_len = -1.0
-    count = len(verts)
-    for i in range(count - 1):
-        vi = verts[i]
-        for j in range(i + 1, count):
-            vj = verts[j]
-            length = sum((a - b) ** 2 for a, b in zip(vi, vj))
-            if length > best_len:
-                best_len = length
-                best = (i, j)
-    return best
+def _hessian_norms(f, points):
+    """Hessian operator norm at each row of points (p, n).
 
-
-def _det_inplace(a):
-    """Determinant of a small list-of-lists matrix, LU with pivoting."""
-    n = len(a)
-    det = 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(a[r][k]))
-        pivot = a[p][k]
-        if pivot == 0.0:
-            return 0.0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        det *= a[k][k]
-        row_k = a[k]
-        inv = 1.0 / a[k][k]
-        for r in range(k + 1, n):
-            row = a[r]
-            factor = row[k] * inv
-            if factor != 0.0:
-                for c in range(k + 1, n):
-                    row[c] -= factor * row_k[c]
-    return det
+    Finite differences take the points and arithmetic of
+    field.hessian_at, with one evaluate_batch call for every stencil
+    point of every row; an analytic hessian is called per point.
+    """
+    n = f.dimension
+    if f.hessian is not None:
+        coeffs = np.array([field_mod.hessian_at(f, u).coeffs
+                           for u in points])
+    else:
+        h = f.fd_step
+        eye = h * np.eye(n)
+        iu, ju = np.triu_indices(n, 1)
+        corners = [si * eye[iu] + sj * eye[ju]
+                   for si in (1, -1) for sj in (1, -1)]
+        steps = np.concatenate([np.zeros((1, n)), eye, -eye] + corners)
+        values = field_mod.evaluate_batch(
+            f, (points[:, None] + steps).reshape(-1, n))
+        values = values.reshape(len(points), -1)
+        centre, plus, minus = np.split(values[:, :2 * n + 1], [1, n + 1], 1)
+        pp, pm, mp, mm = np.moveaxis(
+            values[:, 2 * n + 1:].reshape(len(points), 4, -1), 1, 0)
+        coeffs = np.empty((len(points), n, n))
+        coeffs[:, range(n), range(n)] = (plus - 2.0 * centre + minus) / (h * h)
+        coeffs[:, iu, ju] = coeffs[:, ju, iu] = (
+            (pp - pm) - mp + mm) / (4.0 * h * h)
+    if not np.all(np.isfinite(coeffs)):
+        raise InvariantViolation("non-finite Hessian: K is not finite")
+    return np.max(np.abs(np.linalg.eigvalsh(coeffs)), axis=-1)
 
 
 def integrate_adaptive(f, s, cfg, diagnostics=None):
@@ -133,131 +131,130 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     m_diag = float(central[0, 0])
     m_off = float(central[0, 1]) if n >= 2 else 0.0
     factor = 0.5 if cfg.rule == "midpoint" else 1.0
+    edge_i, edge_j = np.triu_indices(n + 1, 1)  # lexicographic pairs
 
-    rule_nodes = None
-    rule_weights = None
-    if isinstance(cfg.rule, CubatureRule):
-        report = cubature_mod.verify(cfg.rule)
+    rule = cfg.rule
+    if isinstance(rule, CubatureRule):
+        report = cubature_mod.verify(rule)
         if not report.thm2_applicable:
             raise RuleNotApplicable(
-                f"rule {cfg.rule.provenance!r} is not positive degree-2 "
+                f"rule {rule.provenance!r} is not positive degree-2 "
                 f"exact", report=report)
-        rule_nodes = cfg.rule.nodes
-        rule_weights = cfg.rule.weights
+    else:
+        rule = cubature_mod.builtin("barycenter", n)
 
     k_certified = cfg.k_override is not None
-    global_k = None
-    if cfg.k_override is not None:
-        global_k = float(cfg.k_override)
-    elif cfg.k_mode == "global":
+    global_k = cfg.k_override
+    if global_k is None and cfg.k_mode == "global":
         global_k = field_mod.d2f_sup_norm(
             f, s, resolution=cfg.global_resolution).value
-    k_lattice = None
-    if global_k is None:
-        k_lattice = np.array(list(
-            geometry.barycentric_lattice(n, cfg.k_resolution)))
+    k_lattice = None if global_k is not None else np.array(list(
+        geometry.barycentric_lattice(n, cfg.k_resolution)))
+    points_per_leaf = 2 * len(rule.weights) + (
+        0 if k_lattice is None else 2 * len(k_lattice) * (2 * n * n + 1))
+    max_band = max(1, POINTS_PER_ROUND // points_per_leaf)
 
-    def local_k(vertices):
-        if global_k is not None:
-            return global_k
-        best = 0.0
-        for point in k_lattice @ vertices:
-            best = max(best,
-                       qform.operator_norm(field_mod.hessian_at(f, point)))
-        return best
-
-    inv_np1 = 1.0 / (n + 1)
-
-    def make_cell(vertices, depth):
-        verts = vertices.tolist()
-        origin = verts[0]
-        edges = [[v[i] - origin[i] for i in range(n)] for v in verts[1:]]
-        # |det E| from the edge rows (det is transpose-invariant).
-        absdet = abs(_det_inplace([row[:] for row in edges]))
+    def _cells(V):
+        """(estimate, radius, K) of every simplex in V, shape (m, n+1, n)."""
+        edges = V[:, 1:] - V[:, :1]
+        absdet = np.abs(np.linalg.det(edges))
         vol = absdet / nfact
-        sum_sq = sum(c * c for row in edges for c in row)
-        edge_sum = [sum(row[i] for row in edges) for i in range(n)]
-        csm = absdet * ((m_diag - m_off) * sum_sq
-                        + m_off * sum(c * c for c in edge_sum))
-        k_cell = local_k(vertices)
-        if rule_nodes is None:
-            mid = np.array([sum(v[i] for v in verts) * inv_np1
-                            for i in range(n)])
-            estimate = vol * field_mod.evaluate(f, mid)
+        edge_sum = edges.sum(axis=1)
+        csm = absdet * ((m_diag - m_off) * np.sum(edges * edges, axis=(1, 2))
+                        + m_off * np.sum(edge_sum * edge_sum, axis=1))
+        values = field_mod.evaluate_batch(f, (rule.nodes @ V).reshape(-1, n))
+        est = vol * (values.reshape(len(V), -1) @ rule.weights)
+        if global_k is not None:
+            k_cell = np.full(len(V), global_k, dtype=float)
         else:
-            values = field_mod.evaluate_batch(f, rule_nodes @ vertices)
-            estimate = vol * kahan_sum(rule_weights * values)
-        return (vertices, depth, estimate, factor * k_cell * csm, k_cell,
-                verts)
+            k_cell = np.max(_hessian_norms(
+                f, (k_lattice @ V).reshape(-1, n)).reshape(len(V), -1),
+                axis=1)
+        rad = factor * k_cell * csm
+        if not np.all(np.isfinite(rad)):
+            raise InvariantViolation(
+                "non-finite cell radius: K or the simplex is too large")
+        return est, rad, k_cell
+
+    def _bisect(V):
+        """Halves (left, right, ...) of each V at its first longest edge."""
+        diff = V[:, edge_i] - V[:, edge_j]
+        longest = np.argmax(np.sum(diff * diff, axis=2), axis=1)
+        i, j = edge_i[longest], edge_j[longest]
+        rows = np.arange(len(V))
+        mid = 0.5 * (V[rows, i] + V[rows, j])
+        children = np.repeat(V, 2, axis=0)
+        children[2 * rows, j] = mid
+        children[2 * rows + 1, i] = mid
+        return children
 
     geometry.volume(s)  # reject degenerate roots up front
-    cells = {}
-    heap = []  # (-radius, insertion index)
-    created = 0
-
-    def push(vertices, depth):
-        nonlocal created
-        cell = make_cell(vertices, depth)
-        cells[created] = cell
-        heapq.heappush(heap, (-cell[3], created))
-        created += 1
-
-    push(np.array(s.vertices), 0)
-    running = cells[0][3]
+    verts = np.array(s.vertices)[None]
+    est, rad, k_cell = _cells(verts)
+    depth = np.zeros(1, dtype=int)
+    running = rad[0]
+    rounds = discarded = 0
 
     def finish():
-        order = sorted(cells)
-        estimate = kahan_sum(cells[i][2] for i in order)
-        radius = kahan_sum(cells[i][3] for i in order)
         if diagnostics is not None:
-            diagnostics.cells = len(cells)
-            hist = {}
-            for i in order:
-                depth = cells[i][1]
-                hist[depth] = hist.get(depth, 0) + 1
-            diagnostics.depth_histogram = hist
-            diagnostics.k_min = min(cells[i][4] for i in order)
-            diagnostics.k_max = max(cells[i][4] for i in order)
+            diagnostics.cells = len(rad)
+            diagnostics.rounds = rounds
+            diagnostics.discarded_splits = discarded
+            levels, counts = np.unique(depth, return_counts=True)
+            diagnostics.depth_histogram = dict(
+                zip(levels.tolist(), counts.tolist()))
+            diagnostics.k_min = float(k_cell.min())
+            diagnostics.k_max = float(k_cell.max())
             if diagnostics.collect_cells:
                 diagnostics.leaves = [
-                    Cell(simplex=geometry.Simplex(cells[i][0]),
-                         estimate=cells[i][2], radius=cells[i][3],
-                         K_local=cells[i][4], depth=cells[i][1])
-                    for i in order]
-        return CertifiedResult(estimate=estimate, radius=radius,
-                               K_used=max(cells[i][4] for i in order),
-                               K_certified=k_certified, cells=len(cells))
+                    Cell(simplex=geometry.Simplex(verts[i]),
+                         estimate=float(est[i]), radius=float(rad[i]),
+                         K_local=float(k_cell[i]), depth=int(depth[i]))
+                    for i in range(len(rad))]
+        return CertifiedResult(estimate=math.fsum(est),
+                               radius=math.fsum(rad),
+                               K_used=float(k_cell.max()),
+                               K_certified=k_certified, cells=len(rad))
 
     while True:
         if running <= cfg.tolerance:
-            # Re-sum in canonical order to rule out running-total drift.
-            exact = kahan_sum(cells[i][3] for i in sorted(cells))
-            if exact <= cfg.tolerance:
+            # Re-sum exactly to rule out running-total drift.
+            running = math.fsum(rad)
+            if running <= cfg.tolerance:
                 return finish()
-            running = exact
-        neg_radius, index = heap[0]
-        vertices, depth, _, radius, _, verts = cells[index]
-        if depth >= cfg.max_depth:
+        band = np.flatnonzero(rad >= BAND * rad.max())
+        band = band[np.argsort(-rad[band], kind="stable")][:max_band]
+        limit = ("max_depth" if depth[band[0]] >= cfg.max_depth else
+                 "max_cells" if len(rad) + 1 > cfg.max_cells else None)
+        if limit is not None:
             raise BudgetExhausted(
-                f"max_depth {cfg.max_depth} reached with radius "
+                f"{limit} {getattr(cfg, limit)} reached with radius "
                 f"{running:g} > tolerance {cfg.tolerance:g}",
                 result=finish())
-        if len(cells) + 1 > cfg.max_cells:
-            raise BudgetExhausted(
-                f"max_cells {cfg.max_cells} reached with radius "
-                f"{running:g} > tolerance {cfg.tolerance:g}",
-                result=finish())
-        heapq.heappop(heap)
-        del cells[index]
-        i, j = _longest_edge(verts)
-        mid = 0.5 * (vertices[i] + vertices[j])
-        left = vertices.copy()
-        left[j] = mid
-        right = vertices.copy()
-        right[i] = mid
-        push(left, depth + 1)
-        push(right, depth + 1)
-        running += cells[created - 2][3] + cells[created - 1][3] - radius
+        children = _bisect(verts[band])
+        c_est, c_rad, c_k = _cells(children)
+        pair_rad = c_rad.reshape(-1, 2)
+        # totals[k]: the heap's running total before its k-th pop.
+        totals = np.cumsum(np.concatenate(
+            ([running], pair_rad.sum(axis=1) - rad[band])))
+        # The heap pops band[k] next only if no child made earlier in
+        # the round has a larger radius, the total still exceeds tol and
+        # band[k] is above max_depth.
+        child_max = np.maximum.accumulate(pair_rad.max(axis=1))
+        stop = ((rad[band[1:]] < child_max[:-1])
+                | (totals[1:-1] <= cfg.tolerance)
+                | (depth[band[1:]] >= cfg.max_depth))
+        take = min(1 + int(np.argmax(np.append(stop, True))),
+                   cfg.max_cells - len(rad))
+        keep = np.ones(len(rad), dtype=bool)
+        keep[band[:take]] = False
+        new = (children, c_est, c_rad, c_k, np.repeat(depth[band] + 1, 2))
+        verts, est, rad, k_cell, depth = (
+            np.concatenate((old[keep], add[:2 * take]))
+            for old, add in zip((verts, est, rad, k_cell, depth), new))
+        running = totals[take]
+        rounds += 1
+        discarded += len(band) - take
 
 
 def refine_steps(f, s, cfg, steps, diagnostics=None):
@@ -266,11 +263,8 @@ def refine_steps(f, s, cfg, steps, diagnostics=None):
     Test hook for partition-additivity and monotonicity properties: the
     tolerance is made unreachable and the cell budget caps the run.
     """
-    capped = AdaptiveConfig(
-        tolerance=np.finfo(float).tiny, max_cells=steps + 1,
-        max_depth=cfg.max_depth, rule=cfg.rule, k_mode=cfg.k_mode,
-        k_resolution=cfg.k_resolution, k_override=cfg.k_override,
-        global_resolution=cfg.global_resolution)
+    capped = replace(cfg, tolerance=np.finfo(float).tiny,
+                     max_cells=steps + 1)
     try:
         integrate_adaptive(f, s, capped, diagnostics=diagnostics)
     except BudgetExhausted as exc:

@@ -30,6 +30,10 @@ class CertifiedResult:
     K_certified: bool
     cells: int = 1
 
+    def __post_init__(self):
+        for name in ("estimate", "radius", "K_used"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     @property
     def interval(self):
         return (self.estimate - self.radius, self.estimate + self.radius)
@@ -64,8 +68,8 @@ def hh_sandwich(f, s, screen=False):
 
 def midpoint_bound(f, s, gauge, gauge_certified=False):
     """Single-point rule at the barycenter with radius (K/2) * moment."""
-    if gauge < 0:
-        raise NegativeGauge(f"K = {gauge} < 0")
+    if not gauge >= 0:
+        raise NegativeGauge(f"K = {gauge} is not >= 0")
     vol = geometry.volume(s)
     estimate = vol * field_mod.evaluate(f, geometry.barycenter(s))
     radius = 0.5 * gauge * moments.central_second_moment(s)
@@ -79,8 +83,8 @@ def rule_bound(rule, f, s, gauge, gauge_certified=False, report=None):
     Refuses rules that fail positivity or degree-2 exactness; there is
     no valid certificate for that class.
     """
-    if gauge < 0:
-        raise NegativeGauge(f"K = {gauge} < 0")
+    if not gauge >= 0:
+        raise NegativeGauge(f"K = {gauge} is not >= 0")
     if report is None:
         report = cubature_mod.verify(rule)
     if not report.thm2_applicable:

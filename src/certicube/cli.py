@@ -198,6 +198,8 @@ def _cmd_integrate(args, out):
             fh.write(f"radius {_fmt(result.radius)}\n")
             fh.write(f"K_max {_fmt(diag.k_max)}\n")
             fh.write(f"K_min {_fmt(diag.k_min)}\n")
+            fh.write(f"rounds {diag.rounds}\n")
+            fh.write(f"discarded_splits {diag.discarded_splits}\n")
             fh.write("depth histogram\n")
             for depth in sorted(diag.depth_histogram):
                 fh.write(f"  {depth} {diag.depth_histogram[depth]}\n")
@@ -222,7 +224,7 @@ def run(argv, out=None):
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args, out)
-    except (ParseError, ArityError, OSError, UnknownRule) as exc:
+    except (ParseError, ArityError, OSError, UnknownRule, ValueError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_PARSE
     except BudgetExhausted as exc:

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from certicube import cubature, geometry, moments
+from certicube import bounds, cubature, geometry, moments, qform
+from certicube import adaptive as adaptive_mod
+from certicube import field as field_mod
 from certicube.adaptive import (AdaptiveConfig, RunDiagnostics,
                                 integrate_adaptive, oracle_integrate,
                                 refine_steps)
-from certicube.errors import BudgetExhausted, RuleNotApplicable
+from certicube.errors import (BudgetExhausted, CerticubeError,
+                              NegativeGauge, RuleNotApplicable)
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
-from util import (quadratic_field, rand_simplex,
+from util import (heap_integrate, quadratic_field, rand_simplex,
                   vertices_plus_barycenter_rule)
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -192,6 +195,48 @@ def test_config_validation():
         AdaptiveConfig(tolerance=1e-6, rule="trapezoid")
 
 
+@pytest.mark.parametrize("k", [-1.0, math.nan, math.inf])
+def test_config_rejects_bad_k_override(k):
+    with pytest.raises(NegativeGauge):
+        AdaptiveConfig(tolerance=1e-6, k_override=k)
+
+
+def test_non_finite_k_or_radius_raises():
+    # FD second differences of 1e308 overflow, so per-cell K is inf.
+    huge = ScalarField(dimension=2, evaluator=lambda x: 1e308)
+    # A finite K times the moment of a huge simplex overflows the radius.
+    big = geometry.Simplex(1e80 * UNIT_TRIANGLE.vertices)
+    affine = quadratic_field(1.0, np.array([1.0, 1.0]), None)
+    with np.errstate(over="ignore"):
+        with pytest.raises(CerticubeError, match="Hessian"):
+            integrate_adaptive(huge, UNIT_TRIANGLE,
+                               AdaptiveConfig(tolerance=1.0))
+        with pytest.raises(CerticubeError, match="radius"):
+            integrate_adaptive(affine, big, AdaptiveConfig(
+                tolerance=1.0, k_override=1.0))
+
+
+def test_result_fields_are_python_floats():
+    rule = vertices_plus_barycenter_rule(2)
+    results = [
+        integrate_adaptive(EXP_SUM_2D, UNIT_TRIANGLE,
+                           AdaptiveConfig(tolerance=1e-3)),
+        integrate_adaptive(EXP_SUM_2D, UNIT_TRIANGLE,
+                           AdaptiveConfig(tolerance=1e-3, rule=rule)),
+    ]
+    with pytest.raises(BudgetExhausted) as err:
+        integrate_adaptive(EXP_SUM_2D, UNIT_TRIANGLE, AdaptiveConfig(
+            tolerance=1e-12, max_cells=9, k_override=np.float64(6.0)))
+    results.append(err.value.result)
+    results.append(bounds.rule_bound(
+        cubature.builtin("hh-mix-2d", 2), EXP_SUM_2D, UNIT_TRIANGLE, 6.0))
+    results.append(bounds.midpoint_bound(
+        EXP_SUM_2D, UNIT_TRIANGLE, np.float64(6.0)))
+    for result in results:
+        assert [type(v) for v in (result.estimate, result.radius,
+                                  result.K_used)] == [float] * 3
+
+
 def test_k_override_marks_certified():
     result = integrate_adaptive(
         EXP_SUM_2D, UNIT_TRIANGLE,
@@ -199,3 +244,130 @@ def test_k_override_marks_certified():
     assert result.K_certified
     assert result.K_used == 2 * math.e
     assert abs(result.estimate - 1.0) <= result.radius
+
+
+def _exp_field(a, analytic):
+    """exp(a.x), with its analytic Hessian or through the parser (FD)."""
+    n = len(a)
+    if not analytic:
+        terms = " + ".join(f"{float(c)!r}*x{i + 1}" for i, c in enumerate(a))
+        return field_mod.parse_expr(f"exp({terms})", n)
+    return ScalarField(
+        dimension=n, evaluator=lambda x: np.exp(np.asarray(x) @ a),
+        hessian=lambda u: QuadraticForm(np.exp(u @ a) * np.outer(a, a)),
+        supports_batch=True)
+
+
+# (dimension, rule?, K mode, tol / root radius, max_cells, max_depth):
+# K mode "override" passes the analytic constant, "global" the lattice
+# sup, "fd" and "analytic" are per-cell K from FD or analytic Hessians.
+HEAP_CASES = [
+    (1, False, "override", 1e-4, 10 ** 6, 60),
+    (1, True, "fd", 1e-4, 10 ** 6, 60),
+    (2, False, "override", 5e-3, 10 ** 6, 60),
+    (2, False, "global", 5e-3, 10 ** 6, 60),
+    (2, True, "override", 4e-3, 10 ** 6, 60),
+    (2, False, "fd", 4e-3, 10 ** 6, 60),
+    (2, True, "analytic", 5e-3, 10 ** 6, 60),
+    (3, False, "override", 3e-2, 10 ** 6, 60),
+    (3, True, "override", 2e-2, 10 ** 6, 60),
+    (3, False, "fd", 0.06, 10 ** 6, 60),
+    (2, False, "override", 1e-6, 37, 60),
+    (3, True, "fd", 1e-6, 21, 60),
+    (3, False, "override", 1e-9, 60, 60),
+    (3, True, "override", 1e-9, 45, 60),
+    (2, False, "fd", 1e-9, 50, 60),
+    (2, False, "fd", 1e-6, 10 ** 6, 4),
+    (1, False, "override", 1e-9, 10 ** 6, 5),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", range(len(HEAP_CASES)))
+def test_matches_reference_heap(case, seed):
+    n, use_rule, k_mode, tol_fraction, max_cells, max_depth = \
+        HEAP_CASES[case]
+    rng = np.random.default_rng(1000 * seed + case)
+    s = rand_simplex(rng, n)
+    a = rng.uniform(-1.5, 1.5, size=n)
+    f = _exp_field(a, analytic=k_mode != "fd")
+    rule = vertices_plus_barycenter_rule(n) if use_rule else None
+    k_ref = None
+    if k_mode == "override":
+        k_ref = 1.01 * float(a @ a) * math.exp(
+            float(np.max(s.vertices @ a)))
+    elif k_mode == "global":
+        k_ref = field_mod.d2f_sup_norm(f, s, resolution=20).value
+    root = heap_integrate(f, s, math.inf, rule=rule, K=k_ref)[1]
+    tol = tol_fraction * root
+    ref = heap_integrate(f, s, tol, rule=rule, K=k_ref,
+                         max_cells=max_cells, max_depth=max_depth)
+    cfg = AdaptiveConfig(
+        tolerance=tol, max_cells=max_cells, max_depth=max_depth,
+        rule=rule or "midpoint",
+        k_mode="global" if k_mode == "global" else "per-cell",
+        k_override=k_ref if k_mode == "override" else None)
+    diag = RunDiagnostics()
+    try:
+        result = integrate_adaptive(f, s, cfg, diagnostics=diag)
+        stop = "tol"
+    except BudgetExhausted as exc:
+        result = exc.result
+        stop = str(exc).split()[0]
+    estimate, radius, cells, hist, ref_stop = ref
+    assert (stop, result.cells, diag.depth_histogram) == \
+        (ref_stop, cells, hist)
+    # Near-equal radii may pick different cells on rounding noise, so
+    # the two partitions can differ while both enclose the integral.
+    assert abs(result.estimate - estimate) <= result.radius + radius
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_fd_k_matches_hessian_at(n):
+    rng = np.random.default_rng(70 + n)
+    s = rand_simplex(rng, n)
+    f = _exp_field(rng.uniform(-1.5, 1.5, size=n), analytic=False)
+    diag = RunDiagnostics(collect_cells=True)
+    refine_steps(f, s, AdaptiveConfig(tolerance=1.0), 12, diagnostics=diag)
+    assert len(diag.leaves) == 13
+    for cell in diag.leaves:
+        expected = max(
+            qform.operator_norm(field_mod.hessian_at(f, p))
+            for p in geometry.lattice_points(cell.simplex, 4))
+        assert cell.K_local == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_matches_reference_heap_at_every_cell_budget(n):
+    # Per-cell K lets a child outgrow other leaves of its round, so the
+    # prefix rule decides which leaves are split before the budget.
+    rng = np.random.default_rng(40 + n)
+    s = rand_simplex(rng, n)
+    f = _exp_field(rng.uniform(-2.0, 2.0, size=n), analytic=True)
+    for max_cells in range(2, 48):
+        ref = heap_integrate(f, s, 1e-12, k_resolution=2,
+                             max_cells=max_cells)
+        diag = RunDiagnostics()
+        with pytest.raises(BudgetExhausted) as err:
+            integrate_adaptive(f, s, AdaptiveConfig(
+                tolerance=1e-12, max_cells=max_cells, k_resolution=2),
+                diagnostics=diag)
+        partial = err.value.result
+        assert (partial.cells, diag.depth_histogram) == (ref[2], ref[3])
+        assert abs(partial.estimate - ref[0]) <= partial.radius + ref[1]
+
+
+@pytest.mark.parametrize("band,points", [(1.0, 2 ** 20), (0.01, 1)])
+def test_partition_does_not_depend_on_round_size(monkeypatch, band, points):
+    rng = np.random.default_rng(9)
+    s = rand_simplex(rng, 2)
+    f = _exp_field(rng.uniform(-2.0, 2.0, size=2), analytic=False)
+    cfg = AdaptiveConfig(tolerance=1e-4)
+    base = RunDiagnostics()
+    expected = integrate_adaptive(f, s, cfg, diagnostics=base)
+    monkeypatch.setattr(adaptive_mod, "BAND", band)
+    monkeypatch.setattr(adaptive_mod, "POINTS_PER_ROUND", points)
+    diag = RunDiagnostics()
+    assert integrate_adaptive(f, s, cfg, diagnostics=diag) == expected
+    assert diag.depth_histogram == base.depth_histogram
+    assert diag.rounds != base.rounds

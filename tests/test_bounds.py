@@ -84,6 +84,14 @@ def test_midpoint_bound_negative_gauge():
         bounds.midpoint_bound(NORM_SQ_2D, UNIT_TRIANGLE, -1.0)
 
 
+def test_bounds_reject_nan_gauge():
+    with pytest.raises(NegativeGauge):
+        bounds.midpoint_bound(NORM_SQ_2D, UNIT_TRIANGLE, math.nan)
+    with pytest.raises(NegativeGauge):
+        bounds.rule_bound(cubature.builtin("hh-mix-2d", 2), NORM_SQ_2D,
+                          UNIT_TRIANGLE, math.nan)
+
+
 def test_rule_bound_exp_mix_rule():
     rule = cubature.builtin("hh-mix-2d", 2)
     f = ScalarField(dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]))

@@ -140,3 +140,50 @@ def test_threads_flag_does_not_change_output(unit2):
     one = invoke(["--threads", "1"] + base)
     eight = invoke(["--threads", "8"] + base)
     assert one == eight
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_integrate_bad_tolerance_is_a_parse_error(unit2, tol):
+    code, text = invoke(["integrate", "--expr", "exp(x1+x2)",
+                         "--simplex", unit2, "--tol", tol])
+    assert code == 2
+    assert text.startswith("error:")
+
+
+def test_rule_header_not_an_integer_is_a_parse_error(tmp_path, unit2):
+    path = tmp_path / "bad.rule"
+    path.write_text("dim x\nnodes 1\n1/3 1/3 1/3\n1\n")
+    for argv in (["verify-rule", str(path)],
+                 ["bound", "--rule", str(path), "--expr", "x1",
+                  "--simplex", unit2, "--K", "1"]):
+        code, text = invoke(argv)
+        assert code == 2
+        assert text.startswith("error:")
+
+
+@pytest.mark.parametrize("command,k", [("integrate", "-1"),
+                                       ("integrate", "nan"),
+                                       ("integrate", "inf"),
+                                       ("bound", "nan")])
+def test_bad_k_is_rejected(unit2, command, k):
+    argv = [command, "--expr", "exp(x1+x2)", "--simplex", unit2, "--K", k]
+    argv += ["--tol", "1e-4"] if command == "integrate" else [
+        "--rule", "hh-mix-2d"]
+    code, text = invoke(argv)
+    assert code == 1
+    assert text.startswith("error:")
+    assert "certified" not in text
+
+
+def test_integrate_report_lines(unit2, tmp_path):
+    report = tmp_path / "run.report"
+    code, _ = invoke(["integrate", "--expr", "exp(x1+x2)",
+                      "--simplex", unit2, "--tol", "1e-4",
+                      "--k-mode", "global", "--report", str(report)])
+    assert code == 0
+    lines = report.read_text().splitlines()
+    header = lines.index("depth histogram")
+    keys = [line.split()[0] for line in lines[:header]]
+    assert keys[-2:] == ["rounds", "discarded_splits"]
+    assert all(int(line.split()[1]) >= 0 for line in lines[header - 2:header])
+    assert all(len(line.split()) == 2 for line in lines[header + 1:])

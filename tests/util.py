@@ -1,10 +1,12 @@
 """Shared random generators and small oracles for the test suite."""
 
+import heapq
 import itertools
 import math
 
 import numpy as np
 
+from certicube import field, geometry, moments, qform
 from certicube.field import ScalarField
 from certicube.geometry import Simplex
 from certicube.qform import QuadraticForm
@@ -141,3 +143,53 @@ def mc_integral(rng, s, func, samples):
     mean = vol * float(values.mean())
     se = vol * float(values.std(ddof=1)) / math.sqrt(samples)
     return mean, se
+
+
+def heap_integrate(f, s, tol, rule=None, K=None, k_resolution=4,
+                   max_cells=10 ** 6, max_depth=60):
+    """Reference greedy refinement, one max-heap pop per bisection.
+
+    Pops the largest radius (the oldest cell on ties) and stops in the
+    same order of checks as integrate_adaptive. Returns (estimate,
+    radius, cells, depth histogram, stop) with stop one of "tol",
+    "max_depth" or "max_cells".
+    """
+    def make(simplex, depth):
+        vol = geometry.volume(simplex)
+        if rule is None:
+            est = vol * field.evaluate(f, geometry.barycenter(simplex))
+        else:
+            values = field.evaluate_batch(f, rule.nodes @ simplex.vertices)
+            est = vol * math.fsum(rule.weights * values)
+        k = K if K is not None else max(
+            qform.operator_norm(field.hessian_at(f, p))
+            for p in geometry.lattice_points(simplex, k_resolution))
+        rad = (0.5 if rule is None else 1.0) * k * \
+            moments.central_second_moment(simplex)
+        return simplex, depth, est, rad
+
+    cells = [make(s, 0)]
+    heap = [(-cells[0][3], 0)]
+    running = cells[0][3]
+    while True:
+        if running <= tol:
+            running = math.fsum(cells[i][3] for _, i in heap)
+            if running <= tol:
+                stop = "tol"
+                break
+        simplex, depth, _, radius = cells[heap[0][1]]
+        if depth >= max_depth or len(heap) + 1 > max_cells:
+            stop = "max_depth" if depth >= max_depth else "max_cells"
+            break
+        heapq.heappop(heap)
+        children = [make(c, depth + 1) for c in geometry.bisect(simplex)]
+        for child in children:
+            heapq.heappush(heap, (-child[3], len(cells)))
+            cells.append(child)
+        running += children[0][3] + children[1][3] - radius
+    live = [cells[i] for _, i in heap]
+    hist = {}
+    for cell in live:
+        hist[cell[1]] = hist.get(cell[1], 0) + 1
+    return (math.fsum(c[2] for c in live), math.fsum(c[3] for c in live),
+            len(live), hist, stop)
