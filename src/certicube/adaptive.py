@@ -83,39 +83,6 @@ class RunDiagnostics:
     leaves: list = dataclass_field(default_factory=list)
 
 
-def _hessian_norms(f, points):
-    """Hessian operator norm at each row of points (p, n).
-
-    Finite differences take the points and arithmetic of
-    field.hessian_at, with one evaluate_batch call for every stencil
-    point of every row; an analytic hessian is called per point.
-    """
-    n = f.dimension
-    if f.hessian is not None:
-        coeffs = np.array([field_mod.hessian_at(f, u).coeffs
-                           for u in points])
-    else:
-        h = f.fd_step
-        eye = h * np.eye(n)
-        iu, ju = np.triu_indices(n, 1)
-        corners = [si * eye[iu] + sj * eye[ju]
-                   for si in (1, -1) for sj in (1, -1)]
-        steps = np.concatenate([np.zeros((1, n)), eye, -eye] + corners)
-        values = field_mod.evaluate_batch(
-            f, (points[:, None] + steps).reshape(-1, n))
-        values = values.reshape(len(points), -1)
-        centre, plus, minus = np.split(values[:, :2 * n + 1], [1, n + 1], 1)
-        pp, pm, mp, mm = np.moveaxis(
-            values[:, 2 * n + 1:].reshape(len(points), 4, -1), 1, 0)
-        coeffs = np.empty((len(points), n, n))
-        coeffs[:, range(n), range(n)] = (plus - 2.0 * centre + minus) / (h * h)
-        coeffs[:, iu, ju] = coeffs[:, ju, iu] = (
-            (pp - pm) - mp + mm) / (4.0 * h * h)
-    if not np.all(np.isfinite(coeffs)):
-        raise InvariantViolation("non-finite Hessian: K is not finite")
-    return np.max(np.abs(np.linalg.eigvalsh(coeffs)), axis=-1)
-
-
 def integrate_adaptive(f, s, cfg, diagnostics=None):
     """Integrate f over s to the requested certified radius.
 
@@ -125,13 +92,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     """
     n = s.dimension
     nfact = math.factorial(n)
-    central = moments.central_matrix(n)
-    # M has constant diagonal d and off-diagonal o, so
-    # tr(E^T E M) = (d - o) sum_i |e_i|^2 + o |sum_i e_i|^2.
-    m_diag = float(central[0, 0])
-    m_off = float(central[0, 1]) if n >= 2 else 0.0
     factor = 0.5 if cfg.rule == "midpoint" else 1.0
-    edge_i, edge_j = np.triu_indices(n + 1, 1)  # lexicographic pairs
 
     rule = cfg.rule
     if isinstance(rule, CubatureRule):
@@ -156,37 +117,21 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
 
     def _cells(V):
         """(estimate, radius, K) of every simplex in V, shape (m, n+1, n)."""
-        edges = V[:, 1:] - V[:, :1]
-        absdet = np.abs(np.linalg.det(edges))
-        vol = absdet / nfact
-        edge_sum = edges.sum(axis=1)
-        csm = absdet * ((m_diag - m_off) * np.sum(edges * edges, axis=(1, 2))
-                        + m_off * np.sum(edge_sum * edge_sum, axis=1))
-        values = field_mod.evaluate_batch(f, (rule.nodes @ V).reshape(-1, n))
-        est = vol * (values.reshape(len(V), -1) @ rule.weights)
+        with np.errstate(over="ignore"):  # radius checked below
+            absdet, csm = moments.cell_stats(V)
+        est = cubature_mod.estimate(rule, f, V, absdet / nfact)
         if global_k is not None:
             k_cell = np.full(len(V), global_k, dtype=float)
         else:
-            k_cell = np.max(_hessian_norms(
+            k_cell = np.max(field_mod.hessian_norms(
                 f, (k_lattice @ V).reshape(-1, n)).reshape(len(V), -1),
                 axis=1)
-        rad = factor * k_cell * csm
+        with np.errstate(over="ignore", invalid="ignore"):
+            rad = factor * k_cell * csm
         if not np.all(np.isfinite(rad)):
             raise InvariantViolation(
                 "non-finite cell radius: K or the simplex is too large")
         return est, rad, k_cell
-
-    def _bisect(V):
-        """Halves (left, right, ...) of each V at its first longest edge."""
-        diff = V[:, edge_i] - V[:, edge_j]
-        longest = np.argmax(np.sum(diff * diff, axis=2), axis=1)
-        i, j = edge_i[longest], edge_j[longest]
-        rows = np.arange(len(V))
-        mid = 0.5 * (V[rows, i] + V[rows, j])
-        children = np.repeat(V, 2, axis=0)
-        children[2 * rows, j] = mid
-        children[2 * rows + 1, i] = mid
-        return children
 
     geometry.volume(s)  # reject degenerate roots up front
     verts = np.array(s.vertices)[None]
@@ -231,7 +176,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                 f"{limit} {getattr(cfg, limit)} reached with radius "
                 f"{running:g} > tolerance {cfg.tolerance:g}",
                 result=finish())
-        children = _bisect(verts[band])
+        children = geometry.split(verts[band])
         c_est, c_rad, c_k = _cells(children)
         pair_rad = c_rad.reshape(-1, 2)
         # totals[k]: the heap's running total before its k-th pop.

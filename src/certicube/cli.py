@@ -75,9 +75,6 @@ def _build_parser():
     p.add_argument("--rule", default=None,
                    help="built-in rule name or file (default: midpoint)")
     p.add_argument("--max-cells", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for reproducibility bookkeeping; the "
-                        "integrator itself is deterministic")
     p.add_argument("--K", type=float, default=None)
     p.add_argument("--k-mode", choices=("per-cell", "global"),
                    default="per-cell")
@@ -178,6 +175,8 @@ def _cmd_integrate(args, out):
     f = field_mod.parse_expr(args.expr, simplex.dimension)
     rule = ("midpoint" if args.rule is None
             else _load_rule_arg(args.rule, simplex.dimension))
+    if rule != "midpoint" and _is_barycenter_rule(rule):
+        rule = "midpoint"  # the sharper certificate, as in `bound`
     cfg = adaptive_mod.AdaptiveConfig(
         tolerance=args.tol, max_cells=args.max_cells, rule=rule,
         k_mode=args.k_mode, k_override=args.K)

@@ -7,6 +7,7 @@ of its dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,6 +71,11 @@ class CubatureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    @functools.cached_property
+    def report(self):
+        """The verify() report, computed on first use."""
+        return _verify(self)
+
 
 @dataclass(frozen=True)
 class RuleReport:
@@ -81,8 +87,12 @@ class RuleReport:
     thm2_applicable: bool
 
 
+@functools.lru_cache(maxsize=None)
 def builtin(name, n):
-    """Built-in rules: barycenter, vertex, and the 4-point 2-D mix."""
+    """Built-in rules: barycenter, vertex, and the 4-point 2-D mix.
+
+    Rules are immutable, so each (name, n) is built once and shared.
+    """
     if name == "barycenter":
         node = (Fraction(1, n + 1),) * (n + 1)
         return _exact_rule(n, [node], [Fraction(1)], "barycenter")
@@ -131,8 +141,13 @@ def verify(rule):
 
     Exactness compares T(x^alpha) on the unit simplex against the
     mean-value moments n! * int_{S1} x^alpha dx, absolute tolerance
-    1e-12 per monomial.
+    1e-12 per monomial. The report is computed once per rule and kept
+    on it: a rule and its arrays are immutable, so it cannot go stale.
     """
+    return rule.report
+
+
+def _verify(rule):
     n = rule.dimension
     positivity = bool(np.all(rule.weights >= 0.0))
     node_mean = rule.weights @ rule.nodes
@@ -167,21 +182,20 @@ def verify(rule):
     )
 
 
-def apply_rule(rule, f, s):
-    """vol(S) * sum of weight * f(node point), compensated accumulation."""
-    if rule.dimension != s.dimension:
+def estimate(rule, f, v, vol):
+    """vol * sum of weight * f(node) on each simplex of v (m, n+1, n),
+    with one evaluate_batch call over every node of every simplex."""
+    if rule.dimension != v.shape[-1]:
         raise DimensionMismatch(
-            f"rule dimension {rule.dimension} vs simplex {s.dimension}")
-    points = rule.nodes @ s.vertices
-    total = 0.0
-    comp = 0.0
-    for weight, point in zip(rule.weights, points):
-        term = weight * field_mod.evaluate(f, point)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return geometry.volume(s) * total
+            f"rule dimension {rule.dimension} vs simplex {v.shape[-1]}")
+    values = field_mod.evaluate_batch(
+        f, (rule.nodes @ v).reshape(-1, rule.dimension))
+    return vol * (values.reshape(len(v), -1) @ rule.weights)
+
+
+def apply_rule(rule, f, s):
+    """vol(S) * sum of weight * f(node point)."""
+    return float(estimate(rule, f, s.vertices[None], geometry.volume(s))[0])
 
 
 def _parse_number(token, lineno):

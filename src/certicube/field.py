@@ -16,12 +16,15 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import expr as expr_mod
-from . import geometry, qform
-from .errors import EvaluationFailure, NegativeGauge
+from . import geometry
+from .errors import EvaluationFailure, InvariantViolation, NegativeGauge
 from .qform import QuadraticForm
 
 FD_STEP = 1e-4
 DEFAULT_LATTICE_RESOLUTION = 20
+# Bounds the integrand evaluations, and so the memory, of one batched
+# finite-difference call in d2f_sup_norm.
+POINTS_PER_CALL = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,8 @@ class ScalarField:
 
 
 def evaluate(f, x):
-    value = float(f.evaluator(np.asarray(x, dtype=float)))
+    with np.errstate(all="ignore"):  # non-finite values are raised below
+        value = float(f.evaluator(np.asarray(x, dtype=float)))
     if not np.isfinite(value):
         raise EvaluationFailure(f"integrand non-finite at {x}")
     return value
@@ -51,41 +55,61 @@ def evaluate(f, x):
 
 def evaluate_batch(f, points):
     points = np.asarray(points, dtype=float)
-    if f.supports_batch:
-        values = np.asarray(f.evaluator(points), dtype=float)
-        values = np.broadcast_to(values, points.shape[:-1]).astype(float)
-    else:
-        values = np.array([float(f.evaluator(p)) for p in points])
+    with np.errstate(all="ignore"):  # non-finite values are raised below
+        if f.supports_batch:
+            values = np.asarray(f.evaluator(points), dtype=float)
+            values = np.broadcast_to(values, points.shape[:-1]).astype(float)
+        else:
+            values = np.array([float(f.evaluator(p)) for p in points])
     if not np.all(np.isfinite(values)):
         raise EvaluationFailure("integrand non-finite on a batch point")
     return values
 
 
+def hessians(f, points):
+    """Second differential at each row of points (p, n), as (p, n, n).
+
+    Central finite differences (O(h^2)) take one evaluate_batch call for
+    every stencil point of every row; an analytic hessian is called per
+    point.
+    """
+    points = np.asarray(points, dtype=float)
+    if f.hessian is not None:
+        return np.array([hessian_at(f, u).coeffs for u in points])
+    p, n = points.shape
+    h = f.fd_step
+    eye = h * np.eye(n)
+    iu, ju = np.triu_indices(n, 1)
+    corners = [si * eye[iu] + sj * eye[ju] for si in (1, -1) for sj in (1, -1)]
+    steps = np.concatenate([np.zeros((1, n)), eye, -eye] + corners)
+    values = evaluate_batch(f, (points[:, None] + steps).reshape(-1, n))
+    values = values.reshape(p, -1)
+    centre, plus, minus = np.split(values[:, :2 * n + 1], [1, n + 1], 1)
+    pp, pm, mp, mm = np.moveaxis(values[:, 2 * n + 1:].reshape(p, 4, -1), 1, 0)
+    coeffs = np.empty((p, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs[:, range(n), range(n)] = (plus - 2.0 * centre + minus) / (h * h)
+        coeffs[:, iu, ju] = coeffs[:, ju, iu] = (
+            (pp - pm) - mp + mm) / (4.0 * h * h)
+    if not np.all(np.isfinite(coeffs)):
+        raise InvariantViolation("non-finite Hessian: K is not finite")
+    return coeffs
+
+
+def hessian_norms(f, points):
+    """Hessian operator norm at each row of points (p, n)."""
+    return np.max(np.abs(np.linalg.eigvalsh(hessians(f, points))), axis=-1)
+
+
 def hessian_at(f, u):
     """Second differential at u as a QuadraticForm; FD is O(h^2)."""
     u = np.asarray(u, dtype=float)
-    if f.hessian is not None:
-        form = f.hessian(u)
-        if not isinstance(form, QuadraticForm):
-            form = QuadraticForm(form)
-        return form
-    n = f.dimension
-    h = f.fd_step
-    coeffs = np.empty((n, n))
-    center = evaluate(f, u)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        coeffs[i, i] = (evaluate(f, u + ei) - 2.0 * center
-                        + evaluate(f, u - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            coeffs[i, j] = coeffs[j, i] = (
-                evaluate(f, u + ei + ej) - evaluate(f, u + ei - ej)
-                - evaluate(f, u - ei + ej) + evaluate(f, u - ei - ej)
-            ) / (4.0 * h * h)
-    return QuadraticForm(coeffs)
+    if f.hessian is None:
+        return QuadraticForm(hessians(f, u[None])[0])
+    form = f.hessian(u)
+    if not isinstance(form, QuadraticForm):
+        form = QuadraticForm(form)
+    return form
 
 
 class SupNormEstimate(NamedTuple):
@@ -97,16 +121,20 @@ def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION, override=None):
     """Estimate sup over the simplex of the Hessian operator norm.
 
     Lattice sampling only: certified is False unless ``override``
-    supplies a known analytic constant, which is returned as-is.
+    supplies a known analytic constant, which is returned as-is. The
+    lattice goes through hessian_norms in chunks of about
+    POINTS_PER_CALL integrand evaluations.
     """
     if override is not None:
         return SupNormEstimate(float(override), True)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    best = 0.0
-    for point in geometry.lattice_points(s, resolution):
-        best = max(best, qform.operator_norm(hessian_at(f, point)))
-    return SupNormEstimate(best, False)
+    points = geometry.lattice_points(s, resolution)
+    n = s.dimension
+    chunk = max(1, POINTS_PER_CALL // (2 * n * n + 1))
+    best = max(hessian_norms(f, points[i:i + chunk]).max()
+               for i in range(0, len(points), chunk))
+    return SupNormEstimate(float(best), False)
 
 
 def convexify(f, gauge):
@@ -150,18 +178,3 @@ def parse_expr(text, n):
 
     return ScalarField(dimension=n, evaluator=evaluator,
                        supports_batch=True)
-
-
-def from_quadratic(c, b, phi):
-    """Polynomial field c + b.x + x^T A x with its constant Hessian."""
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    a = phi.coeffs if phi is not None else np.zeros((n, n))
-    hess = QuadraticForm(2.0 * a)
-
-    def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        return c + x @ b + np.sum((x @ a) * x, axis=-1)
-
-    return ScalarField(dimension=n, evaluator=evaluator,
-                       hessian=lambda u: hess, supports_batch=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -12,45 +12,6 @@ from .errors import DegenerateSimplex, DimensionMismatch, ParseError
 
 # Scale-aware degeneracy threshold on |det E|: eps * (max edge length)^n.
 EPS_GEOM = 1e-13
-
-
-def _lu_factor(a):
-    """LU with partial pivoting (hand-rolled; n is small).
-
-    Returns (lu, piv, det) where lu packs L (unit diagonal) and U.
-    """
-    lu = np.array(a, dtype=float)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0.0:
-            return lu, piv, 0.0
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-            det = -det
-        det *= lu[k, k]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv, det
-
-
-def _lu_solve(lu, piv, b):
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=float)[piv]
-    for k in range(n):          # forward, unit lower triangle
-        x[k + 1:] -= lu[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):  # backward
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
-
-
-def det_matrix(a):
-    """Determinant via LU with partial pivoting."""
-    return _lu_factor(a)[2]
 
 
 @dataclass(frozen=True)
@@ -74,9 +35,7 @@ class Simplex:
         return self.vertices.shape[1]
 
     def max_edge_length(self):
-        v = self.vertices
-        return max(float(np.linalg.norm(v[i] - v[j]))
-                   for i, j in itertools.combinations(range(len(v)), 2))
+        return float(np.sqrt(edge_lengths_sq(self.vertices).max()))
 
 
 def unit_simplex(n):
@@ -96,16 +55,18 @@ def barycenter(s):
     return s.vertices.mean(axis=0)
 
 
-def _checked_det(s):
-    d = det_matrix(edge_matrix(s))
-    if abs(d) <= EPS_GEOM * s.max_edge_length() ** s.dimension:
-        raise DegenerateSimplex(f"|det E| = {abs(d):g} below threshold")
-    return d
+def check_det(s, absdet):
+    """Return |det E|, or raise DegenerateSimplex if it is at most
+    EPS_GEOM * (max edge length)^n."""
+    if absdet <= EPS_GEOM * s.max_edge_length() ** s.dimension:
+        raise DegenerateSimplex(f"|det E| = {absdet:g} below threshold")
+    return absdet
 
 
 def volume(s):
     """|det E| / n!, strictly positive for non-degenerate input."""
-    return abs(_checked_det(s)) / math.factorial(s.dimension)
+    absdet = abs(np.linalg.det(s.vertices[1:] - s.vertices[0]))
+    return check_det(s, absdet) / math.factorial(s.dimension)
 
 
 @dataclass(frozen=True)
@@ -114,52 +75,54 @@ class AffineChart:
 
     origin: np.ndarray
     matrix: np.ndarray
-    _lu: np.ndarray
-    _piv: np.ndarray
     abs_det: float
 
     def to_physical(self, u):
         return self.origin + self.matrix @ np.asarray(u, dtype=float)
 
     def to_reference(self, x):
-        return _lu_solve(self._lu, self._piv,
-                         np.asarray(x, dtype=float) - self.origin)
+        return np.linalg.solve(self.matrix,
+                               np.asarray(x, dtype=float) - self.origin)
 
 
 def chart(s):
     e = edge_matrix(s)
-    lu, piv, d = _lu_factor(e)
-    if abs(d) <= EPS_GEOM * s.max_edge_length() ** s.dimension:
-        raise DegenerateSimplex(f"|det E| = {abs(d):g} below threshold")
     return AffineChart(origin=s.vertices[0].copy(), matrix=e,
-                       _lu=lu, _piv=piv, abs_det=abs(d))
+                       abs_det=check_det(s, abs(np.linalg.det(e))))
 
 
-def longest_edge(s):
-    """Vertex index pair (i, j), i < j, of a longest edge.
+@functools.lru_cache(maxsize=None)
+def _edge_pairs(k):
+    """Vertex index pairs (i, j), i < j, of k vertices, lexicographic."""
+    return np.triu_indices(k, 1)
 
-    Ties break to the lexicographically lowest pair.
-    """
-    v = s.vertices
-    best = None
-    best_len = -1.0
-    for i, j in itertools.combinations(range(len(v)), 2):
-        length = float(np.linalg.norm(v[i] - v[j]))
-        if length > best_len:
-            best_len = length
-            best = (i, j)
-    return best
+
+def edge_lengths_sq(v):
+    """Squared length of every edge of each simplex in v (..., n+1, n),
+    edges in lexicographic vertex-pair order."""
+    i, j = _edge_pairs(v.shape[-2])
+    diff = v[..., i, :] - v[..., j, :]
+    return np.sum(diff * diff, axis=-1)
+
+
+def split(v):
+    """Halves (left, right, ...) of each simplex in v (m, n+1, n), cut at
+    the midpoint of its first longest edge; children keep vertex order."""
+    edge_i, edge_j = _edge_pairs(v.shape[1])
+    longest = np.argmax(edge_lengths_sq(v), axis=1)
+    i, j = edge_i[longest], edge_j[longest]
+    rows = np.arange(len(v))
+    mid = 0.5 * (v[rows, i] + v[rows, j])
+    children = np.repeat(v, 2, axis=0)
+    children[2 * rows, j] = mid
+    children[2 * rows + 1, i] = mid
+    return children
 
 
 def bisect(s):
     """Split at the midpoint of a longest edge; children keep vertex order."""
-    _checked_det(s)
-    i, j = longest_edge(s)
-    mid = 0.5 * (s.vertices[i] + s.vertices[j])
-    left = s.vertices.copy()
-    left[j] = mid
-    right = s.vertices.copy()
-    right[i] = mid
+    volume(s)  # reject degenerate input
+    left, right = split(s.vertices[None])
     return Simplex(left), Simplex(right)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,7 +208,9 @@ def test_non_finite_k_or_radius_raises():
     # A finite K times the moment of a huge simplex overflows the radius.
     big = geometry.Simplex(1e80 * UNIT_TRIANGLE.vertices)
     affine = quadratic_field(1.0, np.array([1.0, 1.0]), None)
-    with np.errstate(over="ignore"):
+    # The overflow is reported by the error alone, not by a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(CerticubeError, match="Hessian"):
             integrate_adaptive(huge, UNIT_TRIANGLE,
                                AdaptiveConfig(tolerance=1.0))

@@ -93,6 +93,24 @@ def test_bound_barycenter_uses_midpoint(unit2):
     assert radius == pytest.approx(math.e / 18)
 
 
+def test_barycenter_rule_is_the_midpoint_certificate(unit2):
+    args = ["--expr", "exp(x1+x2)", "--simplex", unit2,
+            "--K", repr(2 * math.e)]
+    code, text = invoke(["bound", "--rule", "barycenter", *args])
+    assert code == 0 and "midpoint bound" in text
+    default = invoke(["integrate", "--tol", "1e-3", *args])
+    named = invoke(["integrate", "--tol", "1e-3", "--rule", "barycenter",
+                    *args])
+    assert default[0] == 0
+    assert named == default
+
+
+def test_integrate_has_no_seed_option(unit2):
+    code, _ = invoke(["integrate", "--expr", "x1", "--simplex", unit2,
+                      "--tol", "1e-3", "--seed", "0"])
+    assert code == 2
+
+
 def test_bound_degree1_rule_fails(unit2):
     code, text = invoke(["bound", "--rule", "vertex",
                          "--expr", "exp(x1+x2)", "--simplex", unit2])

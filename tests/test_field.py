@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,8 +74,10 @@ def test_hessian_is_symmetric():
 
 def test_hessian_non_finite_raises():
     f = ScalarField(dimension=1, evaluator=lambda x: np.log(x[0]))
-    with np.errstate(divide="ignore"), pytest.raises(EvaluationFailure):
-        field.hessian_at(f, [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the error
+        with pytest.raises(EvaluationFailure):
+            field.hessian_at(f, [0.0])
 
 
 def test_sup_norm_constant_hessian():
