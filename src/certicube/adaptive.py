@@ -4,13 +4,18 @@ Each cell carries a rigorous radius K_cell * moment (times 1/2 for the
 single-point midpoint rule); both are additive over a partition, so
 refining the largest-radius cells until the summed radius meets the
 tolerance certifies the whole simplex. The leaves are numpy arrays kept
-in creation order. Each round bisects, in one kernel call, every leaf
+in creation order. Each round bisects, in one kernel call, the leaves
 with radius >= BAND * max, taken by (-radius, creation index), and keeps
 the longest prefix in which each leaf's radius is at least every child
 radius made before it: exactly the pops of a greedy max-heap (ties to
 the older cell). The prefix also ends where the running total reaches
 the tolerance, at max_depth and at max_cells; the other children are
-discarded. Sums use math.fsum, exactly rounded in any order.
+discarded. So that few are, a round is cut short where the tolerance is
+predicted to fall (plus SLACK), from the radius shrink of the last
+round's splits; a cut that falls short only leaves work for the next
+round. The run computes one determinant, the root's: bisection halves
+the volume exactly, so a leaf at depth d inherits 2^-d of it. Sums use
+math.fsum, exactly rounded in any order.
 """
 
 from __future__ import annotations
@@ -24,15 +29,18 @@ import numpy as np
 from . import cubature as cubature_mod
 from . import field as field_mod
 from . import geometry, moments
-from .bounds import CertifiedResult
+from .bounds import CertifiedResult, exact_sum
 from .cubature import CubatureRule
 from .errors import (BudgetExhausted, InvariantViolation, NegativeGauge,
                      RuleNotApplicable)
 
-# Neither constant changes the partition: BAND in (0, 1] trades rounds
-# against discarded splits, and a round splits at most as many leaves as
+# No constant here changes the partition. BAND in (0, 1] trades rounds
+# against discarded splits. SLACK is how many leaves past the predicted
+# tolerance cut a round still splits, in case its children shrink less
+# than the last round's did. A round splits at most as many leaves as
 # keep its integrand evaluations near POINTS_PER_ROUND, bounding memory.
 BAND = 0.25
+SLACK = 16
 POINTS_PER_ROUND = 2 ** 20
 
 
@@ -115,11 +123,14 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         0 if k_lattice is None else 2 * len(k_lattice) * (2 * n * n + 1))
     max_band = max(1, POINTS_PER_ROUND // points_per_leaf)
 
-    def _cells(V):
-        """(estimate, radius, K) of every simplex in V, shape (m, n+1, n)."""
+    def _cells(V, depth):
+        """(estimate, radius, K) of every simplex in V, shape (m, n+1, n),
+        at the given tree depths."""
+        # Bisection halves the volume exactly: a power of two is exact.
+        vol = np.ldexp(root_vol, -depth)
         with np.errstate(over="ignore"):  # radius checked below
-            absdet, csm = moments.cell_stats(V)
-        est = cubature_mod.estimate(rule, f, V, absdet / nfact)
+            csm = moments.cell_stats(V, vol * nfact)[1]
+        est = cubature_mod.estimate(rule, f, V, vol)
         if global_k is not None:
             k_cell = np.full(len(V), global_k, dtype=float)
         else:
@@ -133,14 +144,15 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                 "non-finite cell radius: K or the simplex is too large")
         return est, rad, k_cell
 
-    geometry.volume(s)  # reject degenerate roots up front
+    root_vol = geometry.volume(s)  # the run's one determinant
     verts = np.array(s.vertices)[None]
-    est, rad, k_cell = _cells(verts)
     depth = np.zeros(1, dtype=int)
+    est, rad, k_cell = _cells(verts, depth)
     running = rad[0]
     rounds = discarded = 0
+    shrink = 1.0  # children/parents radius; 1 predicts nothing
 
-    def finish():
+    def finish(radius=None):
         if diagnostics is not None:
             diagnostics.cells = len(rad)
             diagnostics.rounds = rounds
@@ -156,19 +168,20 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                          estimate=float(est[i]), radius=float(rad[i]),
                          K_local=float(k_cell[i]), depth=int(depth[i]))
                     for i in range(len(rad))]
-        return CertifiedResult(estimate=math.fsum(est),
-                               radius=math.fsum(rad),
+        if radius is None:
+            radius = exact_sum(rad)
+        return CertifiedResult(estimate=exact_sum(est), radius=radius,
                                K_used=float(k_cell.max()),
                                K_certified=k_certified, cells=len(rad))
 
     while True:
         if running <= cfg.tolerance:
             # Re-sum exactly to rule out running-total drift.
-            running = math.fsum(rad)
+            running = exact_sum(rad)
             if running <= cfg.tolerance:
-                return finish()
+                return finish(running)
         band = np.flatnonzero(rad >= BAND * rad.max())
-        band = band[np.argsort(-rad[band], kind="stable")][:max_band]
+        band = band[np.argsort(-rad[band], kind="stable")]
         limit = ("max_depth" if depth[band[0]] >= cfg.max_depth else
                  "max_cells" if len(rad) + 1 > cfg.max_cells else None)
         if limit is not None:
@@ -176,8 +189,15 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                 f"{limit} {getattr(cfg, limit)} reached with radius "
                 f"{running:g} > tolerance {cfg.tolerance:g}",
                 result=finish())
+        band = band[:min(max_band, cfg.max_cells - len(rad))]
+        if shrink < 1:
+            # Predicted totals if each split shrinks as the last round's
+            # did; split up to the first at or below tol, plus SLACK.
+            left = running - (1 - shrink) * np.cumsum(rad[band])
+            band = band[:np.count_nonzero(left > cfg.tolerance) + 1 + SLACK]
+        c_depth = np.repeat(depth[band] + 1, 2)
         children = geometry.split(verts[band])
-        c_est, c_rad, c_k = _cells(children)
+        c_est, c_rad, c_k = _cells(children, c_depth)
         pair_rad = c_rad.reshape(-1, 2)
         # totals[k]: the heap's running total before its k-th pop.
         totals = np.cumsum(np.concatenate(
@@ -189,11 +209,19 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         stop = ((rad[band[1:]] < child_max[:-1])
                 | (totals[1:-1] <= cfg.tolerance)
                 | (depth[band[1:]] >= cfg.max_depth))
-        take = min(1 + int(np.argmax(np.append(stop, True))),
-                   cfg.max_cells - len(rad))
+        take = 1 + int(np.argmax(np.append(stop, True)))
+        # Shrink of the kept splits and of their leading half (the largest
+        # leaves, among which a tolerance cut falls). The smaller predicts
+        # fewer splits: a short prediction costs a round, not discards.
+        parents = np.cumsum(rad[band[:take]])
+        kids = np.cumsum(pair_rad[:take].sum(axis=1))
+        half = (take - 1) // 2
+        if parents[half] > 0:
+            shrink = float(min(kids[-1] / parents[-1],
+                               kids[half] / parents[half]))
         keep = np.ones(len(rad), dtype=bool)
         keep[band[:take]] = False
-        new = (children, c_est, c_rad, c_k, np.repeat(depth[band] + 1, 2))
+        new = (children, c_est, c_rad, c_k, c_depth)
         verts, est, rad, k_cell, depth = (
             np.concatenate((old[keep], add[:2 * take]))
             for old, add in zip((verts, est, rad, k_cell, depth), new))

@@ -17,10 +17,21 @@ import numpy as np
 from . import cubature as cubature_mod
 from . import field as field_mod
 from . import geometry, moments
-from .errors import ConvexityScreenFailed, NegativeGauge, RuleNotApplicable
+from .errors import (ConvexityScreenFailed, InvariantViolation, NegativeGauge,
+                     RuleNotApplicable)
 
 SCREEN_RESOLUTION = 10
 SCREEN_EIG_SLACK = -1e-8
+
+
+def _store_finite(result, names):
+    """Store each named field of a frozen result as a Python float;
+    InvariantViolation if one is inf or NaN."""
+    for name in names:
+        value = float(getattr(result, name))
+        if not math.isfinite(value):
+            raise InvariantViolation(f"non-finite {name} {value}")
+        object.__setattr__(result, name, value)
 
 
 @dataclass(frozen=True)
@@ -34,8 +45,11 @@ class CertifiedResult:
     cells: int = 1
 
     def __post_init__(self):
-        for name in ("estimate", "radius", "K_used"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _store_finite(self, ("estimate", "radius", "K_used"))
+        if self.radius < 0:
+            raise InvariantViolation(f"negative radius {self.radius}")
+        if not all(map(math.isfinite, self.interval)):
+            raise InvariantViolation("interval endpoint overflows")
 
     @property
     def interval(self):
@@ -48,6 +62,18 @@ class SandwichResult:
 
     lower: float  # vol(S) * f(barycenter)
     upper: float  # vol(S) * mean of vertex values
+
+    def __post_init__(self):
+        _store_finite(self, ("lower", "upper"))
+
+
+def exact_sum(values):
+    """Exactly rounded sum of an array; NaN if it overflows or meets
+    inf - inf, which CertifiedResult and SandwichResult then reject."""
+    try:
+        return math.fsum(values.tolist())
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def hh_sandwich(f, s, screen=False):
@@ -67,8 +93,8 @@ def hh_sandwich(f, s, screen=False):
     vol = geometry.volume(s)
     values = field_mod.evaluate_batch(
         f, np.vstack((geometry.barycenter(s), s.vertices)))
-    upper = vol * math.fsum(values[1:]) / (s.dimension + 1)
-    return SandwichResult(lower=vol * values[0], upper=upper)
+    upper = vol * exact_sum(values[1:]) / (s.dimension + 1)
+    return SandwichResult(lower=vol * float(values[0]), upper=upper)
 
 
 def _certificate(rule, factor, f, s, gauge, gauge_certified):
@@ -79,7 +105,7 @@ def _certificate(rule, factor, f, s, gauge, gauge_certified):
     vol = geometry.check_det(s, absdet[0]) / math.factorial(s.dimension)
     return CertifiedResult(
         estimate=cubature_mod.estimate(rule, f, v, vol)[0],
-        radius=factor * gauge * csm[0],
+        radius=factor * float(gauge) * float(csm[0]),  # inf if it overflows
         K_used=gauge, K_certified=gauge_certified)
 
 

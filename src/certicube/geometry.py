@@ -65,7 +65,7 @@ def check_det(s, absdet):
 
 def volume(s):
     """|det E| / n!, strictly positive for non-degenerate input."""
-    absdet = abs(np.linalg.det(s.vertices[1:] - s.vertices[0]))
+    absdet = abs(float(np.linalg.det(s.vertices[1:] - s.vertices[0])))
     return check_det(s, absdet) / math.factorial(s.dimension)
 
 

@@ -78,9 +78,10 @@ def central_matrix(n):
     return m
 
 
-def cell_stats(v):
+def cell_stats(v, absdet=None):
     """(|det E|, int_S ||x - pbar||^2 dx) of each simplex in v (m, n+1, n).
 
+    A known |det E| (adaptive children inherit theirs) is used as given.
     M has constant diagonal d and off-diagonal o, so the moment
     |det E| tr(E^T E M) is |det E| ((d - o) sum_i |e_i|^2 + o |sum_i e_i|^2)
     over the edge rows e_i = p_i - p_0.
@@ -88,7 +89,8 @@ def cell_stats(v):
     central = central_matrix(v.shape[-1])
     off = central[0, 1] if len(central) > 1 else 0.0
     edges = v[:, 1:] - v[:, :1]
-    absdet = np.abs(np.linalg.det(edges))
+    if absdet is None:
+        absdet = np.abs(np.linalg.det(edges))
     edge_sum = edges.sum(axis=1)
     csm = absdet * ((central[0, 0] - off) * np.sum(edges * edges, axis=(1, 2))
                     + off * np.sum(edge_sum * edge_sum, axis=1))

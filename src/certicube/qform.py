@@ -8,8 +8,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-JACOBI_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -40,54 +38,13 @@ def evaluate(phi, x):
     return float(x @ phi.coeffs @ x)
 
 
-def jacobi_eigenvalues(a, tol=JACOBI_TOL):
-    """Eigenvalues of a symmetric array by cyclic Jacobi sweeps.
-
-    Sweeps until the off-diagonal Frobenius norm drops below
-    tol * (Frobenius norm of the input), so convergence is scale-free.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    threshold = tol * max(np.linalg.norm(a), np.finfo(float).tiny)
-
-    def off(m):
-        return np.sqrt(max(0.0, np.sum(m ** 2) - np.sum(np.diag(m) ** 2)))
-
-    for _ in range(100):
-        if off(a) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.1 * threshold / (n * n):
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-100 * abs(diff):
-                    t = apq / diff  # tiny rotation; avoids theta overflow
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p] = c * rp - s * rq
-                a[q] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    return a.diagonal().copy()
-
-
 def operator_norm(phi):
     """sup |phi(x)| over the unit sphere = max |eigenvalue|."""
-    return float(np.max(np.abs(jacobi_eigenvalues(phi.coeffs))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(phi.coeffs))))
 
 
 def min_eigenvalue(phi):
-    return float(np.min(jacobi_eigenvalues(phi.coeffs)))
+    return float(np.linalg.eigvalsh(phi.coeffs)[0])
 
 
 def sum_abs_bound(phi):

@@ -374,3 +374,51 @@ def test_partition_does_not_depend_on_round_size(monkeypatch, band, points):
     assert integrate_adaptive(f, s, cfg, diagnostics=diag) == expected
     assert diag.depth_histogram == base.depth_histogram
     assert diag.rounds != base.rounds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_leaves_inherit_exact_volumes(n):
+    # f = 1, so a leaf's estimate is its volume: |det E| of the root
+    # halved once per level. K peaks at the vertex at the origin, which
+    # drives one corner past depth 15 while coordinates stay relative.
+    rng = np.random.default_rng(80 + n)
+    for _ in range(3):
+        vertices = rand_simplex(rng, n).vertices
+        s = geometry.Simplex(vertices - vertices[0])
+        one = ScalarField(
+            dimension=n, evaluator=lambda x: np.ones(np.shape(x)[:-1]),
+            hessian=lambda u: QuadraticForm(
+                np.eye(len(u)) / (1e-12 + float(u @ u))),
+            supports_batch=True)
+        diag = RunDiagnostics(collect_cells=True)
+        result = refine_steps(one, s, AdaptiveConfig(
+            tolerance=1.0, k_resolution=1), 150, diagnostics=diag)
+        assert max(cell.depth for cell in diag.leaves) >= 15
+        for cell in diag.leaves:
+            assert cell.estimate == pytest.approx(
+                geometry.volume(cell.simplex), rel=1e-12)
+        # Halving is exact and the depths tile the root, so the sum is
+        # the root volume to the last bit.
+        assert math.fsum(cell.estimate for cell in diag.leaves) \
+            == result.estimate == geometry.volume(s)
+
+
+# heap_integrate(EXP_SUM_2D, UNIT_TRIANGLE, 1e-6, K=global K) takes
+# about 45 s, so its cell count and depth histogram are pinned here.
+HEAP_AT_1E6 = (165692, {17: 96452, 18: 69240})
+
+
+@pytest.mark.parametrize("tol", [1.5e-5, 1e-6])
+def test_rounds_do_not_over_split(tol):
+    diag = RunDiagnostics()
+    result = integrate_adaptive(
+        EXP_SUM_2D, UNIT_TRIANGLE,
+        AdaptiveConfig(tolerance=tol, k_mode="global"), diagnostics=diag)
+    if tol == 1e-6:
+        cells, hist = HEAP_AT_1E6
+    else:
+        k = field_mod.d2f_sup_norm(EXP_SUM_2D, UNIT_TRIANGLE).value
+        cells, hist = heap_integrate(EXP_SUM_2D, UNIT_TRIANGLE, tol,
+                                     K=k)[2:4]
+    assert (result.cells, diag.depth_histogram) == (cells, hist)
+    assert diag.discarded_splits <= 0.05 * result.cells

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from certicube import bounds, cubature, field, geometry, moments
-from certicube.errors import (ConvexityScreenFailed, NegativeGauge,
-                              RuleNotApplicable)
+from certicube.errors import (ConvexityScreenFailed, InvariantViolation,
+                              NegativeGauge, RuleNotApplicable)
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
@@ -187,3 +187,22 @@ def test_rule_radius_reference_constant():
         result = bounds.rule_bound(rule, f, s, 2.0)
         expected = 2.0 * n * n / (math.factorial(n + 2) * (n + 1))
         assert result.radius == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(estimate=math.inf), dict(estimate=-math.inf),
+    dict(estimate=math.nan), dict(radius=math.inf), dict(radius=math.nan),
+    dict(radius=-1e-300), dict(K_used=math.inf), dict(K_used=math.nan),
+    dict(estimate=1.79e308, radius=1e307),
+    dict(estimate=-1.79e308, radius=1e307)])
+def test_certified_result_rejects_non_finite_or_negative(fields):
+    values = dict(estimate=1.0, radius=0.5, K_used=2.0) | fields
+    with pytest.raises(InvariantViolation):
+        bounds.CertifiedResult(K_certified=True, **values)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(lower=math.inf), dict(upper=math.nan), dict(upper=-math.inf)])
+def test_sandwich_result_rejects_non_finite(fields):
+    with pytest.raises(InvariantViolation):
+        bounds.SandwichResult(**(dict(lower=0.0, upper=1.0) | fields))

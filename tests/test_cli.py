@@ -1,7 +1,9 @@
 import io
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certicube import cubature
 from certicube.cli import run
@@ -205,3 +207,120 @@ def test_integrate_report_lines(unit2, tmp_path):
     assert keys[-2:] == ["rounds", "discarded_splits"]
     assert all(int(line.split()[1]) >= 0 for line in lines[header - 2:header])
     assert all(len(line.split()) == 2 for line in lines[header + 1:])
+
+
+@pytest.fixture
+def segment(tmp_path):
+    path = tmp_path / "segment.spx"
+    path.write_text("0\n4\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--rule", "barycenter"],
+    ["integrate", "--tol", "1"],
+    ["sandwich"]])
+def test_overflowing_estimate_is_an_error(segment, argv):
+    # vol * f = 4 * 1e308 overflows: no warning, no certified inf.
+    argv = argv + ["--expr", "1e308", "--simplex", segment]
+    if argv[0] != "sandwich":
+        argv += ["--K", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = invoke(argv)
+    assert code == 1
+    assert text.startswith("error: non-finite")
+    assert "certified" not in text
+
+
+# Property test over argv and rule-file text. Inputs are drawn from
+# small pools of edge values; --max-cells stays small to keep runs short.
+SIMPLICES = {"seg": "0\n4\n", "tri": "0 0\n1 0\n0 1\n",
+             "tet": "0 0 0\n1 0 0\n0 1 0\n0 0 1\n",
+             "flat": "0 0\n1 1\n2 2\n", "bad": "0 0\n1\n"}
+NUMBERS = ["0", "1", "-1", "2.5", "1e-3", "1e-300", "1e300", "1e308",
+           "-1e308", "nan", "inf", "-inf", "x", ""]
+TOLERANCES = ["1", "0.1", "1e-3", "1e-300", "1e308", "0", "-1", "nan"]
+EXPRS = ["x1", "exp(x1)", "x1*x1", "-x1*x1", "1e308", "-1e308*x1",
+         "1e308+x1", "1e308*x1*x1", "x1^x1", "log(x1)", "sqrt(x1-1)",
+         "1/x1", "sin(40*x1)", "exp(1000*x1)", "2", "exp(x1+x2)", "x3"]
+EXPR_TOKENS = ["x1", "x2", "(", ")", "+", "-", "*", "/", "^", "exp",
+               "log", "1e308", "0", ".5", " "]
+RULE_TOKENS = ["0", "1", "1/3", "1/2", "1/12", "3/4", "-1", "1/0",
+               "1e308", "nan", "x"]
+RULE_LINES = st.one_of(
+    st.sampled_from(["dim 1", "dim 2", "dim 3", "dim x", "dim -1",
+                     "nodes 1", "nodes 4", "nodes 0", "nodes -1",
+                     "# note", ""]),
+    st.lists(st.sampled_from(RULE_TOKENS), min_size=1, max_size=4)
+    .map(" ".join))
+RULE_TEXTS = st.one_of(
+    st.lists(RULE_LINES, max_size=12).map("\n".join),
+    st.sampled_from(["dim 2\nnodes 4\n1 0 0\n0 1 0\n0 0 1\n"
+                     "1/3 1/3 1/3\n1/12\n1/12\n1/12\n3/4\n",
+                     "dim 1\nnodes 1\n1/2 1/2\n1\n"]))
+
+
+@st.composite
+def cli_argv(draw, paths):
+    """One argv; options use --flag=value so '-1' stays a value."""
+    def opt(flag, pool):
+        return ([f"{flag}={draw(st.sampled_from(pool))}"]
+                if draw(st.booleans()) else [])
+
+    command = draw(st.sampled_from(
+        ["moments", "verify-rule", "sandwich", "bound", "integrate"]))
+    expr = (draw(st.sampled_from(EXPRS)) if draw(st.integers(0, 3)) else
+            "".join(draw(st.lists(st.sampled_from(EXPR_TOKENS),
+                                  max_size=8))))
+    rule = draw(st.sampled_from(
+        ["barycenter", "vertex", "hh-mix-2d", "nosuch", paths["rule"]]))
+    shape = [f"--expr={expr}", "--simplex",
+             paths[draw(st.sampled_from(sorted(SIMPLICES)))]]
+    argv = opt("--threads", ["1", "8", "-3"]) + [command]
+    if command == "moments":
+        argv += opt("--dim", ["1", "3", "18", "19", "0", "-2", "x"])
+    elif command == "verify-rule":
+        argv += [paths["rule"]]
+    elif command == "sandwich":
+        argv += shape + (["--screen"] if draw(st.booleans()) else [])
+    elif command == "bound":
+        argv += [f"--rule={rule}"] + shape + opt("--K", NUMBERS) + opt(
+            "--resolution", ["-1", "0", "1", "3"])
+    else:
+        tol = draw(st.sampled_from(TOLERANCES))
+        cells = draw(st.sampled_from(["-1", "0", "1", "2", "40"]))
+        argv += shape + [f"--tol={tol}", f"--max-cells={cells}"]
+        argv += opt("--rule", [rule]) + opt("--K", NUMBERS)
+        argv += opt("--k-mode", ["global", "per-cell", "other"])
+        argv += opt("--report", [paths["report"]])
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    paths = {"rule": str(root / "fuzz.rule"),
+             "report": str(root / "run.report")}
+    for name, text in SIMPLICES.items():
+        paths[name] = str(root / f"{name}.spx")
+        with open(paths[name], "w") as fh:
+            fh.write(text)
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rule_text=RULE_TEXTS)
+def test_cli_inputs_end_in_a_documented_exit(cli_paths, data, rule_text):
+    with open(cli_paths["rule"], "w") as fh:
+        fh.write(rule_text)
+    argv = data.draw(cli_argv(cli_paths))
+    code, text = invoke(argv)  # an uncaught exception fails the test
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        for line in text.splitlines():
+            key, _, rest = line.partition(":")
+            if key in ("estimate", "radius", "interval", "lower", "upper"):
+                values = [float(v) for v in rest.strip(" []").split(",")]
+                assert all(map(math.isfinite, values)), (argv, text)
+                assert key != "radius" or values[0] >= 0, (argv, text)
