@@ -1,7 +1,7 @@
 """Certified adaptive integration by batched longest-edge bisection.
 
-Each cell carries a rigorous radius K_cell * moment (times 1/2 for the
-single-point midpoint rule); both are additive over a partition, so
+Each cell carries a rigorous radius K_cell * moment times the factor
+bounds.certificate gives the rule; both are additive over a partition, so
 refining the largest-radius cells until the summed radius meets the
 tolerance certifies the whole simplex. The leaves are numpy arrays kept
 in creation order. Each round bisects, in one kernel call, the leaves
@@ -28,11 +28,10 @@ import numpy as np
 
 from . import cubature as cubature_mod
 from . import field as field_mod
-from . import geometry, moments
-from .bounds import CertifiedResult, exact_sum
+from . import geometry
+from .bounds import CertifiedResult, certificate, certify_cells, exact_sum
 from .cubature import CubatureRule
-from .errors import (BudgetExhausted, InvariantViolation, NegativeGauge,
-                     RuleNotApplicable)
+from .errors import BudgetExhausted, NegativeGauge
 
 # No constant here changes the partition. BAND in (0, 1] trades rounds
 # against discarded splits. SLACK is how many leaves past the predicted
@@ -64,7 +63,6 @@ class AdaptiveConfig:
     k_mode: str = "per-cell"  # or "global"
     k_resolution: int = 4
     k_override: Optional[float] = None  # analytic constant; certified
-    global_resolution: int = 20
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -100,23 +98,14 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     """
     n = s.dimension
     nfact = math.factorial(n)
-    factor = 0.5 if cfg.rule == "midpoint" else 1.0
-
-    rule = cfg.rule
-    if isinstance(rule, CubatureRule):
-        report = cubature_mod.verify(rule)
-        if not report.thm2_applicable:
-            raise RuleNotApplicable(
-                f"rule {rule.provenance!r} is not positive degree-2 "
-                f"exact", report=report)
-    else:
-        rule = cubature_mod.builtin("barycenter", n)
+    rule, factor = certificate(
+        cfg.rule if isinstance(cfg.rule, CubatureRule)
+        else cubature_mod.builtin("barycenter", n))
 
     k_certified = cfg.k_override is not None
     global_k = cfg.k_override
     if global_k is None and cfg.k_mode == "global":
-        global_k = field_mod.d2f_sup_norm(
-            f, s, resolution=cfg.global_resolution).value
+        global_k = field_mod.d2f_sup_norm(f, s).value
     k_lattice = None if global_k is not None else np.array(list(
         geometry.barycentric_lattice(n, cfg.k_resolution)))
     points_per_leaf = 2 * len(rule.weights) + (
@@ -128,20 +117,14 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         at the given tree depths."""
         # Bisection halves the volume exactly: a power of two is exact.
         vol = np.ldexp(root_vol, -depth)
-        with np.errstate(over="ignore"):  # radius checked below
-            csm = moments.cell_stats(V, vol * nfact)[1]
-        est = cubature_mod.estimate(rule, f, V, vol)
         if global_k is not None:
             k_cell = np.full(len(V), global_k, dtype=float)
         else:
             k_cell = np.max(field_mod.hessian_norms(
                 f, (k_lattice @ V).reshape(-1, n)).reshape(len(V), -1),
                 axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rad = factor * k_cell * csm
-        if not np.all(np.isfinite(rad)):
-            raise InvariantViolation(
-                "non-finite cell radius: K or the simplex is too large")
+        est, rad = certify_cells(rule, factor, f, V, vol, vol * nfact,
+                                 k_cell)
         return est, rad, k_cell
 
     root_vol = geometry.volume(s)  # the run's one determinant

@@ -1,6 +1,11 @@
 """Error certificates: the convex sandwich, the midpoint bound, and the
 positive-rule bound.
 
+certificate(rule) alone decides which radius a rule earns (K/2 times
+the second moment at the barycenter, K times it for a positive
+degree-2-exact rule), and certify_cells alone computes estimates and
+radii; rule_bound, midpoint_bound and the adaptive loop all use both.
+
 All radii are conditional on the supplied curvature constant K >= the
 sup operator norm of the second differential over the simplex;
 K_certified records whether K was an analytic constant or a lattice
@@ -97,38 +102,56 @@ def hh_sandwich(f, s, screen=False):
     return SandwichResult(lower=vol * float(values[0]), upper=upper)
 
 
-def _certificate(rule, factor, f, s, gauge, gauge_certified):
-    """Rule estimate with radius factor * K * moment: one determinant
-    and one evaluate_batch call."""
-    v = s.vertices[None]
-    absdet, csm = moments.cell_stats(v)
-    vol = geometry.check_det(s, absdet[0]) / math.factorial(s.dimension)
-    return CertifiedResult(
-        estimate=cubature_mod.estimate(rule, f, v, vol)[0],
-        radius=factor * float(gauge) * float(csm[0]),  # inf if it overflows
-        K_used=gauge, K_certified=gauge_certified)
+def certificate(rule):
+    """(certifying rule, radius factor): the one place a rule gets its
+    certificate.
 
-
-def midpoint_bound(f, s, gauge, gauge_certified=False):
-    """Single-point rule at the barycenter with radius (K/2) * moment."""
-    if not gauge >= 0:
-        raise NegativeGauge(f"K = {gauge} is not >= 0")
-    return _certificate(cubature_mod.builtin("barycenter", s.dimension),
-                        0.5, f, s, gauge, gauge_certified)
-
-
-def rule_bound(rule, f, s, gauge, gauge_certified=False, report=None):
-    """Positive degree-2-exact rule with radius K * moment.
-
-    Refuses rules that fail positivity or degree-2 exactness; there is
-    no valid certificate for that class.
+    A one-node rule at the barycenter is the midpoint operator; it is
+    replaced by the exact builtin barycenter rule of its dimension, with
+    factor 1/2. A positive degree-2-exact rule keeps itself, with factor
+    1. Any other rule has no certificate: RuleNotApplicable.
     """
-    if not gauge >= 0:
-        raise NegativeGauge(f"K = {gauge} is not >= 0")
-    if report is None:
-        report = rule.report
+    report = rule.report
+    if len(rule.weights) == 1 and report.barycenter_ok:
+        return cubature_mod.builtin("barycenter", rule.dimension), 0.5
     if not report.thm2_applicable:
         raise RuleNotApplicable(
             f"rule {rule.provenance!r}: positivity={report.positivity}, "
             f"exactness_degree={report.exactness_degree}", report=report)
-    return _certificate(rule, 1.0, f, s, gauge, gauge_certified)
+    return rule, 1.0
+
+
+def certify_cells(rule, factor, f, v, vol, absdet, gauge):
+    """(estimate, radius) of each simplex in v (m, n+1, n), given its
+    volume, |det E| and curvature constant K: radius = factor * K *
+    second moment. InvariantViolation if a radius is not finite."""
+    est = cubature_mod.estimate(rule, f, v, vol)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rad = factor * gauge * moments.cell_stats(v, absdet)[1]
+    if not np.all(np.isfinite(rad)):
+        raise InvariantViolation(
+            "non-finite cell radius: K or the simplex is too large")
+    return est, rad
+
+
+def rule_bound(rule, f, s, gauge, gauge_certified=False):
+    """Rule estimate with the radius certificate(rule) gives: K * moment
+    for a positive degree-2-exact rule, (K/2) * moment at the barycenter.
+
+    Refuses every other rule; there is no valid certificate for it.
+    """
+    if not gauge >= 0:
+        raise NegativeGauge(f"K = {gauge} is not >= 0")
+    rule, factor = certificate(rule)
+    absdet = geometry.abs_det(s)
+    est, rad = certify_cells(rule, factor, f, s.vertices[None],
+                             absdet / math.factorial(s.dimension), absdet,
+                             gauge)
+    return CertifiedResult(estimate=est[0], radius=rad[0], K_used=gauge,
+                           K_certified=gauge_certified)
+
+
+def midpoint_bound(f, s, gauge, gauge_certified=False):
+    """Single-point rule at the barycenter with radius (K/2) * moment."""
+    return rule_bound(cubature_mod.builtin("barycenter", s.dimension),
+                      f, s, gauge, gauge_certified)

@@ -31,12 +31,6 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _fmt_exact(value, exact=None):
-    if exact is not None:
-        return f"{_fmt(value)}  ({exact})"
-    return _fmt(value)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="certicube",
@@ -87,14 +81,6 @@ def _load_rule_arg(name, n):
     if name in cubature_mod.BUILTIN_NAMES:
         return cubature_mod.builtin(name, n)
     return cubature_mod.load_rule(name)
-
-
-def _is_barycenter_rule(rule):
-    if len(rule.weights) != 1:
-        return False
-    import numpy as np
-    target = 1.0 / (rule.dimension + 1)
-    return bool(np.max(np.abs(rule.nodes[0] - target)) <= 1e-12)
 
 
 def _print_certified(result, out):
@@ -157,15 +143,11 @@ def _cmd_bound(args, out):
     else:
         gauge, certified = field_mod.d2f_sup_norm(
             f, simplex, resolution=args.resolution)
-    if _is_barycenter_rule(rule):
-        # Lemma-style midpoint bound has the sharper 1/2 factor.
-        result = bounds_mod.midpoint_bound(f, simplex, gauge,
-                                           gauge_certified=certified)
-        print("rule: barycenter (midpoint bound)", file=out)
-    else:
-        result = bounds_mod.rule_bound(rule, f, simplex, gauge,
-                                       gauge_certified=certified)
-        print(f"rule: {rule.provenance}", file=out)
+    result = bounds_mod.rule_bound(rule, f, simplex, gauge,
+                                   gauge_certified=certified)
+    rule, factor = bounds_mod.certificate(rule)
+    label = " (midpoint bound)" if factor < 1 else ""
+    print(f"rule: {rule.provenance}{label}", file=out)
     _print_certified(result, out)
     return EXIT_OK
 
@@ -175,8 +157,6 @@ def _cmd_integrate(args, out):
     f = field_mod.parse_expr(args.expr, simplex.dimension)
     rule = ("midpoint" if args.rule is None
             else _load_rule_arg(args.rule, simplex.dimension))
-    if rule != "midpoint" and _is_barycenter_rule(rule):
-        rule = "midpoint"  # the sharper certificate, as in `bound`
     cfg = adaptive_mod.AdaptiveConfig(
         tolerance=args.tol, max_cells=args.max_cells, rule=rule,
         k_mode=args.k_mode, k_override=args.K)

@@ -27,15 +27,25 @@ class Simplex:
                 f"need n+1 vertices of length n >= 1, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DimensionMismatch("non-finite vertex coordinate")
+        # Bisection and the degeneracy check need the squared edge
+        # lengths and max edge^n, which bounds |det E|, as finite floats.
+        with np.errstate(over="ignore"):
+            longest = np.sqrt(edge_lengths_sq(v).max())
+            scale = longest ** v.shape[1]
+        if not np.isfinite(scale):
+            raise DimensionMismatch(
+                "simplex too large for floating point: "
+                "max edge length ^ n overflows")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "_longest", float(longest))
 
     @property
     def dimension(self):
         return self.vertices.shape[1]
 
     def max_edge_length(self):
-        return float(np.sqrt(edge_lengths_sq(self.vertices).max()))
+        return self._longest
 
 
 def unit_simplex(n):
@@ -63,10 +73,15 @@ def check_det(s, absdet):
     return absdet
 
 
+def abs_det(s):
+    """|det E|, strictly positive for non-degenerate input."""
+    return check_det(
+        s, abs(float(np.linalg.det(s.vertices[1:] - s.vertices[0]))))
+
+
 def volume(s):
     """|det E| / n!, strictly positive for non-degenerate input."""
-    absdet = abs(float(np.linalg.det(s.vertices[1:] - s.vertices[0])))
-    return check_det(s, absdet) / math.factorial(s.dimension)
+    return abs_det(s) / math.factorial(s.dimension)
 
 
 @dataclass(frozen=True)

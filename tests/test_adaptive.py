@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,11 +85,12 @@ def test_per_cell_k_beats_global_k():
 
 
 def test_rejects_degree_1_rule():
-    with pytest.raises(RuleNotApplicable):
+    with pytest.raises(RuleNotApplicable) as err:
         integrate_adaptive(
             EXP_SUM_2D, UNIT_TRIANGLE,
             AdaptiveConfig(tolerance=1e-4,
                            rule=cubature.builtin("vertex", 2)))
+    assert err.value.report.exactness_degree == 1
 
 
 def test_budget_exhausted_carries_partial_result():
@@ -142,7 +144,10 @@ def test_determinism_repeat_runs():
     cfg = AdaptiveConfig(tolerance=1e-5, k_mode="global")
     first = integrate_adaptive(EXP_SUM_2D, UNIT_TRIANGLE, cfg)
     second = integrate_adaptive(EXP_SUM_2D, UNIT_TRIANGLE, cfg)
-    assert first == second
+    # The barycenter rule is the midpoint rule, with its certificate.
+    named = integrate_adaptive(EXP_SUM_2D, UNIT_TRIANGLE, replace(
+        cfg, rule=cubature.builtin("barycenter", 2)))
+    assert first == second == named
 
 
 def test_rule_based_adaptive():

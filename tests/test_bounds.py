@@ -118,6 +118,23 @@ def test_rule_bound_refuses_degree_1_rule():
     assert err.value.report.exactness_degree == 1
 
 
+def test_barycenter_rule_file_is_evaluated_at_the_exact_barycenter(
+        tmp_path):
+    # The file's node is the barycenter rounded to decimals; the
+    # certificate swaps in the exact builtin rule.
+    path = tmp_path / "bary.rule"
+    path.write_text("dim 2\nnodes 1\n0.3333333333333333 0.3333333333333333"
+                    " 0.3333333333333334\n1\n")
+    points = []
+    f = ScalarField(dimension=2,
+                    evaluator=lambda x: points.append(tuple(x)) or x[1])
+    result = bounds.rule_bound(cubature.load_rule(path), f, UNIT_TRIANGLE,
+                               2.0)
+    exact = cubature.builtin("barycenter", 2).nodes @ UNIT_TRIANGLE.vertices
+    assert points == [tuple(exact[0])] and points[0][1] == 1 / 3
+    assert result == bounds.midpoint_bound(f, UNIT_TRIANGLE, 2.0)
+
+
 def test_sandwich_containment_random_quadratics():
     rng = np.random.default_rng(64)
     for _ in range(200):

@@ -3,7 +3,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from certicube import cubature
 from certicube.cli import run
@@ -56,6 +56,18 @@ def test_verify_rule_degree1_fails(tmp_path):
     assert "exactness: 1" in text
 
 
+@pytest.mark.parametrize("text,message", [
+    ("dim 2\nnodes 1\n0.5 0.6 -0.1\n1\n",
+     "negative barycentric coordinate at node 0"),
+    ("dim 2\nnodes 1\n0.3 0.3 0.3\n1\n",
+     "barycentric sum 0.8999999999999999 != 1 at node 0"),
+    ("dim 1\nnodes 1\n0.5 0.5\n0.9\n", "weights sum 0.9 != 1")])
+def test_verify_rule_structural_defect(tmp_path, text, message):
+    path = tmp_path / "defect.rule"
+    path.write_text(text)
+    assert invoke(["verify-rule", str(path)]) == (1, f"error: {message}\n")
+
+
 def test_verify_rule_missing_file():
     code, text = invoke(["verify-rule", "/nonexistent.rule"])
     assert code == 2
@@ -95,7 +107,7 @@ def test_bound_barycenter_uses_midpoint(unit2):
     assert radius == pytest.approx(math.e / 18)
 
 
-def test_barycenter_rule_is_the_midpoint_certificate(unit2):
+def test_barycenter_rule_is_the_midpoint_certificate(unit2, tmp_path):
     args = ["--expr", "exp(x1+x2)", "--simplex", unit2,
             "--K", repr(2 * math.e)]
     code, text = invoke(["bound", "--rule", "barycenter", *args])
@@ -105,6 +117,28 @@ def test_barycenter_rule_is_the_midpoint_certificate(unit2):
                     *args])
     assert default[0] == 0
     assert named == default
+    # A rule file with the barycenter, rounded, as its one node.
+    path = tmp_path / "bary.rule"
+    path.write_text("dim 2\nnodes 1\n0.3333333333333333 0.3333333333333333"
+                    " 0.3333333333333334\n1\n")
+    assert invoke(["bound", "--rule", str(path), *args]) == (code, text)
+    assert invoke(["integrate", "--tol", "1e-3", "--rule", str(path),
+                   *args]) == default
+
+
+@pytest.mark.parametrize("rule", ["barycenter", "hh-mix-2d"])
+@pytest.mark.parametrize("n,simplex", [
+    (1, "0\n1\n"), (3, "0 0 0\n1 0 0\n0 1 0\n0 0 1\n")],
+    ids=["segment", "tetrahedron"])
+def test_rule_file_of_the_wrong_dimension_fails(tmp_path, rule, n, simplex):
+    rule_path = tmp_path / "two.rule"
+    cubature.save_rule(cubature.builtin(rule, 2), rule_path)
+    spx = tmp_path / "other.spx"
+    spx.write_text(simplex)
+    args = ["--rule", str(rule_path), "--expr", "x1", "--simplex", str(spx),
+            "--K", "1"]
+    for argv in (["bound", *args], ["integrate", "--tol", "1", *args]):
+        assert invoke(argv) == (1, f"error: rule dimension 2 vs simplex {n}\n")
 
 
 def test_integrate_has_no_seed_option(unit2):
@@ -118,6 +152,10 @@ def test_bound_degree1_rule_fails(unit2):
                          "--expr", "exp(x1+x2)", "--simplex", unit2])
     assert code == 1
     assert "error" in text
+    for command in (["bound"], ["integrate", "--tol", "1e-3"]):
+        code, text = invoke(command + ["--rule", "vertex", "--expr", "x1",
+                                       "--simplex", unit2, "--K", "1"])
+        assert code == 1 and "exactness_degree=1" in text
 
 
 def test_integrate_exp(unit2, tmp_path):
@@ -301,7 +339,8 @@ def cli_argv(draw, paths):
 def cli_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     paths = {"rule": str(root / "fuzz.rule"),
-             "report": str(root / "run.report")}
+             "report": str(root / "run.report"),
+             "simplex": str(root / "fuzz.spx")}
     for name, text in SIMPLICES.items():
         paths[name] = str(root / f"{name}.spx")
         with open(paths[name], "w") as fh:
@@ -315,6 +354,12 @@ def test_cli_inputs_end_in_a_documented_exit(cli_paths, data, rule_text):
     with open(cli_paths["rule"], "w") as fh:
         fh.write(rule_text)
     argv = data.draw(cli_argv(cli_paths))
+    _check_documented_exit(argv)
+
+
+def _check_documented_exit(argv):
+    """Exit 0-3 without an exception; on exit 0, every printed value is
+    finite and the radius is >= 0."""
     code, text = invoke(argv)  # an uncaught exception fails the test
     assert code in (0, 1, 2, 3)
     if code == 0:
@@ -324,3 +369,89 @@ def test_cli_inputs_end_in_a_documented_exit(cli_paths, data, rule_text):
                 values = [float(v) for v in rest.strip(" []").split(",")]
                 assert all(map(math.isfinite, values)), (argv, text)
                 assert key != "radius" or values[0] >= 0, (argv, text)
+
+
+# Simplices whose squared edges or max edge^n overflow a float; the
+# 1e150 triangle does not, though its certificates' radii do.
+TOO_LARGE = {"segment_to_-1e308": "-1e308\n0\n",
+             "segment_-1e308_to_1e308": "-1e308\n1e308\n",
+             "triangle_legs_1e154": "0 0\n1e154 0\n0 1e154\n",
+             "4-simplex_legs_1e100": "0 0 0 0\n1e100 0 0 0\n0 1e100 0 0\n"
+                                     "0 0 1e100 0\n0 0 0 1e100\n"}
+SHAPE_COMMANDS = [["sandwich", "--expr=1"],
+                  ["bound", "--rule=barycenter", "--expr=1", "--K=1"],
+                  ["integrate", "--tol=1", "--expr=1", "--K=1"]]
+
+
+@pytest.mark.parametrize("command", SHAPE_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("text", TOO_LARGE.values(), ids=TOO_LARGE.keys())
+def test_simplex_too_large_for_floating_point(tmp_path, command, text):
+    path = tmp_path / "huge.spx"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(command + ["--simplex", str(path)])
+    assert (code, out) == (1, "error: simplex too large for floating "
+                              "point: max edge length ^ n overflows\n")
+
+
+def test_sandwich_on_a_huge_triangle(tmp_path):
+    path = tmp_path / "huge.spx"
+    path.write_text("0 0\n1e150 0\n0 1e150\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(SHAPE_COMMANDS[0] + ["--simplex", str(path)])
+        assert code == 0 and "lower: 4.99999" in out
+        code, out = invoke(SHAPE_COMMANDS[1] + ["--simplex", str(path)])
+        assert (code, out) == (1, "error: non-finite cell radius: K or the "
+                                  "simplex is too large\n")
+
+
+# Property test over simplex-file text: lines of 0-4 tokens; three files
+# in four have n tokens on each of n + 1 lines, so that many parse.
+PLAIN_TOKENS = ["0", "1", "-1", "0.5", "3", "-2.25", "7"]
+EDGE_TOKENS = ["1e100", "1e154", "1e308", "-1e308", "nan", "inf", "x",
+               "1/2", "#"]
+SIMPLEX_TOKEN = st.sampled_from(PLAIN_TOKENS * 3 + EDGE_TOKENS)
+
+
+@st.composite
+def simplex_text(draw):
+    n = draw(st.integers(1, 4))
+    regular = draw(st.sampled_from([True, True, True, False]))
+    sizes = st.just(n) if regular else st.integers(0, 4)
+    lines = [" ".join(draw(st.lists(SIMPLEX_TOKEN, min_size=size,
+                                    max_size=size)))
+             for size in draw(st.lists(sizes, min_size=n + 1,
+                                       max_size=n + 1))]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def shape_argv(draw):
+    command = draw(st.sampled_from(["sandwich", "bound", "integrate"]))
+    expr = draw(st.sampled_from(["1", "x1", "x1*x1", "exp(x1)", "1e308"]))
+    argv = [command, f"--expr={expr}"]
+    if command == "bound":
+        argv.append("--rule=barycenter")
+    elif command == "integrate":
+        argv += [f"--tol={draw(st.sampled_from(['1', '1e-3']))}",
+                 f"--max-cells={draw(st.integers(1, 40))}"]
+    if command != "sandwich" and draw(st.booleans()):
+        argv.append(f"--K={draw(st.sampled_from(['0', '1', '1e300']))}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=simplex_text(), argv=shape_argv())
+@example(text="0 0\n1e150 0\n0 1e150\n", argv=SHAPE_COMMANDS[0])
+@example(text=TOO_LARGE["segment_to_-1e308"], argv=SHAPE_COMMANDS[0])
+@example(text=TOO_LARGE["segment_-1e308_to_1e308"], argv=SHAPE_COMMANDS[1])
+@example(text=TOO_LARGE["triangle_legs_1e154"], argv=SHAPE_COMMANDS[2])
+@example(text=TOO_LARGE["4-simplex_legs_1e100"], argv=SHAPE_COMMANDS[0])
+def test_simplex_files_end_in_a_documented_exit(cli_paths, text, argv):
+    with open(cli_paths["simplex"], "w") as fh:
+        fh.write(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_documented_exit(argv + ["--simplex", cli_paths["simplex"]])

@@ -136,6 +136,8 @@ def _certificates(f, s, k):
         "apply_rule": lambda: cubature.apply_rule(rule, f, s),
         "midpoint": lambda: bounds.midpoint_bound(f, s, k),
         "rule": lambda: bounds.rule_bound(rule, f, s, k),
+        "barycenter": lambda: bounds.rule_bound(
+            cubature.builtin("barycenter", n), f, s, k),
         "sandwich": lambda: bounds.hh_sandwich(f, s),
     }
 
@@ -187,6 +189,8 @@ def test_one_shot_paths_match_closed_forms(problem):
     _close(sandwich.upper, _exact_rule(vertex, f, v, vol), est)
     # One batched integrand call per certificate, over all of its nodes.
     assert f.shapes == [(n + 2, n), (1, n), (n + 2, n), (n + 2, n)]
+    # The barycenter rule gets the midpoint certificate, bit for bit.
+    assert calls["barycenter"]() == midpoint
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
