@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class AdaptiveConfig:
     tolerance: float
     max_cells: int = 10 ** 6
     max_depth: int = 60
-    rule: Union[CubatureRule, str] = "midpoint"
+    rule: Optional[CubatureRule] = None  # None: the barycenter rule
     k_mode: str = "per-cell"  # or "global"
     k_resolution: int = 4
     k_override: Optional[float] = None  # analytic constant; certified
@@ -69,8 +69,8 @@ class AdaptiveConfig:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.k_mode not in ("per-cell", "global"):
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
-        if isinstance(self.rule, str) and self.rule != "midpoint":
-            raise ValueError(f"rule must be a CubatureRule or 'midpoint'")
+        if self.rule is not None and not isinstance(self.rule, CubatureRule):
+            raise ValueError(f"rule must be a CubatureRule, got {self.rule!r}")
         if self.k_override is not None and not (
                 0 <= self.k_override < math.inf):
             raise NegativeGauge(
@@ -99,8 +99,8 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     n = s.dimension
     nfact = math.factorial(n)
     rule, factor = certificate(
-        cfg.rule if isinstance(cfg.rule, CubatureRule)
-        else cubature_mod.builtin("barycenter", n))
+        cubature_mod.builtin("barycenter", n) if cfg.rule is None
+        else cfg.rule)
 
     k_certified = cfg.k_override is not None
     global_k = cfg.k_override

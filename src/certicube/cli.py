@@ -155,7 +155,7 @@ def _cmd_bound(args, out):
 def _cmd_integrate(args, out):
     simplex = geometry.load_simplex(args.simplex)
     f = field_mod.parse_expr(args.expr, simplex.dimension)
-    rule = ("midpoint" if args.rule is None
+    rule = (None if args.rule is None
             else _load_rule_arg(args.rule, simplex.dimension))
     cfg = adaptive_mod.AdaptiveConfig(
         tolerance=args.tol, max_cells=args.max_cells, rule=rule,

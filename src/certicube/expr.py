@@ -1,4 +1,4 @@
-"""Recursive-descent parser for textual integrands.
+"""Recursive-descent parser that compiles textual integrands to a tape.
 
 Grammar:
     expr   := term (('+'|'-') term)*
@@ -7,12 +7,24 @@ Grammar:
     base   := number | var | func '(' expr ')' | '(' expr ')' | '-' base
     var    := 'x' digits                  # 1-indexed
 
-Functions: exp, sin, cos, log, sqrt. Node evaluation is numpy-based, so
-a parsed tree accepts a single point (n,) or a batch (m, n).
+Functions: exp, sin, cos, log, sqrt. The parser's single pass emits a
+Tape: one instruction (opcode, argument slots, constant) per slot, in
+evaluation order. A sub-expression without a variable is folded into a
+constant as it is parsed, by the float arithmetic, so it has the bits
+evaluation would give it; a power with a constant exponent becomes
+"powc", which carries the exponent.
+
+run() executes a tape over an arithmetic, an object with one method per
+opcode. Floats evaluates at a point (n,) or a batch (m, n) of points.
+Jets carries second-order forward-mode jets (value, gradient, Hessian)
+through the tape, exact up to rounding (Griewank & Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008, ch. 13). str(tape) prints it through
+the same loop, so parse(str(tape), n) == tape.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -20,134 +32,257 @@ import numpy as np
 
 from .errors import ArityError, ParseError
 
-FUNCTIONS = {
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "log": np.log,
-    "sqrt": np.sqrt,
-}
+FUNCTIONS = ("exp", "sin", "cos", "log", "sqrt")
 
 _TOKEN_RE = re.compile(r"""
-    \s*(
-        (?P<number>\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)
+    \s*(?:
+        (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op>[-+*/^()])
+      | (?P<bad>\S)
     )
 """, re.VERBOSE)
 
 
 @dataclass(frozen=True)
-class Num:
-    value: float
+class Tape:
+    """A compiled expression. ``ops`` holds one (opcode, argument slots,
+    constant) instruction per slot; the last slot is the result.
+
+    Calling a tape evaluates it in floats at a point (n,) or a batch
+    (m, n); ``hessians`` runs it in jets.
+    """
+
+    ops: tuple
+
+    def __call__(self, points):
+        return run(self, Floats(points))
+
+    def hessians(self, points):
+        """Hessian (m, n, n) at each row of points (m, n), exact up to
+        rounding; an entry is not finite where a derivative is not."""
+        hess = run(self, Jets(points))[2]
+        shape = points.shape + points.shape[-1:]
+        return np.zeros(shape) if hess is None \
+            else np.broadcast_to(hess, shape)
 
     def __str__(self):
-        return repr(self.value)
+        return run(self, _Text())[0]
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
+def run(tape, arith):
+    """The value of the tape's last slot in the given arithmetic.
 
-    def __str__(self):
-        return f"x{self.index}"
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-    def __str__(self):
-        return f"-{_wrap(self.child, 3)}"
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-
-    def __str__(self):
-        prec = _PREC[self.op]
-        # Right operand needs parens at equal precedence for - / (left-
-        # associative) but not for ^ (right-associative).
-        lhs = _wrap(self.left, prec if self.op != "^" else prec + 1)
-        rhs = _wrap(self.right, prec + 1 if self.op != "^" else prec)
-        return f"{lhs} {self.op} {rhs}" if self.op in "+-" \
-            else f"{lhs}{self.op}{rhs}"
+    The tape is a tree: each slot but the last is an argument of exactly
+    one later instruction, so a slot is released once it is read, and
+    only the live intermediates are held (jets are large)."""
+    slots = [None] * len(tape.ops)
+    for k, (op, args, const) in enumerate(tape.ops):
+        fn = getattr(arith, op)
+        if len(args) == 2:
+            a, b = args
+            slots[k] = fn(slots[a], slots[b])
+            slots[a] = slots[b] = None
+        elif args:
+            a = args[0]
+            slots[k] = fn(slots[a]) if const is None else fn(slots[a], const)
+            slots[a] = None
+        else:  # const, var
+            slots[k] = fn(const)
+    return slots[-1]
 
 
-@dataclass(frozen=True)
-class Func:
-    name: str
-    child: object
+class Floats:
+    """A slot holds a float, or an array of one value per point."""
 
-    def __str__(self):
-        return f"{self.name}({self.child})"
+    __slots__ = ("points",)
+
+    def __init__(self, points):
+        self.points = points
+
+    @staticmethod
+    def const(c):
+        return c
+
+    def var(self, i):
+        return self.points[..., i]
+
+    neg = staticmethod(np.negative)
+    add = staticmethod(np.add)
+    sub = staticmethod(np.subtract)
+    mul = staticmethod(np.multiply)
+    div = staticmethod(np.divide)
+    pow = powc = staticmethod(np.power)
+    exp = staticmethod(np.exp)
+    sin = staticmethod(np.sin)
+    cos = staticmethod(np.cos)
+    log = staticmethod(np.log)
+    sqrt = staticmethod(np.sqrt)
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+# In a jet, None stands for a gradient or Hessian that is exactly zero,
+# so the affine parts of an expression cost no (m, n, n) work.
+
+def _plus(x, y):
+    return y if x is None else x if y is None else x + y
 
 
-def _prec_of(node):
-    if isinstance(node, Bin):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return 2.5  # binds below ^ in printed form
-    return 10
+def _grad(f, g):
+    """A value per point times a gradient."""
+    return None if f is None or g is None else f[..., None] * g
 
 
-def _wrap(node, minimum):
-    text = str(node)
-    return text if _prec_of(node) >= minimum else f"({text})"
+def _hess(f, h):
+    """A value per point times a Hessian."""
+    return None if f is None or h is None else f[..., None, None] * h
 
 
-def evaluate(node, point):
-    """Evaluate a tree at a point (n,) or batch (m, n) of points."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return point[..., node.index - 1]
-    if isinstance(node, Neg):
-        return -evaluate(node.child, point)
-    if isinstance(node, Func):
-        return FUNCTIONS[node.name](evaluate(node.child, point))
-    left = evaluate(node.left, point)
-    right = evaluate(node.right, point)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    return np.power(left, right)
+def _sym_outer(g, k):
+    """g k^T + k g^T, symmetric bit for bit."""
+    if g is None or k is None:
+        return None
+    cross = g[..., :, None] * k[..., None, :]
+    return cross + np.swapaxes(cross, -1, -2)
+
+
+def _chain(a, f0, f1, f2):
+    """Jet of phi(a), given phi, phi' and phi'' at the value of a (None
+    for an exact zero)."""
+    _, g, h = a
+    curvature = None if g is None else _hess(
+        f2, g[..., :, None] * g[..., None, :])
+    return f0, _grad(f1, g), _plus(_hess(f1, h), curvature)
+
+
+class Jets:
+    """A slot holds (value, gradient, Hessian) at a batch of points (m, n),
+    of shapes (m,), (m, n), (m, n, n). A constant has shape () and a
+    variable's gradient shape (n,); they broadcast."""
+
+    __slots__ = ("points", "eye")
+
+    def __init__(self, points):
+        self.points = points
+        self.eye = np.eye(points.shape[-1])
+
+    @staticmethod
+    def const(c):
+        return np.float64(c), None, None
+
+    def var(self, i):
+        return self.points[:, i], self.eye[i], None
+
+    @staticmethod
+    def neg(a):
+        return _chain(a, -a[0], np.float64(-1.0), None)
+
+    @staticmethod
+    def add(a, b):
+        return a[0] + b[0], _plus(a[1], b[1]), _plus(a[2], b[2])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    @staticmethod
+    def mul(a, b):
+        (u, du, hu), (v, dv, hv) = a, b
+        return (u * v, _plus(_grad(u, dv), _grad(v, du)),
+                _plus(_plus(_hess(u, hv), _hess(v, hu)), _sym_outer(du, dv)))
+
+    def div(self, a, b):
+        r = 1.0 / b[0]
+        return self.mul(a, _chain(b, r, -r * r, 2.0 * r * r * r))
+
+    @staticmethod
+    def powc(a, c):
+        """a^c for a constant c. A factor c or c - 1 that vanishes drops
+        its term, so that x^0 and x^1 have exact, finite derivatives at
+        x = 0 (not 0 * inf)."""
+        u = a[0]
+        f1 = c * np.power(u, c - 1) if c != 0 else None
+        f2 = c * (c - 1) * np.power(u, c - 2) if c not in (0, 1) else None
+        return _chain(a, np.power(u, c), f1, f2)
+
+    def pow(self, a, b):
+        return self.exp(self.mul(b, self.log(a)))
+
+    @staticmethod
+    def exp(a):
+        e = np.exp(a[0])
+        return _chain(a, e, e, e)
+
+    @staticmethod
+    def sin(a):
+        s, c = np.sin(a[0]), np.cos(a[0])
+        return _chain(a, s, c, -s)
+
+    @staticmethod
+    def cos(a):
+        s, c = np.sin(a[0]), np.cos(a[0])
+        return _chain(a, c, -s, -c)
+
+    @staticmethod
+    def log(a):
+        r = 1.0 / a[0]
+        return _chain(a, np.log(a[0]), r, -r * r)
+
+    @staticmethod
+    def sqrt(a):
+        r = np.sqrt(a[0])
+        d = 0.5 / r
+        return _chain(a, r, d, -0.5 * d / a[0])
+
+
+def _wrap(operand, minimum):
+    text, strength = operand
+    return text if strength >= minimum else f"({text})"
+
+
+def _infix(symbol, strength, left_min, right_min):
+    def op(self, a, b):
+        return f"{_wrap(a, left_min)}{symbol}{_wrap(b, right_min)}", strength
+    return op
+
+
+class _Text:
+    """A slot holds (text, binding strength); the text has parentheses
+    only where the grammar needs them. A negation binds below ^."""
+
+    @staticmethod
+    def const(c):
+        return repr(c), 2.5 if math.copysign(1.0, c) < 0 else 10
+
+    @staticmethod
+    def var(i):
+        return f"x{i + 1}", 10
+
+    @staticmethod
+    def neg(a):
+        return f"-{_wrap(a, 3)}", 2.5
+
+    add = _infix(" + ", 1, 1, 2)
+    sub = _infix(" - ", 1, 1, 2)
+    mul = _infix("*", 2, 2, 3)
+    div = _infix("/", 2, 2, 3)
+    pow = _infix("^", 3, 4, 3)
+
+    def powc(self, a, c):
+        return self.pow(a, self.const(c))
+
+    def __getattr__(self, name):  # the functions
+        return lambda a: (f"{name}({a[0]})", 10)
 
 
 class _Tokenizer:
     def __init__(self, text):
-        self.text = text
         self.tokens = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN_RE.match(text, pos)
-            if match is None or match.group(1) is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                bad_at = len(text) - len(stripped)
+        for match in _TOKEN_RE.finditer(text):
+            kind, pos = match.lastgroup, match.start(match.lastgroup)
+            if kind == "bad":
                 raise ParseError(
-                    f"unexpected character {text[bad_at]!r} at {bad_at}",
-                    position=bad_at)
-            if match.group("number") is not None:
-                kind = "number"
-            elif match.group("ident") is not None:
-                kind = "ident"
-            else:
-                kind = "op"
-            self.tokens.append((kind, match.group(1).strip(), match.start(1)))
-            pos = match.end()
+                    f"unexpected character {text[pos]!r} at {pos}",
+                    position=pos)
+            self.tokens.append((kind, match.group(kind), pos))
         self.tokens.append(("end", "", len(text)))
         self.cursor = 0
 
@@ -169,73 +304,100 @@ class _Tokenizer:
         return self.advance()
 
 
+_VAR_RE = re.compile(r"x(\d+)")
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
+class _Compiler:
+    """Parses and emits the tape in one pass. An operand is a slot (int)
+    or, for a sub-expression without a variable, its value (float)."""
+
+    def __init__(self, text, n):
+        self.tok = _Tokenizer(text)
+        self.n = n
+        self.ops = []
+
+    def emit(self, op, args=(), const=None):
+        self.ops.append((op, args, const))
+        return len(self.ops) - 1
+
+    def slot(self, operand):
+        return self.emit("const", const=operand) \
+            if isinstance(operand, float) else operand
+
+    def apply(self, op, *operands):
+        if int not in map(type, operands):  # no slot: fold
+            return float(getattr(Floats, op)(*operands))
+        if op == "pow" and isinstance(operands[1], float):
+            return self.emit("powc", (operands[0],), operands[1])
+        return self.emit(op, tuple(map(self.slot, operands)))
+
+    def expr(self):
+        node = self.term()
+        while self.tok.peek()[1] in ("+", "-"):
+            op = _BINARY[self.tok.advance()[1]]
+            node = self.apply(op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.tok.peek()[1] in ("*", "/"):
+            op = _BINARY[self.tok.advance()[1]]
+            node = self.apply(op, node, self.factor())
+        return node
+
+    def factor(self):
+        node = self.base()
+        if self.tok.peek()[1] == "^":
+            self.tok.advance()
+            node = self.apply("pow", node, self.factor())
+        return node
+
+    def base(self):
+        tok = self.tok
+        kind, text, pos = tok.peek()
+        if kind == "number":
+            tok.advance()
+            return float(text)
+        if kind == "ident":
+            tok.advance()
+            if text in FUNCTIONS:
+                tok.expect("(")
+                inner = self.expr()
+                tok.expect(")")
+                return self.apply(text, inner)
+            match = _VAR_RE.fullmatch(text)
+            if match:
+                index = int(match.group(1))
+                if not 1 <= index <= self.n:
+                    raise ArityError(
+                        f"variable {text} outside x1..x{self.n}")
+                return self.emit("var", const=index - 1)
+            raise ParseError(
+                f"unknown identifier {text!r} at {pos}", position=pos,
+                expected=tuple(sorted(FUNCTIONS)) + ("x<i>",))
+        if text == "(":
+            tok.advance()
+            inner = self.expr()
+            tok.expect(")")
+            return inner
+        if text == "-":
+            tok.advance()
+            return self.apply("neg", self.base())
+        shown = text if kind != "end" else "end of input"
+        raise ParseError(
+            f"expected a value, found {shown} at {pos}", position=pos,
+            expected=("number", "variable", "function", "(", "-"))
+
+
 def parse(text, n):
-    """Parse ``text`` over variables x1..xn into an expression tree."""
-    tok = _Tokenizer(text)
-    tree = _expr(tok, n)
-    kind, remaining, pos = tok.peek()
+    """Compile ``text`` over variables x1..xn into a Tape."""
+    compiler = _Compiler(text, n)
+    with np.errstate(all="ignore"):  # a folded 1/0 is inf, as evaluated
+        compiler.slot(compiler.expr())
+    kind, remaining, pos = compiler.tok.peek()
     if kind != "end":
         raise ParseError(
             f"unexpected trailing input {remaining!r} at {pos}",
             position=pos, expected=("end of input",))
-    return tree
-
-
-def _expr(tok, n):
-    node = _term(tok, n)
-    while tok.peek()[1] in ("+", "-"):
-        op = tok.advance()[1]
-        node = Bin(op, node, _term(tok, n))
-    return node
-
-
-def _term(tok, n):
-    node = _factor(tok, n)
-    while tok.peek()[1] in ("*", "/"):
-        op = tok.advance()[1]
-        node = Bin(op, node, _factor(tok, n))
-    return node
-
-
-def _factor(tok, n):
-    node = _base(tok, n)
-    if tok.peek()[1] == "^":
-        tok.advance()
-        node = Bin("^", node, _factor(tok, n))
-    return node
-
-
-def _base(tok, n):
-    kind, text, pos = tok.peek()
-    if kind == "number":
-        tok.advance()
-        return Num(float(text))
-    if kind == "ident":
-        tok.advance()
-        if text in FUNCTIONS:
-            tok.expect("(")
-            inner = _expr(tok, n)
-            tok.expect(")")
-            return Func(text, inner)
-        match = re.fullmatch(r"x(\d+)", text)
-        if match:
-            index = int(match.group(1))
-            if not 1 <= index <= n:
-                raise ArityError(
-                    f"variable {text} outside x1..x{n}")
-            return Var(index)
-        raise ParseError(
-            f"unknown identifier {text!r} at {pos}", position=pos,
-            expected=tuple(sorted(FUNCTIONS)) + ("x<i>",))
-    if text == "(":
-        tok.advance()
-        inner = _expr(tok, n)
-        tok.expect(")")
-        return inner
-    if text == "-":
-        tok.advance()
-        return Neg(_base(tok, n))
-    shown = text if kind != "end" else "end of input"
-    raise ParseError(
-        f"expected a value, found {shown} at {pos}", position=pos,
-        expected=("number", "variable", "function", "(", "-"))
+    return Tape(tuple(compiler.ops))

@@ -1,11 +1,13 @@
 """C^2 integrands: evaluation, Hessians, curvature estimates, convexifying.
 
 A ScalarField wraps a pointwise evaluator plus an optional analytic
-Hessian; without one, second derivatives come from central finite
-differences with an absolute step h. The sup-norm of the second
-differential over a simplex is estimated on a barycentric lattice and is
-flagged as uncertified unless the caller overrides it with a known
-constant.
+Hessian. A parsed expression's evaluator is its expression tape, whose
+second-order jets give exact Hessians (up to rounding) for a whole batch
+of points in one pass and evaluate nothing off the points. Any other
+callable without an analytic Hessian gets central finite differences
+with an absolute step h. The sup-norm of the second differential over a
+simplex is estimated on a barycentric lattice and is flagged as
+uncertified unless the caller overrides it with a known constant.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ class ScalarField:
     ``evaluator`` maps a point (n,) to a float; when ``supports_batch``
     it also accepts an (m, n) array and returns (m,) values. ``hessian``
     (if given) returns the analytic second differential as a
-    QuadraticForm; otherwise finite differences with step ``fd_step``
-    are used, so the evaluator must tolerate +-h excursions per axis.
+    QuadraticForm. An evaluator that is an expr.Tape (parse_expr's) gets
+    exact jet Hessians; any other gets finite differences with step
+    ``fd_step``, so it must tolerate +-h excursions per axis.
     """
 
     dimension: int
@@ -69,13 +72,25 @@ def evaluate_batch(f, points):
 def hessians(f, points):
     """Second differential at each row of points (p, n), as (p, n, n).
 
-    Central finite differences (O(h^2)) take one evaluate_batch call for
-    every stencil point of every row; an analytic hessian is called per
-    point.
+    An analytic hessian is called per point. A parsed field runs its
+    tape once over all rows in jets, exact up to rounding. Any other
+    field takes central finite differences (O(h^2)): one evaluate_batch
+    call for every stencil point of every row.
     """
     points = np.asarray(points, dtype=float)
     if f.hessian is not None:
         return np.array([hessian_at(f, u).coeffs for u in points])
+    if isinstance(f.evaluator, expr_mod.Tape):
+        with np.errstate(all="ignore"):  # non-finite entries raise below
+            coeffs = f.evaluator.hessians(points)
+    else:
+        coeffs = _fd_hessians(f, points)
+    if not np.all(np.isfinite(coeffs)):
+        raise InvariantViolation("non-finite Hessian: K is not finite")
+    return coeffs
+
+
+def _fd_hessians(f, points):
     p, n = points.shape
     h = f.fd_step
     eye = h * np.eye(n)
@@ -91,8 +106,6 @@ def hessians(f, points):
         coeffs[:, range(n), range(n)] = (plus - 2.0 * centre + minus) / (h * h)
         coeffs[:, iu, ju] = coeffs[:, ju, iu] = (
             (pp - pm) - mp + mm) / (4.0 * h * h)
-    if not np.all(np.isfinite(coeffs)):
-        raise InvariantViolation("non-finite Hessian: K is not finite")
     return coeffs
 
 
@@ -102,7 +115,7 @@ def hessian_norms(f, points):
 
 
 def hessian_at(f, u):
-    """Second differential at u as a QuadraticForm; FD is O(h^2)."""
+    """Second differential at u as a QuadraticForm (see hessians)."""
     u = np.asarray(u, dtype=float)
     if f.hessian is None:
         return QuadraticForm(hessians(f, u[None])[0])
@@ -170,11 +183,7 @@ def convexify(f, gauge):
 
 
 def parse_expr(text, n):
-    """Textual integrand over x1..xn; finite-difference Hessian mode."""
-    tree = expr_mod.parse(text, n)
-
-    def evaluator(point):
-        return expr_mod.evaluate(tree, np.asarray(point, dtype=float))
-
-    return ScalarField(dimension=n, evaluator=evaluator,
+    """Textual integrand over x1..xn: its evaluator is the expression
+    tape, so its Hessians are exact jets."""
+    return ScalarField(dimension=n, evaluator=expr_mod.parse(text, n),
                        supports_batch=True)

@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry
-from .errors import UnsupportedDegree, UnsupportedDimension
+from .errors import (InvariantViolation, UnsupportedDegree,
+                     UnsupportedDimension)
 
 # Exact 64-bit factorials require n + 2 <= 20.
 MAX_DIMENSION = 18
@@ -98,9 +99,15 @@ def cell_stats(v, absdet=None):
 
 
 def central_second_moment(s):
-    """int_S ||x - pbar||^2 dx = |det E| trace(E^T E M)."""
-    absdet, csm = cell_stats(s.vertices[None])
+    """int_S ||x - pbar||^2 dx = |det E| trace(E^T E M).
+
+    InvariantViolation if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        absdet, csm = cell_stats(s.vertices[None])
     geometry.check_det(s, absdet[0])
+    if not np.isfinite(csm[0]):
+        raise InvariantViolation(
+            "non-finite second moment: the simplex is too large")
     return float(csm[0])
 
 

@@ -312,7 +312,7 @@ def test_matches_reference_heap(case, seed):
                          max_cells=max_cells, max_depth=max_depth)
     cfg = AdaptiveConfig(
         tolerance=tol, max_cells=max_cells, max_depth=max_depth,
-        rule=rule or "midpoint",
+        rule=rule or cubature.builtin("barycenter", n),
         k_mode="global" if k_mode == "global" else "per-cell",
         k_override=k_ref if k_mode == "override" else None)
     diag = RunDiagnostics()

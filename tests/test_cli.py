@@ -271,6 +271,43 @@ def test_overflowing_estimate_is_an_error(segment, argv):
     assert "certified" not in text
 
 
+@pytest.fixture
+def unit_segment(tmp_path):
+    path = tmp_path / "unit.spx"
+    path.write_text("0\n1\n")
+    return str(path)
+
+
+def test_constant_power_at_zero_integrates(unit_segment):
+    # The jet of x1^0 at 0 is exact: no 0 * inf in its derivatives.
+    code, text = invoke(["integrate", "--expr", "x1^0", "--simplex",
+                         unit_segment, "--tol", "1e-3"])
+    assert code == 0
+    assert "estimate: 1\nradius:   0\n" in text
+
+
+@pytest.mark.parametrize("expr", ["sqrt(x1)", "log(x1)", "1/x1", "x1^0.5"])
+def test_integrand_singular_at_a_vertex_fails(unit_segment, expr):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = invoke(["integrate", "--expr", expr, "--simplex",
+                             unit_segment, "--tol", "1e-3"])
+    assert (code, text) == (1, "error: non-finite Hessian: K is not finite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--tol", "1", "--K", "1"],
+    ["bound", "--rule", "barycenter", "--K", "1"], ["sandwich"]])
+def test_constant_division_by_zero_is_an_error(unit_segment, argv):
+    # 1/0 folds to inf at parse time; it is never a ZeroDivisionError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = invoke(argv + ["--expr", "x1 + 1/0",
+                                    "--simplex", unit_segment])
+    assert code == 1
+    assert text == "error: integrand non-finite on a batch point\n"
+
+
 # Property test over argv and rule-file text. Inputs are drawn from
 # small pools of edge values; --max-cells stays small to keep runs short.
 SIMPLICES = {"seg": "0\n4\n", "tri": "0 0\n1 0\n0 1\n",

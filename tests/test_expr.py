@@ -1,0 +1,250 @@
+"""The expression tape: float evaluation against a reference tree walk,
+jet Hessians against sympy (test-only), and powers at 0."""
+
+import operator
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+import sympy
+
+from certicube import expr, field
+from certicube.errors import InvariantViolation
+
+from util import rand_polynomial_field
+
+FUNCTION_NAMES = ("exp", "sin", "cos", "log", "sqrt")
+EXPONENTS = (0.0, 1.0, 2.0, 3.0, 0.5, -1.0, 2.5)
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": np.power}
+
+
+# Trees are nested tuples: ("num", v), ("var", i) (1-based), ("neg", a),
+# (function name, a) or (op, a, b) with op one of + - * / ^.
+
+def rand_tree(rng, n, depth):
+    """Any tree of the grammar; constants are multiples of 1/8."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.3:
+            return ("num", float(rng.integers(1, 40)) / 8)
+        return ("var", int(rng.integers(1, n + 1)))
+    pick = rng.integers(0, 10)
+    if pick < 4:
+        return (str(rng.choice(list("+-*/"))), rand_tree(rng, n, depth - 1),
+                rand_tree(rng, n, depth - 1))
+    if pick < 6:
+        exponent = (("num", float(rng.choice(EXPONENTS)))
+                    if rng.random() < 0.6 else rand_tree(rng, n, depth - 1))
+        return ("^", rand_tree(rng, n, depth - 1), exponent)
+    if pick < 7:
+        return ("neg", rand_tree(rng, n, depth - 1))
+    return (str(rng.choice(FUNCTION_NAMES)), rand_tree(rng, n, depth - 1))
+
+
+def rand_positive_tree(rng, n, depth):
+    """A composition that is positive and well conditioned for positive
+    variables: log and sqrt see positive arguments, sin and cos are
+    offset by 2, and a non-constant exponent stays in [1/4, 3/4], so a
+    relative comparison of second derivatives is meaningful."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.3:
+            return ("num", float(rng.integers(1, 40)) / 8)
+        return ("var", int(rng.integers(1, n + 1)))
+
+    def sub():
+        return rand_positive_tree(rng, n, depth - 1)
+
+    pick = rng.integers(0, 9)
+    if pick < 3:
+        return (str(rng.choice(list("+*/"))), sub(), sub())
+    if pick < 5:
+        exponent = (("num", float(rng.choice(EXPONENTS)))
+                    if rng.random() < 0.6 else
+                    ("*", ("num", 0.25), ("+", ("num", 2.0), ("sin", sub()))))
+        return ("^", sub(), exponent)
+    name = str(rng.choice(FUNCTION_NAMES))
+    if name == "exp":
+        return ("exp", ("/", sub(), ("num", 4.0)))
+    if name == "log":
+        return ("log", ("+", ("num", 1.0), sub()))
+    if name == "sqrt":
+        return ("sqrt", sub())
+    return ("+", ("num", 2.0), (name, sub()))
+
+
+def tree_text(tree):
+    kind = tree[0]
+    if kind == "num":
+        return repr(tree[1])
+    if kind == "var":
+        return f"x{tree[1]}"
+    if kind == "neg":
+        return f"-({tree_text(tree[1])})"
+    if kind in FUNCTION_NAMES:
+        return f"{kind}({tree_text(tree[1])})"
+    return f"({tree_text(tree[1])}){kind}({tree_text(tree[2])})"
+
+
+def tree_walk(tree, points):
+    """The recursive evaluator the tape replaced: Python operators, numpy
+    functions and np.power, node by node."""
+    kind = tree[0]
+    if kind == "num":
+        return tree[1]
+    if kind == "var":
+        return points[..., tree[1] - 1]
+    if kind == "neg":
+        return -tree_walk(tree[1], points)
+    if kind in FUNCTION_NAMES:
+        return getattr(np, kind)(tree_walk(tree[1], points))
+    return _OPS[kind](tree_walk(tree[1], points), tree_walk(tree[2], points))
+
+
+def tree_sympy(tree, xs):
+    kind = tree[0]
+    if kind == "num":
+        return sympy.Rational(tree[1])
+    if kind == "var":
+        return xs[tree[1] - 1]
+    if kind == "neg":
+        return -tree_sympy(tree[1], xs)
+    if kind in FUNCTION_NAMES:
+        return getattr(sympy, kind)(tree_sympy(tree[1], xs))
+    a, b = tree_sympy(tree[1], xs), tree_sympy(tree[2], xs)
+    return {"+": operator.add, "*": operator.mul, "/": operator.truediv,
+            "^": operator.pow}[kind](a, b)
+
+
+def poly_text(poly):
+    """A tests/util PolynomialField as text, one monomial per term."""
+    terms = []
+    for alpha, coef in poly.terms.items():
+        factors = [repr(coef)] + [f"x{i + 1}^{power}"
+                                  for i, power in enumerate(alpha) if power]
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+def sympy_hessians(text_expr, xs, points):
+    """Hessians of a sympy expression at the rows of points, exact to
+    double precision (mpmath at 40 digits); None where the value or a
+    second derivative is not a finite real."""
+    hessian = sympy.lambdify(xs, sympy.hessian(text_expr, xs), "mpmath")
+    value = sympy.lambdify(xs, text_expr, "mpmath")
+    out = []
+    with mpmath.workdps(40):
+        for p in points:
+            args = [mpmath.mpf(float(v)) for v in p]
+            entries = [value(*args)] + list(hessian(*args))
+            if all(isinstance(v, mpmath.mpf) and mpmath.isfinite(v)
+                   for v in entries):
+                out.append(np.array([float(v) for v in entries[1:]])
+                           .reshape(len(xs), len(xs)))
+            else:
+                out.append(None)
+    return out
+
+
+def test_float_tape_matches_the_tree_walk_bit_for_bit():
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 4))
+        tree = rand_tree(rng, n, 4)
+        points = rng.uniform(-2.0, 2.0, size=(16, n))
+        with np.errstate(all="ignore"):
+            try:
+                want = tree_walk(tree, points)
+            except ZeroDivisionError:  # a constant 1/0 in the tree walk
+                continue
+            tape = expr.parse(tree_text(tree), n)
+            got = tape(points)
+        # run() releases each slot once read: every slot but the result
+        # must be an argument of exactly one instruction.
+        reads = sorted(i for _, args, _ in tape.ops for i in args)
+        assert reads == list(range(len(tape.ops) - 1))
+        want, got = np.broadcast_arrays(want, got)
+        assert np.array_equal(got, want, equal_nan=True), tree_text(tree)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        checked += 1
+    assert checked >= 350
+
+
+def _assert_jets_match_sympy(text, sympy_expr, n, points):
+    got = field.parse_expr(text, n).evaluator.hessians(points)
+    compared = 0
+    for h, ref in zip(got, sympy_hessians(sympy_expr,
+                                          sympy.symbols(f"x1:{n + 1}"),
+                                          points)):
+        if ref is None:
+            continue
+        # Relative to the largest entry, or absolute below 1: a Hessian
+        # that cancels to 0 (as in x1/x1) keeps rounding-sized entries.
+        scale = max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(h - ref)) <= 1e-12 * scale, (text, h, ref)
+        compared += 1
+    return compared
+
+
+def test_jet_hessians_match_sympy_on_random_polynomials():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            poly = rand_polynomial_field(rng, n).evaluator
+            xs = sympy.symbols(f"x1:{n + 1}")
+            sympy_expr = sum(
+                sympy.Rational(coef) * sympy.prod(
+                    [x ** power for x, power in zip(xs, alpha)])
+                for alpha, coef in poly.terms.items())
+            points = rng.uniform(0.0, 1.0, size=(6, n))
+            assert _assert_jets_match_sympy(
+                poly_text(poly), sympy_expr, n, points) == 6
+
+
+def test_jet_hessians_match_sympy_on_compositions():
+    rng = np.random.default_rng(7)
+    compared = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        tree = rand_positive_tree(rng, n, 4)
+        sympy_expr = tree_sympy(tree, sympy.symbols(f"x1:{n + 1}"))
+        if sympy_expr.has(sympy.zoo, sympy.nan, sympy.oo):
+            continue
+        points = rng.uniform(0.1, 2.0, size=(4, n))
+        compared += _assert_jets_match_sympy(tree_text(tree), sympy_expr, n,
+                                             points)
+    assert compared >= 200
+
+
+@pytest.mark.parametrize("text,second", [
+    ("x1^0", 0.0), ("x1^1", 0.0), ("x1^2", 2.0), ("x1^3", 0.0),
+    ("(2*x1)^0", 0.0), ("x1^2*x1^1", 0.0)])
+def test_constant_powers_have_exact_derivatives_at_zero(text, second):
+    # c * (c - 1) * t^(c - 2) would be 0 * inf = NaN at t = 0 for c = 0, 1.
+    f = field.parse_expr(text, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hess = field.hessians(f, np.array([[0.0], [0.5]]))
+    assert hess[0, 0, 0] == second
+    exact = {"x1^0": 0.0, "x1^1": 0.0, "x1^2": 2.0, "x1^3": 3.0,
+             "(2*x1)^0": 0.0, "x1^2*x1^1": 3.0}[text]
+    assert hess[1, 0, 0] == exact
+
+
+@pytest.mark.parametrize("text", ["sqrt(x1)", "log(x1)", "1/x1", "x1^0.5",
+                                  "x1^-1", "2^log(x1)"])
+def test_hessian_singular_at_zero_is_an_error(text):
+    f = field.parse_expr(text, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="non-finite Hessian"):
+            field.hessians(f, np.array([[0.0]]))
+
+
+def test_constants_fold_at_parse_time():
+    # -1 and 1/2 are exponents the jets see as constants.
+    tape = expr.parse("x1^-1 + x1^(1/2) + 2*3*x1", 1)
+    assert [op for op, _, _ in tape.ops] == [
+        "var", "powc", "var", "powc", "add", "var", "const", "mul", "add"]
+    assert expr.parse("1/0", 1).ops == (("const", (), np.inf),)

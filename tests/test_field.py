@@ -198,3 +198,20 @@ def test_parse_expr_batch_evaluation():
     f = field.parse_expr("x1*x2 + 1", 2)
     pts = np.array([[1.0, 2.0], [0.5, 4.0]])
     assert np.allclose(field.evaluate_batch(f, pts), [3.0, 3.0])
+
+
+def test_parsed_hessians_evaluate_nothing(monkeypatch):
+    # A parsed field's Hessians are one jet pass; an opaque callable
+    # still takes the finite-difference stencil, 2n^2 + 1 points each.
+    sizes = []
+    batch = field.evaluate_batch
+    monkeypatch.setattr(field, "evaluate_batch",
+                        lambda f, p: sizes.append(len(p)) or batch(f, p))
+    points = geometry.lattice_points(UNIT_TRIANGLE, 4)
+    parsed = field.hessians(field.parse_expr("exp(x1*x2)", 2), points)
+    assert sizes == []
+    opaque = field.hessians(ScalarField(
+        dimension=2, evaluator=lambda x: np.exp(x[..., 0] * x[..., 1]),
+        supports_batch=True), points)
+    assert sizes == [9 * len(points)]
+    assert np.allclose(parsed, opaque, rtol=0, atol=1e-6)

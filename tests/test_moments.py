@@ -1,11 +1,13 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from certicube import geometry, moments
-from certicube.errors import UnsupportedDegree, UnsupportedDimension
+from certicube.errors import (InvariantViolation, UnsupportedDegree,
+                              UnsupportedDimension)
 from certicube.qform import QuadraticForm
 
 from util import mc_integral, rand_simplex
@@ -63,6 +65,14 @@ def test_central_second_moment_on_simplices():
     assert moments.central_second_moment(seg) == pytest.approx(1 / 12)
     scaled = geometry.Simplex([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     assert moments.central_second_moment(scaled) == pytest.approx(8 / 9)
+
+
+def test_central_second_moment_overflow_is_an_error():
+    huge = geometry.Simplex([[0.0, 0.0], [1e150, 0.0], [0.0, 1e150]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="second moment"):
+            moments.central_second_moment(huge)
 
 
 def test_central_second_moment_against_monte_carlo():
