@@ -21,7 +21,7 @@ math.fsum, exactly rounded in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -33,25 +33,18 @@ from .bounds import CertifiedResult, certificate, certify_cells, exact_sum
 from .cubature import CubatureRule
 from .errors import BudgetExhausted, NegativeGauge
 
-# No constant here changes the partition. BAND in (0, 1] trades rounds
-# against discarded splits. SLACK is how many leaves past the predicted
-# tolerance cut a round still splits, in case its children shrink less
-# than the last round's did. A round splits at most as many leaves as
-# keep its integrand evaluations near POINTS_PER_ROUND, bounding memory.
+# BAND, SLACK and POINTS_PER_ROUND do not change the partition. BAND in
+# (0, 1] trades rounds against discarded splits. SLACK is how many
+# leaves past the predicted tolerance cut a round still splits, in case
+# its children shrink less than the last round's did. A round splits at
+# most as many leaves as keep its integrand evaluations near
+# POINTS_PER_ROUND, bounding memory.
 BAND = 0.25
 SLACK = 16
 POINTS_PER_ROUND = 2 ** 20
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One leaf of the refinement tree."""
-
-    simplex: geometry.Simplex
-    estimate: float
-    radius: float
-    K_local: float
-    depth: int
+# Per-cell K is the largest Hessian norm on the cell's lattice of mesh
+# 1/K_RESOLUTION.
+K_RESOLUTION = 4
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,6 @@ class AdaptiveConfig:
     max_depth: int = 60
     rule: Optional[CubatureRule] = None  # None: the barycenter rule
     k_mode: str = "per-cell"  # or "global"
-    k_resolution: int = 4
     k_override: Optional[float] = None  # analytic constant; certified
 
     def __post_init__(self):
@@ -79,14 +71,20 @@ class AdaptiveConfig:
 
 @dataclass
 class RunDiagnostics:
+    """What a run did; the leaf arrays are the run's own, in creation
+    order: vertices (m, n+1, n), estimates, radii, K and depths (m,)."""
+
     cells: int = 0
     rounds: int = 0
     discarded_splits: int = 0
     depth_histogram: dict = dataclass_field(default_factory=dict)
     k_min: float = math.inf
     k_max: float = 0.0
-    collect_cells: bool = False
-    leaves: list = dataclass_field(default_factory=list)
+    vertices: Optional[np.ndarray] = None
+    estimates: Optional[np.ndarray] = None
+    radii: Optional[np.ndarray] = None
+    k_cells: Optional[np.ndarray] = None
+    depths: Optional[np.ndarray] = None
 
 
 def integrate_adaptive(f, s, cfg, diagnostics=None):
@@ -105,9 +103,9 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     k_certified = cfg.k_override is not None
     global_k = cfg.k_override
     if global_k is None and cfg.k_mode == "global":
-        global_k = field_mod.d2f_sup_norm(f, s).value
-    k_lattice = None if global_k is not None else np.array(list(
-        geometry.barycentric_lattice(n, cfg.k_resolution)))
+        global_k = field_mod.d2f_sup_norm(f, s)
+    k_lattice = (None if global_k is not None
+                 else geometry.lattice_weights(n, K_RESOLUTION))
     points_per_leaf = 2 * len(rule.weights) + (
         0 if k_lattice is None else 2 * len(k_lattice) * (2 * n * n + 1))
     max_band = max(1, POINTS_PER_ROUND // points_per_leaf)
@@ -145,12 +143,9 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                 zip(levels.tolist(), counts.tolist()))
             diagnostics.k_min = float(k_cell.min())
             diagnostics.k_max = float(k_cell.max())
-            if diagnostics.collect_cells:
-                diagnostics.leaves = [
-                    Cell(simplex=geometry.Simplex(verts[i]),
-                         estimate=float(est[i]), radius=float(rad[i]),
-                         K_local=float(k_cell[i]), depth=int(depth[i]))
-                    for i in range(len(rad))]
+            (diagnostics.vertices, diagnostics.estimates, diagnostics.radii,
+             diagnostics.k_cells, diagnostics.depths) = (
+                verts, est, rad, k_cell, depth)
         if radius is None:
             radius = exact_sum(rad)
         return CertifiedResult(estimate=exact_sum(est), radius=radius,
@@ -212,38 +207,3 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         rounds += 1
         discarded += len(band) - take
 
-
-def refine_steps(f, s, cfg, steps, diagnostics=None):
-    """Run exactly ``steps`` bisections and return the partial result.
-
-    Test hook for partition-additivity and monotonicity properties: the
-    tolerance is made unreachable and the cell budget caps the run.
-    """
-    capped = replace(cfg, tolerance=np.finfo(float).tiny,
-                     max_cells=steps + 1)
-    try:
-        integrate_adaptive(f, s, capped, diagnostics=diagnostics)
-    except BudgetExhausted as exc:
-        return exc.result
-    raise AssertionError("capped run should exhaust its budget")
-
-
-def oracle_integrate(f, s, samples, seed=0):
-    """Monte Carlo integral with uniform simplex sampling.
-
-    Barycentric weights come from normalized exponential spacings, so
-    points are uniform on the simplex; returns (mean, standard error).
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    gaps = rng.standard_exponential((samples, s.dimension + 1))
-    weights = gaps / gaps.sum(axis=1, keepdims=True)
-    points = weights @ s.vertices
-    values = field_mod.evaluate_batch(f, points)
-    vol = geometry.volume(s)
-    mean = vol * float(values.mean())
-    if samples == 1:
-        return mean, 0.0
-    se = vol * float(values.std(ddof=1)) / math.sqrt(samples)
-    return mean, se

@@ -96,8 +96,9 @@ def hh_sandwich(f, s, screen=False):
                 f"sampled Hessian eigenvalue {low[bad[0]]:g} at "
                 f"{points[bad[0]]}")
     vol = geometry.volume(s)
-    values = field_mod.evaluate_batch(
-        f, np.vstack((geometry.barycenter(s), s.vertices)))
+    # The barycenter rule's node, so lower is the midpoint estimate.
+    node = cubature_mod.builtin("barycenter", s.dimension).nodes @ s.vertices
+    values = field_mod.evaluate_batch(f, np.vstack((node, s.vertices)))
     upper = vol * exact_sum(values[1:]) / (s.dimension + 1)
     return SandwichResult(lower=vol * float(values[0]), upper=upper)
 
@@ -127,7 +128,7 @@ def certify_cells(rule, factor, f, v, vol, absdet, gauge):
     second moment. InvariantViolation if a radius is not finite."""
     est = cubature_mod.estimate(rule, f, v, vol)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rad = factor * gauge * moments.cell_stats(v, absdet)[1]
+        rad = factor * gauge * moments.cell_stats(v, absdet)
     if not np.all(np.isfinite(rad)):
         raise InvariantViolation(
             "non-finite cell radius: K or the simplex is too large")

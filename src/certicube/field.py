@@ -5,15 +5,15 @@ Hessian. A parsed expression's evaluator is its expression tape, whose
 second-order jets give exact Hessians (up to rounding) for a whole batch
 of points in one pass and evaluate nothing off the points. Any other
 callable without an analytic Hessian gets central finite differences
-with an absolute step h. The sup-norm of the second differential over a
-simplex is estimated on a barycentric lattice and is flagged as
-uncertified unless the caller overrides it with a known constant.
+with the absolute step FD_STEP. The sup-norm of the second differential
+over a simplex is estimated on a barycentric lattice, so it is not
+certified; a caller with a known constant passes it as K instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,13 +38,12 @@ class ScalarField:
     (if given) returns the analytic second differential as a
     QuadraticForm. An evaluator that is an expr.Tape (parse_expr's) gets
     exact jet Hessians; any other gets finite differences with step
-    ``fd_step``, so it must tolerate +-h excursions per axis.
+    FD_STEP, so it must tolerate +-FD_STEP excursions per axis.
     """
 
     dimension: int
     evaluator: Callable
     hessian: Optional[Callable] = None
-    fd_step: float = FD_STEP
     supports_batch: bool = False
 
 
@@ -92,7 +91,7 @@ def hessians(f, points):
 
 def _fd_hessians(f, points):
     p, n = points.shape
-    h = f.fd_step
+    h = FD_STEP
     eye = h * np.eye(n)
     iu, ju = np.triu_indices(n, 1)
     corners = [si * eye[iu] + sj * eye[ju] for si in (1, -1) for sj in (1, -1)]
@@ -125,21 +124,13 @@ def hessian_at(f, u):
     return form
 
 
-class SupNormEstimate(NamedTuple):
-    value: float
-    certified: bool
-
-
-def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION, override=None):
+def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION):
     """Estimate sup over the simplex of the Hessian operator norm.
 
-    Lattice sampling only: certified is False unless ``override``
-    supplies a known analytic constant, which is returned as-is. The
-    lattice goes through hessian_norms in chunks of about
-    POINTS_PER_CALL integrand evaluations.
+    Lattice sampling only, so the value is not certified. The lattice
+    goes through hessian_norms in chunks of about POINTS_PER_CALL
+    integrand evaluations.
     """
-    if override is not None:
-        return SupNormEstimate(float(override), True)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     points = geometry.lattice_points(s, resolution)
@@ -147,7 +138,7 @@ def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION, override=None):
     chunk = max(1, POINTS_PER_CALL // (2 * n * n + 1))
     best = max(hessian_norms(f, points[i:i + chunk]).max()
                for i in range(0, len(points), chunk))
-    return SupNormEstimate(float(best), False)
+    return float(best)
 
 
 def convexify(f, gauge):
@@ -176,8 +167,7 @@ def convexify(f, gauge):
                 gauge * identity + sign * hessian_at(f, u).coeffs)
 
         return ScalarField(dimension=n, evaluator=evaluator,
-                           hessian=hessian, fd_step=f.fd_step,
-                           supports_batch=True)
+                           hessian=hessian, supports_batch=True)
 
     return make(+1.0), make(-1.0)
 

@@ -1,4 +1,4 @@
-"""Simplices in R^n: barycenters, volumes, affine charts, bisection."""
+"""Simplices in R^n: volumes, affine charts, bisection, lattices."""
 
 from __future__ import annotations
 
@@ -55,28 +55,13 @@ def unit_simplex(n):
     return Simplex(v)
 
 
-def edge_matrix(s):
-    """Columns p_i - p_0, i = 1..n."""
-    v = s.vertices
-    return (v[1:] - v[0]).T
-
-
-def barycenter(s):
-    return s.vertices.mean(axis=0)
-
-
-def check_det(s, absdet):
-    """Return |det E|, or raise DegenerateSimplex if it is at most
-    EPS_GEOM * (max edge length)^n."""
+def abs_det(s):
+    """|det E|, the package's one determinant; DegenerateSimplex if it
+    is at most EPS_GEOM * (max edge length)^n."""
+    absdet = abs(float(np.linalg.det(s.vertices[1:] - s.vertices[0])))
     if absdet <= EPS_GEOM * s.max_edge_length() ** s.dimension:
         raise DegenerateSimplex(f"|det E| = {absdet:g} below threshold")
     return absdet
-
-
-def abs_det(s):
-    """|det E|, strictly positive for non-degenerate input."""
-    return check_det(
-        s, abs(float(np.linalg.det(s.vertices[1:] - s.vertices[0]))))
 
 
 def volume(s):
@@ -101,9 +86,9 @@ class AffineChart:
 
 
 def chart(s):
-    e = edge_matrix(s)
-    return AffineChart(origin=s.vertices[0].copy(), matrix=e,
-                       abs_det=check_det(s, abs(np.linalg.det(e))))
+    v = s.vertices
+    return AffineChart(origin=v[0].copy(), matrix=(v[1:] - v[0]).T,
+                       abs_det=abs_det(s))
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,29 +126,21 @@ def bisect(s):
     return Simplex(left), Simplex(right)
 
 
-def barycentric_lattice(n, resolution):
-    """All barycentric weight vectors with coordinates k/resolution.
-
-    Yields arrays of length n+1 covering the mesh-1/resolution lattice of
-    an n-simplex, vertices and faces included.
-    """
-    for comp in _compositions(resolution, n + 1):
-        yield np.array(comp, dtype=float) / resolution
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def lattice_weights(n, resolution):
+    """Barycentric weights (m, n+1), in lexicographic order, of the
+    mesh-1/resolution lattice on an n-simplex, vertices and faces
+    included."""
+    heads = [()]
+    for _ in range(n):
+        heads = [h + (k,) for h in heads
+                 for k in range(resolution - sum(h) + 1)]
+    return np.array([h + (resolution - sum(h),) for h in heads],
+                    dtype=float) / resolution
 
 
 def lattice_points(s, resolution):
     """Physical lattice points of mesh 1/resolution on the simplex."""
-    weights = np.array(list(barycentric_lattice(s.dimension, resolution)))
-    return weights @ s.vertices
+    return lattice_weights(s.dimension, resolution) @ s.vertices
 
 
 def load_simplex(path):

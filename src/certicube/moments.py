@@ -79,10 +79,10 @@ def central_matrix(n):
     return m
 
 
-def cell_stats(v, absdet=None):
-    """(|det E|, int_S ||x - pbar||^2 dx) of each simplex in v (m, n+1, n).
+def cell_stats(v, absdet):
+    """int_S ||x - pbar||^2 dx of each simplex in v (m, n+1, n), given
+    its |det E| (from geometry.abs_det, or inherited by a child).
 
-    A known |det E| (adaptive children inherit theirs) is used as given.
     M has constant diagonal d and off-diagonal o, so the moment
     |det E| tr(E^T E M) is |det E| ((d - o) sum_i |e_i|^2 + o |sum_i e_i|^2)
     over the edge rows e_i = p_i - p_0.
@@ -90,21 +90,18 @@ def cell_stats(v, absdet=None):
     central = central_matrix(v.shape[-1])
     off = central[0, 1] if len(central) > 1 else 0.0
     edges = v[:, 1:] - v[:, :1]
-    if absdet is None:
-        absdet = np.abs(np.linalg.det(edges))
     edge_sum = edges.sum(axis=1)
-    csm = absdet * ((central[0, 0] - off) * np.sum(edges * edges, axis=(1, 2))
-                    + off * np.sum(edge_sum * edge_sum, axis=1))
-    return absdet, csm
+    return absdet * ((central[0, 0] - off) * np.sum(edges * edges, axis=(1, 2))
+                     + off * np.sum(edge_sum * edge_sum, axis=1))
 
 
 def central_second_moment(s):
     """int_S ||x - pbar||^2 dx = |det E| trace(E^T E M).
 
     InvariantViolation if it overflows."""
+    absdet = geometry.abs_det(s)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        absdet, csm = cell_stats(s.vertices[None])
-    geometry.check_det(s, absdet[0])
+        csm = cell_stats(s.vertices[None], absdet)
     if not np.isfinite(csm[0]):
         raise InvariantViolation(
             "non-finite second moment: the simplex is too large")

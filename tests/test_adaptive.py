@@ -9,14 +9,14 @@ from certicube import bounds, cubature, geometry, moments, qform
 from certicube import adaptive as adaptive_mod
 from certicube import field as field_mod
 from certicube.adaptive import (AdaptiveConfig, RunDiagnostics,
-                                integrate_adaptive, oracle_integrate,
-                                refine_steps)
+                                integrate_adaptive)
 from certicube.errors import (BudgetExhausted, CerticubeError,
                               NegativeGauge, RuleNotApplicable)
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
-from util import (heap_integrate, quadratic_field, rand_simplex,
+from util import (heap_integrate, mc_integral, polynomial_field,
+                  quadratic_terms, rand_simplex, refine_steps,
                   vertices_plus_barycenter_rule)
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -35,7 +35,7 @@ EXP_1D = ScalarField(
 def test_degree2_polynomial_estimate_is_exact():
     rng = np.random.default_rng(6)
     phi = QuadraticForm([[2.0, 0.5], [0.5, 1.0]])
-    f = quadratic_field(0.3, np.array([1.0, -2.0]), phi)
+    f = polynomial_field(2, quadratic_terms(0.3, [1.0, -2.0], phi))
     rule = cubature.builtin("hh-mix-2d", 2)
     s = rand_simplex(rng, 2)
     exact = moments.integrate_poly2((0.3, np.array([1.0, -2.0]), phi), s)
@@ -49,7 +49,7 @@ def test_degree2_polynomial_estimate_is_exact():
 
 
 def test_affine_field_converges_with_one_cell():
-    f = quadratic_field(1.0, np.array([2.0, -1.0]), None)
+    f = polynomial_field(2, quadratic_terms(1.0, [2.0, -1.0], None))
     result = integrate_adaptive(
         f, UNIT_TRIANGLE, AdaptiveConfig(tolerance=1e-8))
     assert result.cells == 1
@@ -104,27 +104,28 @@ def test_budget_exhausted_carries_partial_result():
 
 
 def test_partition_additivity_after_one_bisection():
-    diag = RunDiagnostics(collect_cells=True)
+    diag = RunDiagnostics()
     cfg = AdaptiveConfig(tolerance=1.0, k_mode="global")
     partial = refine_steps(EXP_SUM_2D, UNIT_TRIANGLE, cfg, 1,
                            diagnostics=diag)
-    assert len(diag.leaves) == 2
+    assert len(diag.radii) == 2
     left, right = geometry.bisect(UNIT_TRIANGLE)
     two_cell = sum(
-        geometry.volume(c) * math.exp(np.sum(geometry.barycenter(c)))
+        geometry.volume(c) * math.exp(np.sum(c.vertices.mean(axis=0)))
         for c in (left, right))
     assert partial.estimate == pytest.approx(two_cell, rel=1e-15)
     assert partial.estimate == pytest.approx(
-        sum(cell.estimate for cell in diag.leaves), rel=1e-15)
+        sum(diag.estimates), rel=1e-15)
 
 
 def test_partition_volumes_at_any_refinement_state():
     cfg = AdaptiveConfig(tolerance=1.0, k_mode="global")
     for steps in (1, 5, 17, 40):
-        diag = RunDiagnostics(collect_cells=True)
+        diag = RunDiagnostics()
         refine_steps(EXP_SUM_2D, UNIT_TRIANGLE, cfg, steps,
                      diagnostics=diag)
-        total = sum(geometry.volume(cell.simplex) for cell in diag.leaves)
+        total = sum(geometry.volume(geometry.Simplex(v))
+                    for v in diag.vertices)
         assert total == pytest.approx(0.5, rel=1e-10)
 
 
@@ -132,10 +133,10 @@ def test_monotone_radius_with_global_k():
     cfg = AdaptiveConfig(tolerance=1.0, k_mode="global")
     previous = math.inf
     for steps in range(25):
-        diag = RunDiagnostics(collect_cells=True)
+        diag = RunDiagnostics()
         refine_steps(EXP_SUM_2D, UNIT_TRIANGLE, cfg, steps,
                      diagnostics=diag)
-        radius = sum(cell.radius for cell in diag.leaves)
+        radius = sum(diag.radii)
         assert radius <= previous + 1e-15
         previous = radius
 
@@ -161,7 +162,9 @@ def test_rule_based_adaptive():
             supports_batch=True)
         result = integrate_adaptive(
             f, s, AdaptiveConfig(tolerance=1e-4, rule=rule, k_mode="global"))
-        oracle, se = oracle_integrate(f, s, 200000, seed=n)
+        oracle, se = mc_integral(np.random.default_rng(n), s,
+                                 lambda p: field_mod.evaluate_batch(f, p),
+                                 200000)
         assert abs(result.estimate - oracle) <= result.radius + 3 * se
         assert result.radius <= 1e-4
 
@@ -170,7 +173,8 @@ def test_oracle_constant_field():
     rng = np.random.default_rng(2)
     s = rand_simplex(rng, 3)
     f = ScalarField(dimension=3, evaluator=lambda x: 1.0)
-    mean, se = oracle_integrate(f, s, 1000, seed=5)
+    mean, se = mc_integral(np.random.default_rng(5), s,
+                           lambda p: field_mod.evaluate_batch(f, p), 1000)
     assert mean == pytest.approx(geometry.volume(s), rel=1e-12)
     assert se == 0.0
 
@@ -178,18 +182,22 @@ def test_oracle_constant_field():
 def test_oracle_linear_moment():
     f = ScalarField(dimension=2, evaluator=lambda x: x[..., 0],
                     supports_batch=True)
-    mean, se = oracle_integrate(f, geometry.unit_simplex(2), 10 ** 6, seed=7)
+    mean, se = mc_integral(np.random.default_rng(7), geometry.unit_simplex(2),
+                           lambda p: field_mod.evaluate_batch(f, p), 10 ** 6)
     assert abs(mean - 1 / 6) <= 3 * se
 
 
 def test_oracle_exp_field():
-    mean, se = oracle_integrate(EXP_SUM_2D, UNIT_TRIANGLE, 10 ** 6, seed=11)
+    mean, se = mc_integral(np.random.default_rng(11), UNIT_TRIANGLE,
+                           EXP_SUM_2D.evaluator, 10 ** 6)
     assert abs(mean - 1.0) <= 3 * se
 
 
 def test_oracle_deterministic_given_seed():
-    assert oracle_integrate(EXP_SUM_2D, UNIT_TRIANGLE, 1000, seed=3) == \
-        oracle_integrate(EXP_SUM_2D, UNIT_TRIANGLE, 1000, seed=3)
+    assert mc_integral(np.random.default_rng(3), UNIT_TRIANGLE,
+                       EXP_SUM_2D.evaluator, 1000) == \
+        mc_integral(np.random.default_rng(3), UNIT_TRIANGLE,
+                    EXP_SUM_2D.evaluator, 1000)
 
 
 def test_config_validation():
@@ -212,7 +220,7 @@ def test_non_finite_k_or_radius_raises():
     huge = ScalarField(dimension=2, evaluator=lambda x: 1e308)
     # A finite K times the moment of a huge simplex overflows the radius.
     big = geometry.Simplex(1e80 * UNIT_TRIANGLE.vertices)
-    affine = quadratic_field(1.0, np.array([1.0, 1.0]), None)
+    affine = polynomial_field(2, quadratic_terms(1.0, [1.0, 1.0], None))
     # The overflow is reported by the error alone, not by a warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -305,7 +313,7 @@ def test_matches_reference_heap(case, seed):
         k_ref = 1.01 * float(a @ a) * math.exp(
             float(np.max(s.vertices @ a)))
     elif k_mode == "global":
-        k_ref = field_mod.d2f_sup_norm(f, s, resolution=20).value
+        k_ref = field_mod.d2f_sup_norm(f, s, resolution=20)
     root = heap_integrate(f, s, math.inf, rule=rule, K=k_ref)[1]
     tol = tol_fraction * root
     ref = heap_integrate(f, s, tol, rule=rule, K=k_ref,
@@ -335,30 +343,31 @@ def test_batched_fd_k_matches_hessian_at(n):
     rng = np.random.default_rng(70 + n)
     s = rand_simplex(rng, n)
     f = _exp_field(rng.uniform(-1.5, 1.5, size=n), analytic=False)
-    diag = RunDiagnostics(collect_cells=True)
+    diag = RunDiagnostics()
     refine_steps(f, s, AdaptiveConfig(tolerance=1.0), 12, diagnostics=diag)
-    assert len(diag.leaves) == 13
-    for cell in diag.leaves:
+    assert len(diag.k_cells) == 13
+    for v, k_local in zip(diag.vertices, diag.k_cells):
         expected = max(
             qform.operator_norm(field_mod.hessian_at(f, p))
-            for p in geometry.lattice_points(cell.simplex, 4))
-        assert cell.K_local == pytest.approx(expected, rel=1e-6)
+            for p in geometry.lattice_points(geometry.Simplex(v), 4))
+        assert k_local == pytest.approx(expected, rel=1e-6)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_matches_reference_heap_at_every_cell_budget(n):
+def test_matches_reference_heap_at_every_cell_budget(monkeypatch, n):
     # Per-cell K lets a child outgrow other leaves of its round, so the
     # prefix rule decides which leaves are split before the budget.
     rng = np.random.default_rng(40 + n)
     s = rand_simplex(rng, n)
     f = _exp_field(rng.uniform(-2.0, 2.0, size=n), analytic=True)
+    monkeypatch.setattr(adaptive_mod, "K_RESOLUTION", 2)
     for max_cells in range(2, 48):
         ref = heap_integrate(f, s, 1e-12, k_resolution=2,
                              max_cells=max_cells)
         diag = RunDiagnostics()
         with pytest.raises(BudgetExhausted) as err:
             integrate_adaptive(f, s, AdaptiveConfig(
-                tolerance=1e-12, max_cells=max_cells, k_resolution=2),
+                tolerance=1e-12, max_cells=max_cells),
                 diagnostics=diag)
         partial = err.value.result
         assert (partial.cells, diag.depth_histogram) == (ref[2], ref[3])
@@ -382,11 +391,12 @@ def test_partition_does_not_depend_on_round_size(monkeypatch, band, points):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_leaves_inherit_exact_volumes(n):
+def test_leaves_inherit_exact_volumes(monkeypatch, n):
     # f = 1, so a leaf's estimate is its volume: |det E| of the root
     # halved once per level. K peaks at the vertex at the origin, which
     # drives one corner past depth 15 while coordinates stay relative.
     rng = np.random.default_rng(80 + n)
+    monkeypatch.setattr(adaptive_mod, "K_RESOLUTION", 1)
     for _ in range(3):
         vertices = rand_simplex(rng, n).vertices
         s = geometry.Simplex(vertices - vertices[0])
@@ -395,16 +405,16 @@ def test_leaves_inherit_exact_volumes(n):
             hessian=lambda u: QuadraticForm(
                 np.eye(len(u)) / (1e-12 + float(u @ u))),
             supports_batch=True)
-        diag = RunDiagnostics(collect_cells=True)
-        result = refine_steps(one, s, AdaptiveConfig(
-            tolerance=1.0, k_resolution=1), 150, diagnostics=diag)
-        assert max(cell.depth for cell in diag.leaves) >= 15
-        for cell in diag.leaves:
-            assert cell.estimate == pytest.approx(
-                geometry.volume(cell.simplex), rel=1e-12)
+        diag = RunDiagnostics()
+        result = refine_steps(one, s, AdaptiveConfig(tolerance=1.0), 150,
+                              diagnostics=diag)
+        assert max(diag.depths) >= 15
+        for v, estimate in zip(diag.vertices, diag.estimates):
+            assert estimate == pytest.approx(
+                geometry.volume(geometry.Simplex(v)), rel=1e-12)
         # Halving is exact and the depths tile the root, so the sum is
         # the root volume to the last bit.
-        assert math.fsum(cell.estimate for cell in diag.leaves) \
+        assert math.fsum(diag.estimates) \
             == result.estimate == geometry.volume(s)
 
 
@@ -422,7 +432,7 @@ def test_rounds_do_not_over_split(tol):
     if tol == 1e-6:
         cells, hist = HEAP_AT_1E6
     else:
-        k = field_mod.d2f_sup_norm(EXP_SUM_2D, UNIT_TRIANGLE).value
+        k = field_mod.d2f_sup_norm(EXP_SUM_2D, UNIT_TRIANGLE)
         cells, hist = heap_integrate(EXP_SUM_2D, UNIT_TRIANGLE, tol,
                                      K=k)[2:4]
     assert (result.cells, diag.depth_histogram) == (cells, hist)

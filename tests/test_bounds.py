@@ -9,11 +9,11 @@ from certicube.errors import (ConvexityScreenFailed, InvariantViolation,
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
-from util import (quadratic_field, rand_convex_quadratic, rand_simplex,
-                  vertices_plus_barycenter_rule)
+from util import (polynomial_field, quadratic_terms, rand_convex_quadratic,
+                  rand_simplex, vertices_plus_barycenter_rule)
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-NORM_SQ_2D = quadratic_field(0.0, np.zeros(2), QuadraticForm(np.eye(2)))
+NORM_SQ_2D = polynomial_field(2, {(2, 0): 1.0, (0, 2): 1.0})
 
 
 def test_sandwich_norm_squared():
@@ -29,7 +29,7 @@ def test_sandwich_norm_squared():
 def test_sandwich_collapses_for_affine():
     rng = np.random.default_rng(3)
     s = rand_simplex(rng, 3)
-    f = quadratic_field(1.5, np.array([2.0, -1.0, 0.5]), None)
+    f = polynomial_field(3, quadratic_terms(1.5, [2.0, -1.0, 0.5], None))
     result = bounds.hh_sandwich(f, s)
     exact = moments.integrate_poly2(
         (1.5, np.array([2.0, -1.0, 0.5]), None), s)
@@ -46,8 +46,20 @@ def test_sandwich_exp_on_segment():
     assert result.lower <= math.e - 1 <= result.upper
 
 
+def test_sandwich_lower_is_the_midpoint_estimate_bit_for_bit():
+    for seed in range(1, 5):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 5):
+            f = field.parse_expr("exp(0.3*(" + "+".join(
+                f"x{i + 1}" for i in range(n)) + "))", n)
+            for _ in range(50):
+                s = rand_simplex(rng, n)
+                assert bounds.hh_sandwich(f, s).lower == \
+                    bounds.midpoint_bound(f, s, 0.0).estimate
+
+
 def test_sandwich_screening_rejects_concave():
-    f = quadratic_field(0.0, np.zeros(2), QuadraticForm(-np.eye(2)))
+    f = polynomial_field(2, {(2, 0): -1.0, (0, 2): -1.0})
     with pytest.raises(ConvexityScreenFailed):
         bounds.hh_sandwich(f, UNIT_TRIANGLE, screen=True)
     bounds.hh_sandwich(NORM_SQ_2D, UNIT_TRIANGLE, screen=True)
@@ -63,7 +75,7 @@ def test_midpoint_bound_sharp_for_norm_squared():
 
 
 def test_midpoint_bound_affine_zero_radius():
-    f = quadratic_field(2.0, np.array([1.0, 1.0]), None)
+    f = polynomial_field(2, quadratic_terms(2.0, [1.0, 1.0], None))
     result = bounds.midpoint_bound(f, UNIT_TRIANGLE, 0.0)
     assert result.radius == 0.0
     exact = moments.integrate_poly2((2.0, np.array([1.0, 1.0]), None),
@@ -160,7 +172,7 @@ def test_midpoint_validity_smooth_battery():
         f = ScalarField(dimension=n, evaluator=evaluator,
                         supports_batch=True)
         s = rand_simplex(rng, n)
-        gauge = 1.05 * field.d2f_sup_norm(f, s, resolution=20).value
+        gauge = 1.05 * field.d2f_sup_norm(f, s, resolution=20)
         result = bounds.midpoint_bound(f, s, gauge)
         # reference radius is accounted for in the slack, so 1e-7 is
         # plenty against a midpoint radius of order 1e-2
@@ -174,7 +186,7 @@ def test_midpoint_sharpness_random_simplices():
     rng = np.random.default_rng(30)
     for n in (1, 2, 3):
         identity = QuadraticForm(np.eye(n))
-        f = quadratic_field(0.0, np.zeros(n), identity)
+        f = polynomial_field(n, quadratic_terms(0.0, np.zeros(n), identity))
         for _ in range(5):
             s = rand_simplex(rng, n)
             result = bounds.midpoint_bound(f, s, 2.0)
@@ -189,7 +201,8 @@ def test_midpoint_is_half_of_rule_radius():
         rule = vertices_plus_barycenter_rule(n)
         assert cubature.verify(rule).thm2_applicable
         s = rand_simplex(rng, n)
-        f = quadratic_field(0.0, np.zeros(n), QuadraticForm(np.eye(n)))
+        f = polynomial_field(n, quadratic_terms(0.0, np.zeros(n),
+                                                QuadraticForm(np.eye(n))))
         mid = bounds.midpoint_bound(f, s, 2.0)
         full = bounds.rule_bound(rule, f, s, 2.0)
         assert mid.radius == full.radius / 2.0
@@ -200,7 +213,8 @@ def test_rule_radius_reference_constant():
     for n in range(1, 7):
         rule = vertices_plus_barycenter_rule(n)
         s = geometry.unit_simplex(n)
-        f = quadratic_field(0.0, np.zeros(n), QuadraticForm(np.eye(n)))
+        f = polynomial_field(n, quadratic_terms(0.0, np.zeros(n),
+                                                QuadraticForm(np.eye(n))))
         result = bounds.rule_bound(rule, f, s, 2.0)
         expected = 2.0 * n * n / (math.factorial(n + 2) * (n + 1))
         assert result.radius == pytest.approx(expected, rel=1e-14)

@@ -1,10 +1,14 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import certicube
 from certicube import cubature
 from certicube.cli import run
 
@@ -492,3 +496,17 @@ def test_simplex_files_end_in_a_documented_exit(cli_paths, text, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _check_documented_exit(argv + ["--simplex", cli_paths["simplex"]])
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # A fresh interpreter: this one has the test-only packages loaded.
+    path = [os.path.dirname(os.path.dirname(certicube.__file__)),
+            os.environ.get("PYTHONPATH", "")]
+    script = ("import sys, certicube, certicube.cli; print(sorted(m for m in "
+              "('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest') "
+              "if m in sys.modules))")
+    done = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True,
+        text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert done.stdout.strip() == "[]"

@@ -127,7 +127,7 @@ def test_hh_sandwich_property_all_builtin_rules():
                 evaluator=lambda x: np.exp(np.sum(np.asarray(x), axis=-1)),
                 supports_batch=True)
             for g in (f, fexp):
-                lower = vol * field.evaluate(g, geometry.barycenter(s))
+                lower = vol * field.evaluate(g, s.vertices.mean(axis=0))
                 upper = vol * np.mean(
                     [field.evaluate(g, p) for p in s.vertices])
                 for rule in rules:

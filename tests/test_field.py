@@ -83,34 +83,28 @@ def test_hessian_non_finite_raises():
 def test_sup_norm_constant_hessian():
     f = norm_sq_field(2)
     estimate = field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=5)
-    assert estimate.value == pytest.approx(2.0)
-    assert not estimate.certified
+    assert type(estimate) is float
+    assert estimate == pytest.approx(2.0)
 
 
 def test_sup_norm_exp_on_triangle():
     f = ScalarField(dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]))
     estimate = field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=20)
     # Hessian norm 2 e^{x1+x2}, maximized on the hypotenuse.
-    assert estimate.value == pytest.approx(2 * np.e, abs=1e-6)
+    assert estimate == pytest.approx(2 * np.e, abs=1e-6)
     # dense-sampling oracle never exceeds the lattice value by much
     rng = np.random.default_rng(2)
     gaps = rng.standard_exponential((2000, 3))
     bary = gaps / gaps.sum(axis=1, keepdims=True)
     pts = bary @ UNIT_TRIANGLE.vertices
     sampled = np.max(2 * np.exp(pts[:, 0] + pts[:, 1]))
-    assert sampled <= estimate.value + 1e-6
+    assert sampled <= estimate + 1e-6
 
 
 def test_sup_norm_affine_field_is_zero():
     f = ScalarField(dimension=2, evaluator=lambda x: 3.0 * x[0] - x[1] + 1.0,
                     hessian=lambda u: QuadraticForm(np.zeros((2, 2))))
-    assert field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=3).value == 0.0
-
-
-def test_sup_norm_override_is_certified():
-    f = norm_sq_field(2)
-    estimate = field.d2f_sup_norm(f, UNIT_TRIANGLE, override=2.0)
-    assert estimate == (2.0, True)
+    assert field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=3) == 0.0
 
 
 def test_convexify_exact_cancellation():
@@ -151,7 +145,7 @@ def test_convexify_lattice_psd_random_polynomials():
     rng = np.random.default_rng(77)
     for _ in range(20):
         f = rand_polynomial_field(rng, 2)
-        gauge = field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=20).value
+        gauge = field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=20)
         plus, minus = field.convexify(f, gauge)
         for g in (plus, minus):
             for point in geometry.lattice_points(UNIT_TRIANGLE, 20):

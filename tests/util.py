@@ -3,10 +3,13 @@
 import heapq
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from certicube import field, geometry, moments, qform
+from certicube.adaptive import integrate_adaptive
+from certicube.errors import BudgetExhausted
 from certicube.field import ScalarField
 from certicube.geometry import Simplex
 from certicube.qform import QuadraticForm
@@ -33,18 +36,19 @@ def rand_psd_form(rng, n, scale=1.0):
     return QuadraticForm(a @ a.T)
 
 
-def quadratic_field(c, b, phi):
-    """c + b.x + x^T A x with its constant analytic Hessian."""
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    a = phi.coeffs if phi is not None else np.zeros((n, n))
-    hess = QuadraticForm(2.0 * a)
-    return ScalarField(
-        dimension=n,
-        evaluator=lambda x: c + np.asarray(x) @ b
-        + np.sum((np.asarray(x) @ a) * np.asarray(x), axis=-1),
-        hessian=lambda u: hess,
-        supports_batch=True)
+def quadratic_terms(c, b, phi):
+    """PolynomialField terms of c + b.x + x^T A x (phi = A, or None)."""
+    n = len(b)
+    unit = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    terms = {(0,) * n: float(c)}
+    terms.update((unit[i], float(b[i])) for i in range(n))
+    if phi is not None:
+        a = phi.coeffs
+        for i in range(n):
+            for j in range(i, n):
+                alpha = tuple(p + q for p, q in zip(unit[i], unit[j]))
+                terms[alpha] = float(a[i, j] + a[j, i] if i != j else a[i, i])
+    return terms
 
 
 def rand_convex_quadratic(rng, n):
@@ -52,7 +56,7 @@ def rand_convex_quadratic(rng, n):
     c = float(rng.uniform(-1, 1))
     b = rng.uniform(-1, 1, size=n)
     phi = rand_psd_form(rng, n)
-    return quadratic_field(c, b, phi), (c, b, phi)
+    return polynomial_field(n, quadratic_terms(c, b, phi)), (c, b, phi)
 
 
 class PolynomialField:
@@ -98,6 +102,15 @@ class PolynomialField:
         return h
 
 
+def polynomial_field(n, terms):
+    """ScalarField of a PolynomialField, with its analytic Hessian."""
+    poly = PolynomialField(n, terms)
+    return ScalarField(
+        dimension=n, evaluator=poly,
+        hessian=lambda u: QuadraticForm(poly.hessian_coeffs(u)),
+        supports_batch=True)
+
+
 def rand_polynomial_field(rng, n, max_degree=4):
     """Random dense polynomial of total degree <= max_degree."""
     terms = {}
@@ -107,11 +120,7 @@ def rand_polynomial_field(rng, n, max_degree=4):
             for axis in combo:
                 alpha[axis] += 1
             terms[tuple(alpha)] = float(rng.uniform(-1, 1))
-    poly = PolynomialField(n, terms)
-    return ScalarField(
-        dimension=n, evaluator=poly,
-        hessian=lambda u: QuadraticForm(poly.hessian_coeffs(u)),
-        supports_batch=True)
+    return polynomial_field(n, terms)
 
 
 def vertices_plus_barycenter_rule(n):
@@ -133,7 +142,9 @@ def vertices_plus_barycenter_rule(n):
 
 
 def mc_integral(rng, s, func, samples):
-    """Plain Monte Carlo oracle, independent of the package's sampler."""
+    """Monte Carlo integral of func (maps (m, n) points to (m,) values)
+    over s: (mean, standard error). Barycentric weights from normalized
+    exponential spacings make the points uniform on the simplex."""
     gaps = rng.standard_exponential((samples, s.dimension + 1))
     bary = gaps / gaps.sum(axis=1, keepdims=True)
     points = bary @ s.vertices
@@ -143,6 +154,18 @@ def mc_integral(rng, s, func, samples):
     mean = vol * float(values.mean())
     se = vol * float(values.std(ddof=1)) / math.sqrt(samples)
     return mean, se
+
+
+def refine_steps(f, s, cfg, steps, diagnostics=None):
+    """Run exactly ``steps`` bisections and return the partial result:
+    the tolerance is made unreachable and the cell budget caps the run."""
+    capped = replace(cfg, tolerance=np.finfo(float).tiny,
+                     max_cells=steps + 1)
+    try:
+        integrate_adaptive(f, s, capped, diagnostics=diagnostics)
+    except BudgetExhausted as exc:
+        return exc.result
+    raise AssertionError("capped run should exhaust its budget")
 
 
 def heap_integrate(f, s, tol, rule=None, K=None, k_resolution=4,
@@ -157,7 +180,7 @@ def heap_integrate(f, s, tol, rule=None, K=None, k_resolution=4,
     def make(simplex, depth):
         vol = geometry.volume(simplex)
         if rule is None:
-            est = vol * field.evaluate(f, geometry.barycenter(simplex))
+            est = vol * field.evaluate(f, simplex.vertices.mean(axis=0))
         else:
             values = field.evaluate_batch(f, rule.nodes @ simplex.vertices)
             est = vol * math.fsum(rule.weights * values)
