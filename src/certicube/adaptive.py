@@ -15,13 +15,14 @@ predicted to fall (plus SLACK), from the radius shrink of the last
 round's splits; a cut that falls short only leaves work for the next
 round. The run computes one determinant, the root's: bisection halves
 the volume exactly, so a leaf at depth d inherits 2^-d of it. Sums use
-math.fsum, exactly rounded in any order.
+math.fsum, exactly rounded in any order. Per-cell K is field.lattice_k
+of the new cells; the loop knows no lattice and no Hessian source.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,19 +32,18 @@ from . import field as field_mod
 from . import geometry
 from .bounds import CertifiedResult, certificate, certify_cells, exact_sum
 from .cubature import CubatureRule
-from .errors import BudgetExhausted, NegativeGauge
+from .errors import BudgetExhausted
 
 # BAND, SLACK and POINTS_PER_ROUND do not change the partition. BAND in
 # (0, 1] trades rounds against discarded splits. SLACK is how many
 # leaves past the predicted tolerance cut a round still splits, in case
 # its children shrink less than the last round's did. A round splits at
-# most as many leaves as keep its integrand evaluations near
-# POINTS_PER_ROUND, bounding memory.
+# most as many leaves as keep its rule evaluations near
+# POINTS_PER_ROUND, bounding memory; field.lattice_k bounds its own.
 BAND = 0.25
 SLACK = 16
 POINTS_PER_ROUND = 2 ** 20
-# Per-cell K is the largest Hessian norm on the cell's lattice of mesh
-# 1/K_RESOLUTION.
+# Per-cell K is field.lattice_k at this resolution.
 K_RESOLUTION = 4
 
 
@@ -63,10 +63,8 @@ class AdaptiveConfig:
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
         if self.rule is not None and not isinstance(self.rule, CubatureRule):
             raise ValueError(f"rule must be a CubatureRule, got {self.rule!r}")
-        if self.k_override is not None and not (
-                0 <= self.k_override < math.inf):
-            raise NegativeGauge(
-                f"K = {self.k_override} must be finite and >= 0")
+        if self.k_override is not None:
+            field_mod.check_gauge(self.k_override)
 
 
 @dataclass
@@ -74,17 +72,30 @@ class RunDiagnostics:
     """What a run did; the leaf arrays are the run's own, in creation
     order: vertices (m, n+1, n), estimates, radii, K and depths (m,)."""
 
-    cells: int = 0
     rounds: int = 0
     discarded_splits: int = 0
-    depth_histogram: dict = dataclass_field(default_factory=dict)
-    k_min: float = math.inf
-    k_max: float = 0.0
     vertices: Optional[np.ndarray] = None
     estimates: Optional[np.ndarray] = None
     radii: Optional[np.ndarray] = None
     k_cells: Optional[np.ndarray] = None
     depths: Optional[np.ndarray] = None
+
+    @property
+    def cells(self):
+        return len(self.radii)
+
+    @property
+    def k_min(self):
+        return float(self.k_cells.min())
+
+    @property
+    def k_max(self):
+        return float(self.k_cells.max())
+
+    @property
+    def depth_histogram(self):
+        levels, counts = np.unique(self.depths, return_counts=True)
+        return dict(zip(levels.tolist(), counts.tolist()))
 
 
 def integrate_adaptive(f, s, cfg, diagnostics=None):
@@ -104,23 +115,16 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     global_k = cfg.k_override
     if global_k is None and cfg.k_mode == "global":
         global_k = field_mod.d2f_sup_norm(f, s)
-    k_lattice = (None if global_k is not None
-                 else geometry.lattice_weights(n, K_RESOLUTION))
-    points_per_leaf = 2 * len(rule.weights) + (
-        0 if k_lattice is None else 2 * len(k_lattice) * (2 * n * n + 1))
-    max_band = max(1, POINTS_PER_ROUND // points_per_leaf)
+    max_band = max(1, POINTS_PER_ROUND // (2 * len(rule.weights)))
 
     def _cells(V, depth):
         """(estimate, radius, K) of every simplex in V, shape (m, n+1, n),
         at the given tree depths."""
         # Bisection halves the volume exactly: a power of two is exact.
         vol = np.ldexp(root_vol, -depth)
-        if global_k is not None:
-            k_cell = np.full(len(V), global_k, dtype=float)
-        else:
-            k_cell = np.max(field_mod.hessian_norms(
-                f, (k_lattice @ V).reshape(-1, n)).reshape(len(V), -1),
-                axis=1)
+        k_cell = (np.full(len(V), global_k, dtype=float)
+                  if global_k is not None
+                  else field_mod.lattice_k(f, V, K_RESOLUTION))
         est, rad = certify_cells(rule, factor, f, V, vol, vol * nfact,
                                  k_cell)
         return est, rad, k_cell
@@ -135,14 +139,8 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
 
     def finish(radius=None):
         if diagnostics is not None:
-            diagnostics.cells = len(rad)
             diagnostics.rounds = rounds
             diagnostics.discarded_splits = discarded
-            levels, counts = np.unique(depth, return_counts=True)
-            diagnostics.depth_histogram = dict(
-                zip(levels.tolist(), counts.tolist()))
-            diagnostics.k_min = float(k_cell.min())
-            diagnostics.k_max = float(k_cell.max())
             (diagnostics.vertices, diagnostics.estimates, diagnostics.radii,
              diagnostics.k_cells, diagnostics.depths) = (
                 verts, est, rad, k_cell, depth)

@@ -22,7 +22,7 @@ import numpy as np
 from . import cubature as cubature_mod
 from . import field as field_mod
 from . import geometry, moments
-from .errors import (ConvexityScreenFailed, InvariantViolation, NegativeGauge,
+from .errors import (ConvexityScreenFailed, InvariantViolation,
                      RuleNotApplicable)
 
 SCREEN_RESOLUTION = 10
@@ -141,8 +141,7 @@ def rule_bound(rule, f, s, gauge, gauge_certified=False):
 
     Refuses every other rule; there is no valid certificate for it.
     """
-    if not gauge >= 0:
-        raise NegativeGauge(f"K = {gauge} is not >= 0")
+    field_mod.check_gauge(gauge)
     rule, factor = certificate(rule)
     absdet = geometry.abs_det(s)
     est, rad = certify_cells(rule, factor, f, s.vertices[None],

@@ -1,17 +1,17 @@
 """C^2 integrands: evaluation, Hessians, curvature estimates, convexifying.
 
-A ScalarField wraps a pointwise evaluator plus an optional analytic
-Hessian. A parsed expression's evaluator is its expression tape, whose
-second-order jets give exact Hessians (up to rounding) for a whole batch
-of points in one pass and evaluate nothing off the points. Any other
-callable without an analytic Hessian gets central finite differences
-with the absolute step FD_STEP. The sup-norm of the second differential
-over a simplex is estimated on a barycentric lattice, so it is not
+A ScalarField's optional hessian maps points (m, n) to Hessians
+(m, n, n), like a batch evaluator; a parsed expression's is its tape
+run in jets, exact up to rounding, one pass per batch and evaluating
+nothing off the points. Without one, hessians takes central finite
+differences with the absolute step FD_STEP. lattice_k samples the sup
+Hessian norm of each simplex on a barycentric lattice, so it is not
 certified; a caller with a known constant passes it as K instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,14 +19,21 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import geometry
-from .errors import EvaluationFailure, InvariantViolation, NegativeGauge
+from .errors import (DimensionMismatch, EvaluationFailure,
+                     InvariantViolation, NegativeGauge)
 from .qform import QuadraticForm
 
 FD_STEP = 1e-4
 DEFAULT_LATTICE_RESOLUTION = 20
-# Bounds the integrand evaluations, and so the memory, of one batched
-# finite-difference call in d2f_sup_norm.
+# Bounds the integrand evaluations, and so the memory, of one hessians
+# call in lattice_k: a finite-difference Hessian takes 2n^2 + 1.
 POINTS_PER_CALL = 2 ** 20
+
+
+def check_gauge(K):
+    """NegativeGauge unless the curvature constant K is finite and >= 0."""
+    if not 0 <= K < math.inf:
+        raise NegativeGauge(f"K = {K} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -35,10 +42,10 @@ class ScalarField:
 
     ``evaluator`` maps a point (n,) to a float; when ``supports_batch``
     it also accepts an (m, n) array and returns (m,) values. ``hessian``
-    (if given) returns the analytic second differential as a
-    QuadraticForm. An evaluator that is an expr.Tape (parse_expr's) gets
-    exact jet Hessians; any other gets finite differences with step
-    FD_STEP, so it must tolerate +-FD_STEP excursions per axis.
+    (if given) maps points (m, n) to symmetric Hessians (m, n, n), like
+    a batch evaluator; parse_expr passes its tape's jets. Without one,
+    finite differences with step FD_STEP are taken, so the evaluator
+    must tolerate +-FD_STEP excursions per axis.
     """
 
     dimension: int
@@ -69,21 +76,19 @@ def evaluate_batch(f, points):
 
 
 def hessians(f, points):
-    """Second differential at each row of points (p, n), as (p, n, n).
+    """Second differential at each row of points (m, n), as (m, n, n).
 
-    An analytic hessian is called per point. A parsed field runs its
-    tape once over all rows in jets, exact up to rounding. Any other
-    field takes central finite differences (O(h^2)): one evaluate_batch
-    call for every stencil point of every row.
+    The field's own hessian if it has one, else central finite
+    differences (O(h^2)): one evaluate_batch call for every stencil point
+    of every row. InvariantViolation if an entry is not finite.
     """
     points = np.asarray(points, dtype=float)
-    if f.hessian is not None:
-        return np.array([hessian_at(f, u).coeffs for u in points])
-    if isinstance(f.evaluator, expr_mod.Tape):
-        with np.errstate(all="ignore"):  # non-finite entries raise below
-            coeffs = f.evaluator.hessians(points)
-    else:
-        coeffs = _fd_hessians(f, points)
+    with np.errstate(all="ignore"):  # non-finite entries raise below
+        coeffs = np.asarray(f.hessian(points) if f.hessian is not None
+                            else _fd_hessians(f, points), dtype=float)
+    if coeffs.shape != points.shape + points.shape[-1:]:
+        raise DimensionMismatch(
+            f"Hessians of shape {coeffs.shape} at points {points.shape}")
     if not np.all(np.isfinite(coeffs)):
         raise InvariantViolation("non-finite Hessian: K is not finite")
     return coeffs
@@ -101,56 +106,53 @@ def _fd_hessians(f, points):
     centre, plus, minus = np.split(values[:, :2 * n + 1], [1, n + 1], 1)
     pp, pm, mp, mm = np.moveaxis(values[:, 2 * n + 1:].reshape(p, 4, -1), 1, 0)
     coeffs = np.empty((p, n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs[:, range(n), range(n)] = (plus - 2.0 * centre + minus) / (h * h)
-        coeffs[:, iu, ju] = coeffs[:, ju, iu] = (
-            (pp - pm) - mp + mm) / (4.0 * h * h)
+    coeffs[:, range(n), range(n)] = (plus - 2.0 * centre + minus) / (h * h)
+    coeffs[:, iu, ju] = coeffs[:, ju, iu] = (
+        (pp - pm) - mp + mm) / (4.0 * h * h)
     return coeffs
-
-
-def hessian_norms(f, points):
-    """Hessian operator norm at each row of points (p, n)."""
-    return np.max(np.abs(np.linalg.eigvalsh(hessians(f, points))), axis=-1)
 
 
 def hessian_at(f, u):
     """Second differential at u as a QuadraticForm (see hessians)."""
-    u = np.asarray(u, dtype=float)
-    if f.hessian is None:
-        return QuadraticForm(hessians(f, u[None])[0])
-    form = f.hessian(u)
-    if not isinstance(form, QuadraticForm):
-        form = QuadraticForm(form)
-    return form
+    return QuadraticForm(hessians(f, np.asarray(u, dtype=float)[None])[0])
+
+
+def lattice_k(f, V, resolution):
+    """Largest Hessian operator norm on the barycentric lattice of mesh
+    1/resolution of each simplex in V (m, n+1, n), as (m,); sampled, so
+    not certified. Each hessians call, and the lattice built for it,
+    covers about POINTS_PER_CALL integrand evaluations."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    n = V.shape[-1]
+    weights = geometry.lattice_weights(n, resolution)
+    step = max(1, POINTS_PER_CALL // (2 * n * n + 1))
+    per_call = max(1, step // len(weights))
+    k = np.empty(len(V))
+    for i in range(0, len(V), per_call):
+        points = (weights @ V[i:i + per_call]).reshape(-1, n)
+        norms = np.concatenate([np.max(np.abs(np.linalg.eigvalsh(
+            hessians(f, points[j:j + step]))), axis=-1)
+            for j in range(0, len(points), step)])
+        k[i:i + per_call] = norms.reshape(-1, len(weights)).max(axis=1)
+    return k
 
 
 def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION):
-    """Estimate sup over the simplex of the Hessian operator norm.
-
-    Lattice sampling only, so the value is not certified. The lattice
-    goes through hessian_norms in chunks of about POINTS_PER_CALL
-    integrand evaluations.
-    """
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
-    points = geometry.lattice_points(s, resolution)
-    n = s.dimension
-    chunk = max(1, POINTS_PER_CALL // (2 * n * n + 1))
-    best = max(hessian_norms(f, points[i:i + chunk]).max()
-               for i in range(0, len(points), chunk))
-    return float(best)
+    """Estimate sup over the simplex of the Hessian operator norm: the
+    one-simplex case of lattice_k, so not certified."""
+    return float(lattice_k(f, s.vertices[None], resolution)[0])
 
 
 def convexify(f, gauge):
     """Fields g+f and g-f with g(x) = (gauge/2) ||x||^2.
 
     For gauge >= the sup Hessian norm of f, both outputs are convex and
-    their Hessians are bounded by 2*gauge in operator norm. Each output
-    carries the combined Hessian gauge*I +- H_f analytically (through
-    hessian_at, so FD-backed fields still work).
+    their Hessians are bounded by 2*gauge in operator norm. Each output's
+    hessian is the batch gauge*I +- hessians(f, points), so FD-backed
+    fields still work and a parsed field makes one jet pass per batch.
     """
-    if gauge < 0:
-        raise NegativeGauge(f"gauge {gauge} < 0")
+    check_gauge(gauge)
     n = f.dimension
     identity = np.eye(n)
 
@@ -162,9 +164,8 @@ def convexify(f, gauge):
                 return quad + sign * evaluate(f, x)
             return quad + sign * evaluate_batch(f, x)
 
-        def hessian(u):
-            return QuadraticForm(
-                gauge * identity + sign * hessian_at(f, u).coeffs)
+        def hessian(points):
+            return gauge * identity + sign * hessians(f, points)
 
         return ScalarField(dimension=n, evaluator=evaluator,
                            hessian=hessian, supports_batch=True)
@@ -174,6 +175,7 @@ def convexify(f, gauge):
 
 def parse_expr(text, n):
     """Textual integrand over x1..xn: its evaluator is the expression
-    tape, so its Hessians are exact jets."""
-    return ScalarField(dimension=n, evaluator=expr_mod.parse(text, n),
+    tape, and its Hessian the tape's exact jets."""
+    tape = expr_mod.parse(text, n)
+    return ScalarField(dimension=n, evaluator=tape, hessian=tape.hessians,
                        supports_batch=True)

@@ -84,7 +84,8 @@ def test_criterion_3_midpoint_sharpness():
         f = ScalarField(
             dimension=n,
             evaluator=lambda x: float(np.sum(np.asarray(x) ** 2)),
-            hessian=lambda u, n=n: QuadraticForm(2.0 * np.eye(n)))
+            hessian=lambda u, n=n: np.broadcast_to(2.0 * np.eye(n),
+                                                   u.shape + (n,)))
         result = bounds.midpoint_bound(f, s, 2.0)
         exact = moments.integrate_poly2((0.0, None, identity), s)
         gap = abs(abs(exact - result.estimate) - result.radius)

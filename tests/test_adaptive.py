@@ -23,12 +23,12 @@ UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EXP_SUM_2D = ScalarField(
     dimension=2,
     evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]),
-    hessian=lambda u: QuadraticForm(
-        np.exp(u[0] + u[1]) * np.ones((2, 2))),
+    hessian=lambda u: np.exp(u[:, 0] + u[:, 1])[:, None, None]
+    * np.ones((2, 2)),
     supports_batch=True)
 EXP_1D = ScalarField(
     dimension=1, evaluator=lambda x: np.exp(x[..., 0]),
-    hessian=lambda u: QuadraticForm([[np.exp(u[0])]]),
+    hessian=lambda u: np.exp(u[:, :, None]),
     supports_batch=True)
 
 
@@ -270,7 +270,7 @@ def _exp_field(a, analytic):
         return field_mod.parse_expr(f"exp({terms})", n)
     return ScalarField(
         dimension=n, evaluator=lambda x: np.exp(np.asarray(x) @ a),
-        hessian=lambda u: QuadraticForm(np.exp(u @ a) * np.outer(a, a)),
+        hessian=lambda u: np.exp(u @ a)[:, None, None] * np.outer(a, a),
         supports_batch=True)
 
 
@@ -402,8 +402,8 @@ def test_leaves_inherit_exact_volumes(monkeypatch, n):
         s = geometry.Simplex(vertices - vertices[0])
         one = ScalarField(
             dimension=n, evaluator=lambda x: np.ones(np.shape(x)[:-1]),
-            hessian=lambda u: QuadraticForm(
-                np.eye(len(u)) / (1e-12 + float(u @ u))),
+            hessian=lambda u: np.eye(n) / (
+                1e-12 + np.sum(u * u, axis=1))[:, None, None],
             supports_batch=True)
         diag = RunDiagnostics()
         result = refine_steps(one, s, AdaptiveConfig(tolerance=1.0), 150,

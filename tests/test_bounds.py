@@ -97,11 +97,12 @@ def test_midpoint_bound_negative_gauge():
 
 
 def test_bounds_reject_nan_gauge():
-    with pytest.raises(NegativeGauge):
-        bounds.midpoint_bound(NORM_SQ_2D, UNIT_TRIANGLE, math.nan)
-    with pytest.raises(NegativeGauge):
-        bounds.rule_bound(cubature.builtin("hh-mix-2d", 2), NORM_SQ_2D,
-                          UNIT_TRIANGLE, math.nan)
+    for gauge in (math.nan, math.inf):
+        with pytest.raises(NegativeGauge):
+            bounds.midpoint_bound(NORM_SQ_2D, UNIT_TRIANGLE, gauge)
+        with pytest.raises(NegativeGauge):
+            bounds.rule_bound(cubature.builtin("hh-mix-2d", 2), NORM_SQ_2D,
+                              UNIT_TRIANGLE, gauge)
 
 
 def test_rule_bound_exp_mix_rule():

@@ -226,7 +226,8 @@ def test_rule_header_not_an_integer_is_a_parse_error(tmp_path, unit2):
 @pytest.mark.parametrize("command,k", [("integrate", "-1"),
                                        ("integrate", "nan"),
                                        ("integrate", "inf"),
-                                       ("bound", "nan")])
+                                       ("bound", "nan"),
+                                       ("bound", "inf")])
 def test_bad_k_is_rejected(unit2, command, k):
     argv = [command, "--expr", "exp(x1+x2)", "--simplex", unit2, "--K", k]
     argv += ["--tol", "1e-4"] if command == "integrate" else [

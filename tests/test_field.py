@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from certicube import field, geometry, qform
-from certicube.errors import (ArityError, EvaluationFailure, NegativeGauge,
-                              ParseError)
-from certicube.expr import parse
+from certicube.errors import (ArityError, EvaluationFailure,
+                              InvariantViolation, NegativeGauge, ParseError)
+from certicube.expr import Tape, parse
 from certicube.field import ScalarField
-from certicube.qform import QuadraticForm
 
-from util import rand_polynomial_field
+from util import rand_polynomial_field, rand_simplex
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -19,7 +18,7 @@ def norm_sq_field(n):
     return ScalarField(
         dimension=n,
         evaluator=lambda x: float(np.sum(np.asarray(x) ** 2)),
-        hessian=lambda u: QuadraticForm(2.0 * np.eye(n)))
+        hessian=lambda u: np.broadcast_to(2.0 * np.eye(n), u.shape + (n,)))
 
 
 def test_hessian_norm_squared():
@@ -38,8 +37,8 @@ def test_hessian_exp_at_origin_fd_vs_analytic():
     fd = ScalarField(dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]))
     analytic = ScalarField(
         dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]),
-        hessian=lambda u: QuadraticForm(
-            np.exp(u[0] + u[1]) * np.ones((2, 2))))
+        hessian=lambda u: np.exp(u[:, 0] + u[:, 1])[:, None, None]
+        * np.ones((2, 2)))
     h_fd = field.hessian_at(fd, [0.0, 0.0])
     h_an = field.hessian_at(analytic, [0.0, 0.0])
     assert np.allclose(h_an.coeffs, np.ones((2, 2)))
@@ -80,6 +79,18 @@ def test_hessian_non_finite_raises():
             field.hessian_at(f, [0.0])
 
 
+@pytest.mark.parametrize("hessian", [
+    lambda u: 1.0 / u[..., None],  # inf at 0
+    lambda u: np.log(u - 1.0)[..., None],  # nan below 1
+], ids=["inf", "nan"])
+def test_analytic_hessian_non_finite_raises(hessian):
+    f = ScalarField(dimension=1, evaluator=lambda x: x[0], hessian=hessian)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the error
+        with pytest.raises(InvariantViolation, match="non-finite Hessian"):
+            field.hessian_at(f, [0.0])
+
+
 def test_sup_norm_constant_hessian():
     f = norm_sq_field(2)
     estimate = field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=5)
@@ -103,14 +114,35 @@ def test_sup_norm_exp_on_triangle():
 
 def test_sup_norm_affine_field_is_zero():
     f = ScalarField(dimension=2, evaluator=lambda x: 3.0 * x[0] - x[1] + 1.0,
-                    hessian=lambda u: QuadraticForm(np.zeros((2, 2))))
+                    hessian=lambda u: np.zeros(u.shape + (2,)))
     assert field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=3) == 0.0
+
+
+@pytest.mark.parametrize("points_per_call", [1, 9 * 7, 9 * 40])
+def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
+    # 5 triangles of 15 lattice points each: one point per call, chunks
+    # inside one simplex's lattice, and lattices of two simplices a call.
+    rng = np.random.default_rng(3)
+    V = np.stack([rand_simplex(rng, 2).vertices for _ in range(5)])
+    f = field.parse_expr("exp(x1*x2) + sin(x1)", 2)
+    expected = field.lattice_k(f, V, 4)
+    assert list(expected) == [
+        field.d2f_sup_norm(f, geometry.Simplex(v), 4) for v in V]
+    sizes = []
+    batch = field.hessians
+    monkeypatch.setattr(field, "POINTS_PER_CALL", points_per_call)
+    monkeypatch.setattr(field, "hessians",
+                        lambda f, p: sizes.append(len(p)) or batch(f, p))
+    assert np.array_equal(field.lattice_k(f, V, 4), expected)
+    assert sum(sizes) == 5 * 15
+    assert max(sizes) <= max(1, points_per_call // 9)
 
 
 def test_convexify_exact_cancellation():
     f = ScalarField(dimension=2,
                     evaluator=lambda x: -float(np.sum(np.asarray(x) ** 2)),
-                    hessian=lambda u: QuadraticForm(-2.0 * np.eye(2)))
+                    hessian=lambda u: np.broadcast_to(-2.0 * np.eye(2),
+                                                      u.shape + (2,)))
     plus, minus = field.convexify(f, 2.0)
     x = np.array([0.3, 0.8])
     assert field.evaluate(plus, x) == pytest.approx(0.0, abs=1e-14)
@@ -119,7 +151,7 @@ def test_convexify_exact_cancellation():
 
 def test_convexify_affine_with_zero_gauge():
     f = ScalarField(dimension=2, evaluator=lambda x: x[0] - 2.0 * x[1],
-                    hessian=lambda u: QuadraticForm(np.zeros((2, 2))))
+                    hessian=lambda u: np.zeros(u.shape + (2,)))
     plus, minus = field.convexify(f, 0.0)
     x = np.array([0.5, 0.25])
     assert field.evaluate(plus, x) == pytest.approx(x[0] - 2 * x[1])
@@ -137,8 +169,9 @@ def test_convexify_sin_on_segment():
 
 
 def test_convexify_negative_gauge():
-    with pytest.raises(NegativeGauge):
-        field.convexify(norm_sq_field(2), -1.0)
+    for gauge in (-1.0, np.nan, np.inf):
+        with pytest.raises(NegativeGauge):
+            field.convexify(norm_sq_field(2), gauge)
 
 
 def test_convexify_lattice_psd_random_polynomials():
@@ -209,3 +242,16 @@ def test_parsed_hessians_evaluate_nothing(monkeypatch):
         supports_batch=True), points)
     assert sizes == [9 * len(points)]
     assert np.allclose(parsed, opaque, rtol=0, atol=1e-6)
+
+
+def test_convexified_parsed_field_makes_one_jet_pass(monkeypatch):
+    # The convexified Hessian is batched, so the whole lattice is one
+    # jet pass of the parsed field's tape.
+    sizes = []
+    jets = Tape.hessians
+    monkeypatch.setattr(
+        Tape, "hessians", lambda tape, p: sizes.append(len(p)) or jets(tape, p))
+    f = field.parse_expr("exp(x1+x2)*sin(x1) + x2^3", 2)
+    plus, _ = field.convexify(f, 1.0)
+    field.d2f_sup_norm(plus, UNIT_TRIANGLE, resolution=20)
+    assert sizes == [231]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from certicube import geometry
+from certicube import cubature, geometry
 from certicube.errors import DegenerateSimplex, ParseError
 
 from util import rand_simplex
@@ -9,18 +9,14 @@ from util import rand_simplex
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def test_barycenter_unit_triangle():
-    assert np.allclose(UNIT_TRIANGLE.vertices.mean(axis=0), [1 / 3, 1 / 3])
-
-
-def test_barycenter_segment():
-    seg = geometry.Simplex([[0.0], [1.0]])
-    assert seg.vertices.mean(axis=0) == pytest.approx(0.5)
-
-
-def test_barycenter_general_triangle():
-    tri = geometry.Simplex([[1.0, 1.0], [3.0, 1.0], [1.0, 4.0]])
-    assert np.allclose(tri.vertices.mean(axis=0), [5 / 3, 2.0])
+def test_barycenter_rule_node():
+    for vertices, expected in (
+            (UNIT_TRIANGLE.vertices, [1 / 3, 1 / 3]),
+            ([[0.0], [1.0]], [0.5]),
+            ([[1.0, 1.0], [3.0, 1.0], [1.0, 4.0]], [5 / 3, 2.0])):
+        s = geometry.Simplex(vertices)
+        node = cubature.builtin("barycenter", s.dimension).nodes @ s.vertices
+        assert np.allclose(node, [expected])
 
 
 def test_volume_unit_simplices():

@@ -78,10 +78,11 @@ class PolynomialField:
             total = total + term
         return total
 
-    def hessian_coeffs(self, u):
-        u = np.asarray(u, dtype=float)
+    def hessians(self, points):
+        """Symmetric Hessians (m, n, n) at points (m, n)."""
+        u = np.asarray(points, dtype=float)
         n = self.dimension
-        h = np.zeros((n, n))
+        h = np.zeros(u.shape[:-1] + (n, n))
         for alpha, coef in self.terms.items():
             for i in range(n):
                 for j in range(n):
@@ -97,9 +98,9 @@ class PolynomialField:
                     term = factor
                     for k, power in enumerate(beta):
                         if power:
-                            term *= u[k] ** power
-                    h[i, j] += term
-        return h
+                            term = term * u[..., k] ** power
+                    h[..., i, j] += term
+        return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
 def polynomial_field(n, terms):
@@ -107,7 +108,7 @@ def polynomial_field(n, terms):
     poly = PolynomialField(n, terms)
     return ScalarField(
         dimension=n, evaluator=poly,
-        hessian=lambda u: QuadraticForm(poly.hessian_coeffs(u)),
+        hessian=poly.hessians,
         supports_batch=True)
 
 
