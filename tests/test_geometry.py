@@ -9,14 +9,23 @@ from util import rand_simplex
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def test_barycenter_rule_node():
-    for vertices, expected in (
-            (UNIT_TRIANGLE.vertices, [1 / 3, 1 / 3]),
-            ([[0.0], [1.0]], [0.5]),
-            ([[1.0, 1.0], [3.0, 1.0], [1.0, 4.0]], [5 / 3, 2.0])):
-        s = geometry.Simplex(vertices)
-        node = cubature.builtin("barycenter", s.dimension).nodes @ s.vertices
-        assert np.allclose(node, [expected])
+def barycenter_node(vertices):
+    s = geometry.Simplex(vertices)
+    return cubature.builtin("barycenter", s.dimension).nodes @ s.vertices
+
+
+def test_barycenter_unit_triangle():
+    assert np.allclose(barycenter_node(UNIT_TRIANGLE.vertices),
+                       [[1 / 3, 1 / 3]])
+
+
+def test_barycenter_segment():
+    assert np.allclose(barycenter_node([[0.0], [1.0]]), [[0.5]])
+
+
+def test_barycenter_general_triangle():
+    tri = [[1.0, 1.0], [3.0, 1.0], [1.0, 4.0]]
+    assert np.allclose(barycenter_node(tri), [[5 / 3, 2.0]])
 
 
 def test_volume_unit_simplices():
