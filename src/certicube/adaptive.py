@@ -59,6 +59,10 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if self.max_cells < 1:
+            raise ValueError(f"max_cells must be >= 1, got {self.max_cells}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.k_mode not in ("per-cell", "global"):
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
         if self.rule is not None and not isinstance(self.rule, CubatureRule):

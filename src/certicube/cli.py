@@ -56,7 +56,8 @@ def _build_parser():
     p.add_argument("--simplex", required=True)
     p.add_argument("--K", type=float, default=None,
                    help="analytic curvature constant (certified)")
-    p.add_argument("--resolution", type=int, default=20,
+    p.add_argument("--resolution", type=int,
+                   default=field_mod.DEFAULT_LATTICE_RESOLUTION,
                    help="Hessian sampling lattice resolution")
 
     p = sub.add_parser("integrate", help="adaptive certified integration")

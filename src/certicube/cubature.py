@@ -260,14 +260,7 @@ def load_rule(path):
     for k, weight in enumerate(weights_exact):
         if float(weight) < 0:
             raise InvariantViolation(f"negative weight at node {k}")
-    return CubatureRule(
-        dimension=n,
-        nodes=np.array([[float(c) for c in node] for node in nodes_exact]),
-        weights=np.array([float(w) for w in weights_exact]),
-        provenance=str(path),
-        nodes_exact=tuple(nodes_exact),
-        weights_exact=tuple(weights_exact),
-    )
+    return _exact_rule(n, nodes_exact, weights_exact, str(path))
 
 
 def save_rule(rule, path):

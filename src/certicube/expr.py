@@ -15,7 +15,7 @@ evaluation would give it; a power with a constant exponent becomes
 "powc", which carries the exponent.
 
 run() executes a tape over an arithmetic, an object with one method per
-opcode. Floats evaluates at a point (n,) or a batch (m, n) of points.
+opcode. Floats evaluates at a batch (m, n) of points.
 Jets carries second-order forward-mode jets (value, gradient, Hessian)
 through the tape, exact up to rounding (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008, ch. 13). str(tape) prints it through
@@ -49,14 +49,15 @@ class Tape:
     """A compiled expression. ``ops`` holds one (opcode, argument slots,
     constant) instruction per slot; the last slot is the result.
 
-    Calling a tape evaluates it in floats at a point (n,) or a batch
-    (m, n); ``hessians`` runs it in jets.
+    Calling a tape evaluates it in floats, one value (m,) per row of
+    points (m, n); ``hessians`` runs it in jets.
     """
 
     ops: tuple
 
     def __call__(self, points):
-        return run(self, Floats(points))
+        # A constant tape yields one float: broadcast it to every point.
+        return np.broadcast_to(run(self, Floats(points)), points.shape[:-1])
 
     def hessians(self, points):
         """Hessian (m, n, n) at each row of points (m, n), exact up to

@@ -1,12 +1,15 @@
 """C^2 integrands: evaluation, Hessians, curvature estimates, convexifying.
 
-A ScalarField's optional hessian maps points (m, n) to Hessians
-(m, n, n), like a batch evaluator; a parsed expression's is its tape
-run in jets, exact up to rounding, one pass per batch and evaluating
-nothing off the points. Without one, hessians takes central finite
-differences with the absolute step FD_STEP. lattice_k samples the sup
-Hessian norm of each simplex on a barycentric lattice, so it is not
-certified; a caller with a known constant passes it as K instead.
+A ScalarField has one batched contract: its evaluator maps points
+(m, n) to values (m,), and its optional hessian maps them to Hessians
+(m, n, n). A pointwise function must be vectorized by the caller; a
+wrongly shaped result raises DimensionMismatch. A parsed expression's
+evaluator is its tape, and its hessian the tape run in jets, exact up
+to rounding, one pass per batch and evaluating nothing off the points.
+Without a hessian, hessians takes central finite differences with the
+absolute step FD_STEP. lattice_k samples the sup Hessian norm of each
+simplex on a barycentric lattice, so it is not certified; a caller with
+a known constant passes it as K instead.
 """
 
 from __future__ import annotations
@@ -40,36 +43,34 @@ def check_gauge(K):
 class ScalarField:
     """An integrand on R^n.
 
-    ``evaluator`` maps a point (n,) to a float; when ``supports_batch``
-    it also accepts an (m, n) array and returns (m,) values. ``hessian``
-    (if given) maps points (m, n) to symmetric Hessians (m, n, n), like
-    a batch evaluator; parse_expr passes its tape's jets. Without one,
-    finite differences with step FD_STEP are taken, so the evaluator
-    must tolerate +-FD_STEP excursions per axis.
+    ``evaluator`` maps points (m, n) to values (m,), and ``hessian`` (if
+    given) maps them to symmetric Hessians (m, n, n); parse_expr passes
+    its tape and the tape's jets. A pointwise function must be
+    vectorized by the caller (``x[..., i]``, ``axis=-1``). Without a
+    hessian, finite differences with step FD_STEP are taken, so the
+    evaluator must tolerate +-FD_STEP excursions per axis.
     """
 
     dimension: int
     evaluator: Callable
     hessian: Optional[Callable] = None
-    supports_batch: bool = False
 
 
 def evaluate(f, x):
-    with np.errstate(all="ignore"):  # non-finite values are raised below
-        value = float(f.evaluator(np.asarray(x, dtype=float)))
-    if not np.isfinite(value):
-        raise EvaluationFailure(f"integrand non-finite at {x}")
-    return value
+    """f at one point x (n,): the one-row case of evaluate_batch."""
+    return float(evaluate_batch(f, np.asarray(x, dtype=float)[None])[0])
 
 
 def evaluate_batch(f, points):
+    """f at each row of points (m, n), as (m,). DimensionMismatch if the
+    evaluator returns another shape, EvaluationFailure if a value is not
+    finite."""
     points = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):  # non-finite values are raised below
-        if f.supports_batch:
-            values = np.asarray(f.evaluator(points), dtype=float)
-            values = np.broadcast_to(values, points.shape[:-1]).astype(float)
-        else:
-            values = np.array([float(f.evaluator(p)) for p in points])
+        values = np.asarray(f.evaluator(points), dtype=float)
+    if values.shape != points.shape[:-1]:
+        raise DimensionMismatch(
+            f"values of shape {values.shape} at points {points.shape}")
     if not np.all(np.isfinite(values)):
         raise EvaluationFailure("integrand non-finite on a batch point")
     return values
@@ -158,17 +159,13 @@ def convexify(f, gauge):
 
     def make(sign):
         def evaluator(x):
-            x = np.asarray(x, dtype=float)
-            quad = 0.5 * gauge * np.sum(x * x, axis=-1)
-            if x.ndim == 1:
-                return quad + sign * evaluate(f, x)
-            return quad + sign * evaluate_batch(f, x)
+            return (0.5 * gauge * np.sum(x * x, axis=-1)
+                    + sign * evaluate_batch(f, x))
 
         def hessian(points):
             return gauge * identity + sign * hessians(f, points)
 
-        return ScalarField(dimension=n, evaluator=evaluator,
-                           hessian=hessian, supports_batch=True)
+        return ScalarField(dimension=n, evaluator=evaluator, hessian=hessian)
 
     return make(+1.0), make(-1.0)
 
@@ -177,5 +174,4 @@ def parse_expr(text, n):
     """Textual integrand over x1..xn: its evaluator is the expression
     tape, and its Hessian the tape's exact jets."""
     tape = expr_mod.parse(text, n)
-    return ScalarField(dimension=n, evaluator=tape, hessian=tape.hessians,
-                       supports_batch=True)
+    return ScalarField(dimension=n, evaluator=tape, hessian=tape.hessians)

@@ -48,10 +48,19 @@ def monomial_moment(n, alpha):
     return float(monomial_moment_exact(n, alpha))
 
 
+def _moment(n, *axes):
+    """int_{S1} of the product of x_i over the given axes (none: vol)."""
+    alpha = [0] * n
+    for axis in axes:
+        alpha[axis] += 1
+    return monomial_moment_exact(n, alpha)
+
+
 def central_second_moment_unit_exact(n):
-    """int_{S1} ||x - pbar||^2 dx = n^2 / ((n+2)! (n+1))."""
-    _check_dimension(n)
-    return Fraction(n * n, math.factorial(n + 2) * (n + 1))
+    """int_{S1} ||x - pbar||^2 dx = n^2 / ((n+2)! (n+1)), the trace of
+    central_matrix_exact(n)."""
+    matrix = central_matrix_exact(n)
+    return sum(matrix[i][i] for i in range(n))
 
 
 def central_second_moment_unit(n):
@@ -59,17 +68,12 @@ def central_second_moment_unit(n):
 
 
 def central_matrix_exact(n):
-    """M = int_{S1} (u - ubar)(u - ubar)^T du, entrywise exact.
-
-    Diagonal: 2/(n+2)! - 2/((n+1)(n+1)!) + 1/((n+1)^2 n!).
-    Off-diagonal: 1/(n+2)! - 2/((n+1)(n+1)!) + 1/((n+1)^2 n!).
-    """
-    _check_dimension(n)
-    common = (-Fraction(2, (n + 1) * math.factorial(n + 1))
-              + Fraction(1, (n + 1) ** 2 * math.factorial(n)))
-    diag = Fraction(2, math.factorial(n + 2)) + common
-    offd = Fraction(1, math.factorial(n + 2)) + common
-    return [[diag if i == j else offd for j in range(n)] for i in range(n)]
+    """M = int_{S1} (u - ubar)(u - ubar)^T du, entrywise exact:
+    M_ij = int u_i u_j - int u_i * int u_j / vol(S1)."""
+    vol = _moment(n)
+    mean = [_moment(n, i) / vol for i in range(n)]
+    return [[_moment(n, i, j) - mean[i] * mean[j] * vol for j in range(n)]
+            for i in range(n)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,16 +127,12 @@ class MomentTable:
 
 def moment_table(n):
     _check_dimension(n)
-    alpha1 = (1,) + (0,) * (n - 1)
-    alpha2 = (2,) + (0,) * (n - 1)
-    mixed = (Fraction(1, math.factorial(n + 2)) if n >= 2
-             else Fraction(0))
     return MomentTable(
         dimension=n,
-        first=monomial_moment_exact(n, alpha1),
-        square=monomial_moment_exact(n, alpha2),
-        mixed=mixed,
-        volume=Fraction(1, math.factorial(n)),
+        first=_moment(n, 0),
+        square=_moment(n, 0, 0),
+        mixed=_moment(n, 0, 1) if n >= 2 else Fraction(0),
+        volume=_moment(n),
         central_scalar=central_second_moment_unit_exact(n),
         central_matrix=tuple(tuple(row) for row in central_matrix_exact(n)),
     )

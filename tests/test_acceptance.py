@@ -83,7 +83,7 @@ def test_criterion_3_midpoint_sharpness():
         identity = QuadraticForm(np.eye(n))
         f = ScalarField(
             dimension=n,
-            evaluator=lambda x: float(np.sum(np.asarray(x) ** 2)),
+            evaluator=lambda x: np.sum(x ** 2, axis=-1),
             hessian=lambda u, n=n: np.broadcast_to(2.0 * np.eye(n),
                                                    u.shape + (n,)))
         result = bounds.midpoint_bound(f, s, 2.0)

@@ -24,12 +24,10 @@ EXP_SUM_2D = ScalarField(
     dimension=2,
     evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]),
     hessian=lambda u: np.exp(u[:, 0] + u[:, 1])[:, None, None]
-    * np.ones((2, 2)),
-    supports_batch=True)
+    * np.ones((2, 2)))
 EXP_1D = ScalarField(
     dimension=1, evaluator=lambda x: np.exp(x[..., 0]),
-    hessian=lambda u: np.exp(u[:, :, None]),
-    supports_batch=True)
+    hessian=lambda u: np.exp(u[:, :, None]))
 
 
 def test_degree2_polynomial_estimate_is_exact():
@@ -158,8 +156,7 @@ def test_rule_based_adaptive():
         s = rand_simplex(rng, n)
         f = ScalarField(
             dimension=n,
-            evaluator=lambda x: np.exp(np.sum(np.asarray(x), axis=-1)),
-            supports_batch=True)
+            evaluator=lambda x: np.exp(np.sum(x, axis=-1)))
         result = integrate_adaptive(
             f, s, AdaptiveConfig(tolerance=1e-4, rule=rule, k_mode="global"))
         oracle, se = mc_integral(np.random.default_rng(n), s,
@@ -172,7 +169,7 @@ def test_rule_based_adaptive():
 def test_oracle_constant_field():
     rng = np.random.default_rng(2)
     s = rand_simplex(rng, 3)
-    f = ScalarField(dimension=3, evaluator=lambda x: 1.0)
+    f = ScalarField(dimension=3, evaluator=lambda x: np.ones(len(x)))
     mean, se = mc_integral(np.random.default_rng(5), s,
                            lambda p: field_mod.evaluate_batch(f, p), 1000)
     assert mean == pytest.approx(geometry.volume(s), rel=1e-12)
@@ -180,8 +177,7 @@ def test_oracle_constant_field():
 
 
 def test_oracle_linear_moment():
-    f = ScalarField(dimension=2, evaluator=lambda x: x[..., 0],
-                    supports_batch=True)
+    f = ScalarField(dimension=2, evaluator=lambda x: x[..., 0])
     mean, se = mc_integral(np.random.default_rng(7), geometry.unit_simplex(2),
                            lambda p: field_mod.evaluate_batch(f, p), 10 ** 6)
     assert abs(mean - 1 / 6) <= 3 * se
@@ -207,6 +203,9 @@ def test_config_validation():
         AdaptiveConfig(tolerance=1e-6, k_mode="magic")
     with pytest.raises(ValueError):
         AdaptiveConfig(tolerance=1e-6, rule="trapezoid")
+    for budget in ({"max_cells": 0}, {"max_cells": -5}, {"max_depth": -1}):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(tolerance=1e-6, **budget)
 
 
 @pytest.mark.parametrize("k", [-1.0, math.nan, math.inf])
@@ -217,7 +216,8 @@ def test_config_rejects_bad_k_override(k):
 
 def test_non_finite_k_or_radius_raises():
     # FD second differences of 1e308 overflow, so per-cell K is inf.
-    huge = ScalarField(dimension=2, evaluator=lambda x: 1e308)
+    huge = ScalarField(dimension=2,
+                       evaluator=lambda x: np.full(len(x), 1e308))
     # A finite K times the moment of a huge simplex overflows the radius.
     big = geometry.Simplex(1e80 * UNIT_TRIANGLE.vertices)
     affine = polynomial_field(2, quadratic_terms(1.0, [1.0, 1.0], None))
@@ -269,9 +269,8 @@ def _exp_field(a, analytic):
         terms = " + ".join(f"{float(c)!r}*x{i + 1}" for i, c in enumerate(a))
         return field_mod.parse_expr(f"exp({terms})", n)
     return ScalarField(
-        dimension=n, evaluator=lambda x: np.exp(np.asarray(x) @ a),
-        hessian=lambda u: np.exp(u @ a)[:, None, None] * np.outer(a, a),
-        supports_batch=True)
+        dimension=n, evaluator=lambda x: np.exp(x @ a),
+        hessian=lambda u: np.exp(u @ a)[:, None, None] * np.outer(a, a))
 
 
 # (dimension, rule?, K mode, tol / root radius, max_cells, max_depth):
@@ -403,8 +402,7 @@ def test_leaves_inherit_exact_volumes(monkeypatch, n):
         one = ScalarField(
             dimension=n, evaluator=lambda x: np.ones(np.shape(x)[:-1]),
             hessian=lambda u: np.eye(n) / (
-                1e-12 + np.sum(u * u, axis=1))[:, None, None],
-            supports_batch=True)
+                1e-12 + np.sum(u * u, axis=1))[:, None, None])
         diag = RunDiagnostics()
         result = refine_steps(one, s, AdaptiveConfig(tolerance=1.0), 150,
                               diagnostics=diag)

@@ -39,7 +39,7 @@ def test_sandwich_collapses_for_affine():
 
 def test_sandwich_exp_on_segment():
     seg = geometry.Simplex([[0.0], [1.0]])
-    f = ScalarField(dimension=1, evaluator=lambda x: np.exp(x[0]))
+    f = ScalarField(dimension=1, evaluator=lambda x: np.exp(x[..., 0]))
     result = bounds.hh_sandwich(f, seg)
     assert result.lower == pytest.approx(math.exp(0.5))
     assert result.upper == pytest.approx((1 + math.e) / 2)
@@ -84,7 +84,8 @@ def test_midpoint_bound_affine_zero_radius():
 
 
 def test_midpoint_bound_exp():
-    f = ScalarField(dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]))
+    f = ScalarField(dimension=2,
+                    evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]))
     result = bounds.midpoint_bound(f, UNIT_TRIANGLE, 2 * math.e)
     assert result.radius == pytest.approx(math.e / 18)
     true = 1.0  # iterated integral of e^{x+y} over the unit triangle
@@ -107,7 +108,8 @@ def test_bounds_reject_nan_gauge():
 
 def test_rule_bound_exp_mix_rule():
     rule = cubature.builtin("hh-mix-2d", 2)
-    f = ScalarField(dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]))
+    f = ScalarField(dimension=2,
+                    evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]))
     result = bounds.rule_bound(rule, f, UNIT_TRIANGLE, 2 * math.e)
     assert result.radius == pytest.approx(math.e / 9)
     assert abs(1.0 - result.estimate) <= result.radius
@@ -140,7 +142,8 @@ def test_barycenter_rule_file_is_evaluated_at_the_exact_barycenter(
                     " 0.3333333333333334\n1\n")
     points = []
     f = ScalarField(dimension=2,
-                    evaluator=lambda x: points.append(tuple(x)) or x[1])
+                    evaluator=lambda x: points.extend(map(tuple, x))
+                    or x[..., 1])
     result = bounds.rule_bound(cubature.load_rule(path), f, UNIT_TRIANGLE,
                                2.0)
     exact = cubature.builtin("barycenter", 2).nodes @ UNIT_TRIANGLE.vertices
@@ -170,8 +173,7 @@ def test_midpoint_validity_smooth_battery():
     ]
     rng = np.random.default_rng(15)
     for n, evaluator in cases:
-        f = ScalarField(dimension=n, evaluator=evaluator,
-                        supports_batch=True)
+        f = ScalarField(dimension=n, evaluator=evaluator)
         s = rand_simplex(rng, n)
         gauge = 1.05 * field.d2f_sup_norm(f, s, resolution=20)
         result = bounds.midpoint_bound(f, s, gauge)

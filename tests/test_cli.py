@@ -212,6 +212,15 @@ def test_integrate_bad_tolerance_is_a_parse_error(unit2, tol):
     assert text.startswith("error:")
 
 
+@pytest.mark.parametrize("max_cells", ["0", "-5"])
+def test_integrate_bad_max_cells_is_a_parse_error(unit2, max_cells):
+    code, text = invoke(["integrate", "--expr", "exp(x1+x2)",
+                         "--simplex", unit2, "--tol", "1e-3",
+                         "--max-cells", max_cells])
+    assert code == 2
+    assert text.startswith("error:")
+
+
 def test_rule_header_not_an_integer_is_a_parse_error(tmp_path, unit2):
     path = tmp_path / "bad.rule"
     path.write_text("dim x\nnodes 1\n1/3 1/3 1/3\n1\n")
@@ -284,11 +293,13 @@ def unit_segment(tmp_path):
 
 
 def test_constant_power_at_zero_integrates(unit_segment):
-    # The jet of x1^0 at 0 is exact: no 0 * inf in its derivatives.
-    code, text = invoke(["integrate", "--expr", "x1^0", "--simplex",
-                         unit_segment, "--tol", "1e-3"])
-    assert code == 0
-    assert "estimate: 1\nradius:   0\n" in text
+    # The jet of x1^0 at 0 is exact: no 0 * inf in its derivatives. A
+    # constant tape broadcasts its one value to every point.
+    for expr, value in (("x1^0", "1"), ("2", "2")):
+        code, text = invoke(["integrate", "--expr", expr, "--simplex",
+                             unit_segment, "--tol", "1e-3"])
+        assert code == 0
+        assert f"estimate: {value}\nradius:   0\n" in text
 
 
 @pytest.mark.parametrize("expr", ["sqrt(x1)", "log(x1)", "1/x1", "x1^0.5"])

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from certicube import field, geometry, qform
-from certicube.errors import (ArityError, EvaluationFailure,
-                              InvariantViolation, NegativeGauge, ParseError)
+from certicube import bounds, field, geometry, qform
+from certicube.errors import (ArityError, DimensionMismatch,
+                              EvaluationFailure, InvariantViolation,
+                              NegativeGauge, ParseError)
 from certicube.expr import Tape, parse
 from certicube.field import ScalarField
 
@@ -17,7 +18,7 @@ UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 def norm_sq_field(n):
     return ScalarField(
         dimension=n,
-        evaluator=lambda x: float(np.sum(np.asarray(x) ** 2)),
+        evaluator=lambda x: np.sum(x ** 2, axis=-1),
         hessian=lambda u: np.broadcast_to(2.0 * np.eye(n), u.shape + (n,)))
 
 
@@ -28,15 +29,16 @@ def test_hessian_norm_squared():
 
 
 def test_hessian_product_fd():
-    f = ScalarField(dimension=2, evaluator=lambda x: x[0] * x[1])
+    f = ScalarField(dimension=2, evaluator=lambda x: x[..., 0] * x[..., 1])
     h = field.hessian_at(f, [0.7, 0.2])
     assert np.allclose(h.coeffs, [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
 
 
 def test_hessian_exp_at_origin_fd_vs_analytic():
-    fd = ScalarField(dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]))
+    fd = ScalarField(dimension=2,
+                     evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]))
     analytic = ScalarField(
-        dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]),
+        dimension=2, evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]),
         hessian=lambda u: np.exp(u[:, 0] + u[:, 1])[:, None, None]
         * np.ones((2, 2)))
     h_fd = field.hessian_at(fd, [0.0, 0.0])
@@ -47,11 +49,11 @@ def test_hessian_exp_at_origin_fd_vs_analytic():
 
 def test_hessian_fd_accuracy_battery():
     cases = [
-        (2, lambda x: float(np.sum(np.asarray(x) ** 2)),
+        (2, lambda x: np.sum(x ** 2, axis=-1),
          lambda u: 2.0 * np.eye(2)),
-        (2, lambda x: np.exp(x[0] + x[1]),
+        (2, lambda x: np.exp(x[..., 0] + x[..., 1]),
          lambda u: np.exp(u[0] + u[1]) * np.ones((2, 2))),
-        (2, lambda x: np.sin(x[0]) * np.cos(x[1]),
+        (2, lambda x: np.sin(x[..., 0]) * np.cos(x[..., 1]),
          lambda u: np.array([
              [-np.sin(u[0]) * np.cos(u[1]), -np.cos(u[0]) * np.sin(u[1])],
              [-np.cos(u[0]) * np.sin(u[1]), -np.sin(u[0]) * np.cos(u[1])]])),
@@ -66,13 +68,14 @@ def test_hessian_fd_accuracy_battery():
 
 
 def test_hessian_is_symmetric():
-    f = ScalarField(dimension=2, evaluator=lambda x: x[0] ** 3 * x[1])
+    f = ScalarField(dimension=2,
+                    evaluator=lambda x: x[..., 0] ** 3 * x[..., 1])
     h = field.hessian_at(f, [0.4, 0.9])
     assert h.coeffs[0, 1] == h.coeffs[1, 0]
 
 
 def test_hessian_non_finite_raises():
-    f = ScalarField(dimension=1, evaluator=lambda x: np.log(x[0]))
+    f = ScalarField(dimension=1, evaluator=lambda x: np.log(x[..., 0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning before the error
         with pytest.raises(EvaluationFailure):
@@ -84,7 +87,8 @@ def test_hessian_non_finite_raises():
     lambda u: np.log(u - 1.0)[..., None],  # nan below 1
 ], ids=["inf", "nan"])
 def test_analytic_hessian_non_finite_raises(hessian):
-    f = ScalarField(dimension=1, evaluator=lambda x: x[0], hessian=hessian)
+    f = ScalarField(dimension=1, evaluator=lambda x: x[..., 0],
+                    hessian=hessian)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning before the error
         with pytest.raises(InvariantViolation, match="non-finite Hessian"):
@@ -99,7 +103,8 @@ def test_sup_norm_constant_hessian():
 
 
 def test_sup_norm_exp_on_triangle():
-    f = ScalarField(dimension=2, evaluator=lambda x: np.exp(x[0] + x[1]))
+    f = ScalarField(dimension=2,
+                    evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]))
     estimate = field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=20)
     # Hessian norm 2 e^{x1+x2}, maximized on the hypotenuse.
     assert estimate == pytest.approx(2 * np.e, abs=1e-6)
@@ -113,7 +118,8 @@ def test_sup_norm_exp_on_triangle():
 
 
 def test_sup_norm_affine_field_is_zero():
-    f = ScalarField(dimension=2, evaluator=lambda x: 3.0 * x[0] - x[1] + 1.0,
+    f = ScalarField(dimension=2,
+                    evaluator=lambda x: 3.0 * x[..., 0] - x[..., 1] + 1.0,
                     hessian=lambda u: np.zeros(u.shape + (2,)))
     assert field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=3) == 0.0
 
@@ -140,7 +146,7 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
 
 def test_convexify_exact_cancellation():
     f = ScalarField(dimension=2,
-                    evaluator=lambda x: -float(np.sum(np.asarray(x) ** 2)),
+                    evaluator=lambda x: -np.sum(x ** 2, axis=-1),
                     hessian=lambda u: np.broadcast_to(-2.0 * np.eye(2),
                                                       u.shape + (2,)))
     plus, minus = field.convexify(f, 2.0)
@@ -150,7 +156,8 @@ def test_convexify_exact_cancellation():
 
 
 def test_convexify_affine_with_zero_gauge():
-    f = ScalarField(dimension=2, evaluator=lambda x: x[0] - 2.0 * x[1],
+    f = ScalarField(dimension=2,
+                    evaluator=lambda x: x[..., 0] - 2.0 * x[..., 1],
                     hessian=lambda u: np.zeros(u.shape + (2,)))
     plus, minus = field.convexify(f, 0.0)
     x = np.array([0.5, 0.25])
@@ -159,7 +166,7 @@ def test_convexify_affine_with_zero_gauge():
 
 
 def test_convexify_sin_on_segment():
-    f = ScalarField(dimension=1, evaluator=lambda x: np.sin(x[0]))
+    f = ScalarField(dimension=1, evaluator=lambda x: np.sin(x[..., 0]))
     seg = geometry.Simplex([[0.0], [1.0]])
     plus, minus = field.convexify(f, 1.0)
     for g in (plus, minus):
@@ -221,6 +228,17 @@ def test_parse_print_parse_stable():
         assert parse(str(tree), 2) == tree
 
 
+def test_wrongly_shaped_values_raise():
+    # A pointwise evaluator fed a batch: x[0] is the first point, so the
+    # sandwich would see one value for all three of its points.
+    pointwise = ScalarField(dimension=1, evaluator=lambda x: np.exp(x[0]))
+    with pytest.raises(DimensionMismatch):
+        bounds.hh_sandwich(pointwise, geometry.Simplex([[0.0], [1.0]]))
+    one_value = ScalarField(dimension=2, evaluator=lambda x: np.array([1.0]))
+    with pytest.raises(DimensionMismatch):
+        field.evaluate_batch(one_value, np.zeros((5, 2)))
+
+
 def test_parse_expr_batch_evaluation():
     f = field.parse_expr("x1*x2 + 1", 2)
     pts = np.array([[1.0, 2.0], [0.5, 4.0]])
@@ -238,8 +256,8 @@ def test_parsed_hessians_evaluate_nothing(monkeypatch):
     parsed = field.hessians(field.parse_expr("exp(x1*x2)", 2), points)
     assert sizes == []
     opaque = field.hessians(ScalarField(
-        dimension=2, evaluator=lambda x: np.exp(x[..., 0] * x[..., 1]),
-        supports_batch=True), points)
+        dimension=2, evaluator=lambda x: np.exp(x[..., 0] * x[..., 1])),
+        points)
     assert sizes == [9 * len(points)]
     assert np.allclose(parsed, opaque, rtol=0, atol=1e-6)
 

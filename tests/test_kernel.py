@@ -153,7 +153,7 @@ def test_one_shot_paths_match_closed_forms(problem):
     ratio_sq = ((vol * math.factorial(n)) ** 2
                 / (Q(geometry.EPS_GEOM) ** 2 * max_edge_sq ** n)
                 if max_edge_sq else 0)
-    calls = _certificates(ScalarField(n, f, supports_batch=True), s, 1.5)
+    calls = _certificates(ScalarField(n, f), s, 1.5)
     if ratio_sq < Q(1, MARGIN ** 2):
         for call in calls.values():
             with pytest.raises(DegenerateSimplex):
@@ -202,8 +202,7 @@ def test_degenerate_threshold_is_eps_times_max_edge_to_the_n(n):
     threshold = geometry.EPS_GEOM * longest ** n
     v = np.vstack([np.zeros(n), 8.0 * np.eye(n)])
     v[n] = v[:n].mean(axis=0)
-    f = ScalarField(n, CountingQuadratic(1.0, np.ones(n), np.eye(n)),
-                    supports_batch=True)
+    f = ScalarField(n, CountingQuadratic(1.0, np.ones(n), np.eye(n)))
     for factor in (2.0, 0.5):
         v[n, n - 1] = factor * threshold / 8.0 ** (n - 1)
         s = geometry.Simplex(v)

@@ -107,9 +107,7 @@ def polynomial_field(n, terms):
     """ScalarField of a PolynomialField, with its analytic Hessian."""
     poly = PolynomialField(n, terms)
     return ScalarField(
-        dimension=n, evaluator=poly,
-        hessian=poly.hessians,
-        supports_batch=True)
+        dimension=n, evaluator=poly, hessian=poly.hessians)
 
 
 def rand_polynomial_field(rng, n, max_degree=4):
