@@ -14,14 +14,16 @@ discarded. So that few are, a round is cut short where the tolerance is
 predicted to fall (plus SLACK), from the radius shrink of the last
 round's splits; a cut that falls short only leaves work for the next
 round. The run computes one determinant, the root's: bisection halves
-the volume exactly, so a leaf at depth d inherits 2^-d of it. Sums use
-math.fsum, exactly rounded in any order. Per-cell K is field.lattice_k
-of the new cells; the loop knows no lattice and no Hessian source.
+the volume exactly, so a leaf at depth d inherits 2^-d of it. Leaves
+are a coordinate-major batch (see geometry) and carry their squared
+edge lengths e2, made once per cell: e2 gives its second moment and its
+split's longest edge. Sums use math.fsum, exactly rounded in any order.
+Per-cell K is field.lattice_k of the new cells; the loop knows no
+lattice and no Hessian source.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,10 +111,8 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     max_cells or max_depth is reached first; the partial bound is still
     valid, just larger than requested.
     """
-    n = s.dimension
-    nfact = math.factorial(n)
     rule, factor = certificate(
-        cubature_mod.builtin("barycenter", n) if cfg.rule is None
+        cubature_mod.builtin("barycenter", s.dimension) if cfg.rule is None
         else cfg.rule)
 
     k_certified = cfg.k_override is not None
@@ -121,22 +121,20 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         global_k = field_mod.d2f_sup_norm(f, s)
     max_band = max(1, POINTS_PER_ROUND // (2 * len(rule.weights)))
 
-    def _cells(V, depth):
-        """(estimate, radius, K) of every simplex in V, shape (m, n+1, n),
-        at the given tree depths."""
+    def _cells(W, depth):
+        """(estimate, radius, K, e2) of each cell of W at its tree depth."""
         # Bisection halves the volume exactly: a power of two is exact.
         vol = np.ldexp(root_vol, -depth)
-        k_cell = (np.full(len(V), global_k, dtype=float)
+        e2 = geometry.edge_lengths_sq(W)
+        k_cell = (np.full(len(vol), global_k, dtype=float)
                   if global_k is not None
-                  else field_mod.lattice_k(f, V, K_RESOLUTION))
-        est, rad = certify_cells(rule, factor, f, V, vol, vol * nfact,
-                                 k_cell)
-        return est, rad, k_cell
+                  else field_mod.lattice_k(f, W, K_RESOLUTION))
+        est, rad = certify_cells(rule, factor, f, W, e2, vol, k_cell)
+        return est, rad, k_cell, e2
 
     root_vol = geometry.volume(s)  # the run's one determinant
-    verts = np.array(s.vertices)[None]
-    depth = np.zeros(1, dtype=int)
-    est, rad, k_cell = _cells(verts, depth)
+    W, depth = s.batch()[0], np.zeros(1, dtype=int)
+    est, rad, k_cell, e2 = _cells(W, depth)
     running = rad[0]
     rounds = discarded = 0
     shrink = 1.0  # children/parents radius; 1 predicts nothing
@@ -147,7 +145,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             diagnostics.discarded_splits = discarded
             (diagnostics.vertices, diagnostics.estimates, diagnostics.radii,
              diagnostics.k_cells, diagnostics.depths) = (
-                verts, est, rad, k_cell, depth)
+                geometry.unpack(W), est, rad, k_cell, depth)
         if radius is None:
             radius = exact_sum(rad)
         return CertifiedResult(estimate=exact_sum(est), radius=radius,
@@ -176,8 +174,8 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             left = running - (1 - shrink) * np.cumsum(rad[band])
             band = band[:np.count_nonzero(left > cfg.tolerance) + 1 + SLACK]
         c_depth = np.repeat(depth[band] + 1, 2)
-        children = geometry.split(verts[band])
-        c_est, c_rad, c_k = _cells(children, c_depth)
+        children = geometry.split(W[..., band], e2[..., band])
+        c_est, c_rad, c_k, c_e2 = _cells(children, c_depth)
         pair_rad = c_rad.reshape(-1, 2)
         # totals[k]: the heap's running total before its k-th pop.
         totals = np.cumsum(np.concatenate(
@@ -201,10 +199,10 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                                kids[half] / parents[half]))
         keep = np.ones(len(rad), dtype=bool)
         keep[band[:take]] = False
-        new = (children, c_est, c_rad, c_k, c_depth)
-        verts, est, rad, k_cell, depth = (
-            np.concatenate((old[keep], add[:2 * take]))
-            for old, add in zip((verts, est, rad, k_cell, depth), new))
+        new = (children, c_e2, c_est, c_rad, c_k, c_depth)
+        W, e2, est, rad, k_cell, depth = (
+            np.concatenate((old[..., keep], add[..., :2 * take]), axis=-1)
+            for old, add in zip((W, e2, est, rad, k_cell, depth), new))
         running = totals[take]
         rounds += 1
         discarded += len(band) - take

@@ -122,13 +122,14 @@ def certificate(rule):
     return rule, 1.0
 
 
-def certify_cells(rule, factor, f, v, vol, absdet, gauge):
-    """(estimate, radius) of each simplex in v (m, n+1, n), given its
-    volume, |det E| and curvature constant K: radius = factor * K *
-    second moment. InvariantViolation if a radius is not finite."""
-    est = cubature_mod.estimate(rule, f, v, vol)
+def certify_cells(rule, factor, f, W, e2, vol, gauge):
+    """(estimate, radius) of each cell of the batch W, given its squared
+    edge lengths e2, volume and curvature constant K: radius = factor *
+    K * second moment. InvariantViolation if a radius is not finite; an
+    estimate may overflow to inf."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rad = factor * gauge * moments.cell_stats(v, absdet)
+        est = cubature_mod.estimate(rule, f, W, vol)
+        rad = factor * gauge * moments.cell_stats(e2, vol)
     if not np.all(np.isfinite(rad)):
         raise InvariantViolation(
             "non-finite cell radius: K or the simplex is too large")
@@ -143,9 +144,7 @@ def rule_bound(rule, f, s, gauge, gauge_certified=False):
     """
     field_mod.check_gauge(gauge)
     rule, factor = certificate(rule)
-    absdet = geometry.abs_det(s)
-    est, rad = certify_cells(rule, factor, f, s.vertices[None],
-                             absdet / math.factorial(s.dimension), absdet,
+    est, rad = certify_cells(rule, factor, f, *s.batch(), geometry.volume(s),
                              gauge)
     return CertifiedResult(estimate=est[0], radius=rad[0], K_used=gauge,
                            K_certified=gauge_certified)

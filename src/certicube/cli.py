@@ -197,6 +197,11 @@ def run(argv, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    # argparse reads "--opt=--" as an empty list and skips its type=.
+    empty = [name for name, value in vars(args).items() if value == []]
+    if empty:
+        print(f"error: --{empty[0].replace('_', '-')} needs a value", file=out)
+        return EXIT_PARSE
     try:
         return _COMMANDS[args.command](args, out)
     except (ParseError, ArityError, OSError, UnknownRule, ValueError) as exc:

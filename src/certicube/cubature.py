@@ -182,21 +182,20 @@ def _verify(rule):
     )
 
 
-def estimate(rule, f, v, vol):
-    """vol * sum of weight * f(node) on each simplex of v (m, n+1, n),
-    with one evaluate_batch call over every node of every simplex."""
-    if rule.dimension != v.shape[-1]:
+def estimate(rule, f, W, vol):
+    """vol * sum of weight * f(node) on each cell of the batch W, with one
+    evaluate_batch call over every node of every cell; may overflow."""
+    if rule.dimension != len(W) - 1:
         raise DimensionMismatch(
-            f"rule dimension {rule.dimension} vs simplex {v.shape[-1]}")
-    values = field_mod.evaluate_batch(
-        f, (rule.nodes @ v).reshape(-1, rule.dimension))
-    with np.errstate(over="ignore"):  # CertifiedResult rejects inf
-        return vol * (values.reshape(len(v), -1) @ rule.weights)
+            f"rule dimension {rule.dimension} vs simplex {len(W) - 1}")
+    values = field_mod.evaluate_batch(f, geometry.points(rule.nodes, W))
+    return vol * (rule.weights @ values.reshape(len(rule.weights), -1))
 
 
 def apply_rule(rule, f, s):
     """vol(S) * sum of weight * f(node point)."""
-    return float(estimate(rule, f, s.vertices[None], geometry.volume(s))[0])
+    with np.errstate(over="ignore"):
+        return float(estimate(rule, f, s.batch()[0], geometry.volume(s))[0])
 
 
 def _parse_number(token, lineno):

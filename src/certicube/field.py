@@ -118,31 +118,31 @@ def hessian_at(f, u):
     return QuadraticForm(hessians(f, np.asarray(u, dtype=float)[None])[0])
 
 
-def lattice_k(f, V, resolution):
+def lattice_k(f, W, resolution):
     """Largest Hessian operator norm on the barycentric lattice of mesh
-    1/resolution of each simplex in V (m, n+1, n), as (m,); sampled, so
-    not certified. Each hessians call, and the lattice built for it,
-    covers about POINTS_PER_CALL integrand evaluations."""
+    1/resolution of each cell of the batch W (see geometry), as (m,);
+    sampled, so not certified. Each hessians call, and the lattice built
+    for it, covers about POINTS_PER_CALL integrand evaluations."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    n = V.shape[-1]
+    n = len(W) - 1
     weights = geometry.lattice_weights(n, resolution)
     step = max(1, POINTS_PER_CALL // (2 * n * n + 1))
     per_call = max(1, step // len(weights))
-    k = np.empty(len(V))
-    for i in range(0, len(V), per_call):
-        points = (weights @ V[i:i + per_call]).reshape(-1, n)
+    k = np.empty(W.shape[-1])
+    for i in range(0, len(k), per_call):
+        points = geometry.points(weights, W[..., i:i + per_call])
         norms = np.concatenate([np.max(np.abs(np.linalg.eigvalsh(
             hessians(f, points[j:j + step]))), axis=-1)
             for j in range(0, len(points), step)])
-        k[i:i + per_call] = norms.reshape(-1, len(weights)).max(axis=1)
+        k[i:i + per_call] = norms.reshape(len(weights), -1).max(axis=0)
     return k
 
 
 def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION):
     """Estimate sup over the simplex of the Hessian operator norm: the
     one-simplex case of lattice_k, so not certified."""
-    return float(lattice_k(f, s.vertices[None], resolution)[0])
+    return float(lattice_k(f, s.batch()[0], resolution)[0])
 
 
 def convexify(f, gauge):

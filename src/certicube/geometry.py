@@ -1,4 +1,11 @@
-"""Simplices in R^n: volumes, affine charts, bisection, lattices."""
+"""Simplices in R^n: volumes, affine charts, bisection, lattices.
+
+A batch of m cells is coordinate-major, W (n+1, n, m) (vertex,
+coordinate, cell), so kernels work on length-m planes. Only this module
+reads its vertex and coordinate axes; others index a batch and its
+squared edge lengths e2 only along the last (cell) axis, and take a
+simplex's one-cell batch from Simplex.batch.
+"""
 
 from __future__ import annotations
 
@@ -30,14 +37,17 @@ class Simplex:
         # Bisection and the degeneracy check need the squared edge
         # lengths and max edge^n, which bounds |det E|, as finite floats.
         with np.errstate(over="ignore"):
-            longest = np.sqrt(edge_lengths_sq(v).max())
+            e2 = edge_lengths_sq(v[..., None])
+            longest = np.sqrt(e2.max())
             scale = longest ** v.shape[1]
         if not np.isfinite(scale):
             raise DimensionMismatch(
                 "simplex too large for floating point: "
                 "max edge length ^ n overflows")
         v.setflags(write=False)
+        e2.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "_e2", e2)
         object.__setattr__(self, "_longest", float(longest))
 
     @property
@@ -46,6 +56,10 @@ class Simplex:
 
     def max_edge_length(self):
         return self._longest
+
+    def batch(self):
+        """(W, e2): the simplex as a read-only batch of one cell."""
+        return self.vertices[..., None], self._e2
 
 
 def unit_simplex(n):
@@ -71,18 +85,18 @@ def volume(s):
 
 @dataclass(frozen=True)
 class AffineChart:
-    """x = origin + E u maps the unit simplex onto the physical one."""
+    """x = origin + E u maps unit to physical points (n,) or rows (m, n)."""
 
     origin: np.ndarray
     matrix: np.ndarray
     abs_det: float
 
     def to_physical(self, u):
-        return self.origin + self.matrix @ np.asarray(u, dtype=float)
+        return self.origin + np.asarray(u, dtype=float) @ self.matrix.T
 
     def to_reference(self, x):
-        return np.linalg.solve(self.matrix,
-                               np.asarray(x, dtype=float) - self.origin)
+        return np.linalg.solve(
+            self.matrix, (np.asarray(x, dtype=float) - self.origin).T).T
 
 
 def chart(s):
@@ -97,32 +111,53 @@ def _edge_pairs(k):
     return np.triu_indices(k, 1)
 
 
-def edge_lengths_sq(v):
-    """Squared length of every edge of each simplex in v (..., n+1, n),
-    edges in lexicographic vertex-pair order."""
-    i, j = _edge_pairs(v.shape[-2])
-    diff = v[..., i, :] - v[..., j, :]
-    return np.sum(diff * diff, axis=-1)
+def unpack(W):
+    """The vertex rows (m, n+1, n) of the batch W, as a view."""
+    return np.moveaxis(W, -1, 0)
 
 
-def split(v):
-    """Halves (left, right, ...) of each simplex in v (m, n+1, n), cut at
-    the midpoint of its first longest edge; children keep vertex order."""
-    edge_i, edge_j = _edge_pairs(v.shape[1])
-    longest = np.argmax(edge_lengths_sq(v), axis=1)
-    i, j = edge_i[longest], edge_j[longest]
-    rows = np.arange(len(v))
-    mid = 0.5 * (v[rows, i] + v[rows, j])
-    children = np.repeat(v, 2, axis=0)
-    children[2 * rows, j] = mid
-    children[2 * rows + 1, i] = mid
-    return children
+def edge_lengths_sq(W):
+    """Squared length of every edge of each cell in W (n+1, n, ...), as
+    e2 (E, ...), in lexicographic vertex-pair order; coordinates add in
+    order (not pairwise), so a cell's e2 is the same in any batch."""
+    i, j = _edge_pairs(len(W))
+    diff = W[i] - W[j]
+    diff *= diff
+    return functools.reduce(np.add, diff.swapaxes(0, 1))
+
+
+def split(W, e2):
+    """Halves of each cell in W (n+1, n, m), cut at the midpoint of its
+    first longest edge by e2 (E, m): (n+1, n, 2m), cell k's left half at
+    2k and its right half at 2k+1, both in the cell's vertex order."""
+    k, n, m = W.shape
+    edge_i, edge_j = _edge_pairs(k)
+    # The first longest edge, a row at a time (argmax on axis 0 is slow).
+    longest, best = np.zeros(m, dtype=np.intp), e2[0]
+    for edge in range(1, len(e2)):
+        longest[e2[edge] > best] = edge
+        best = np.maximum(best, e2[edge])
+    # Flat offsets o of the cut edge's ends; the children hold 2o, 2o + 1.
+    planes = np.arange(0, n * m, m)[:, None] + np.arange(m)
+    i, j = (ends[longest] * (n * m) + planes for ends in (edge_i, edge_j))
+    flat = W.reshape(-1)
+    children = np.stack((flat, flat), axis=-1).reshape(-1)
+    children[2 * j] = children[2 * i + 1] = 0.5 * (flat[i] + flat[j])
+    return children.reshape(k, n, 2 * m)
+
+
+def points(weights, W):
+    """Physical points (q * m, n) of the barycentric weights (q, n+1) in
+    every cell of W (n+1, n, m), by weight row, then cell."""
+    n = W.shape[1]
+    flat = weights @ W.reshape(len(W), -1)
+    return flat.reshape(len(weights), n, -1).transpose(0, 2, 1).reshape(-1, n)
 
 
 def bisect(s):
     """Split at the midpoint of a longest edge; children keep vertex order."""
     volume(s)  # reject degenerate input
-    left, right = split(s.vertices[None])
+    left, right = unpack(split(*s.batch()))
     return Simplex(left), Simplex(right)
 
 

@@ -3,7 +3,12 @@
 All values come from the factorial formula
 int_{S1} x^alpha dx = (prod alpha_i!) / (n + |alpha|)!
 evaluated exactly in integers, plus the second central moment
-int_S ||x - pbar||^2 dx of a batch of simplices in closed form.
+int_S ||x - pbar||^2 dx of a batch of simplices in closed form, from
+each cell's volume and squared edge lengths alone. A point uniform
+on S has covariance sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)),
+and sum_i ||v_i - pbar||^2 = sum_{i<j} ||v_i - v_j||^2 / (n+1), so
+int_S ||x - pbar||^2 = vol tr(Cov) = vol sum_{i<j} ||v_i - v_j||^2
+/ ((n+1)^2 (n+2)): positive terms, no determinant, no cancellation.
 """
 
 from __future__ import annotations
@@ -76,40 +81,24 @@ def central_matrix_exact(n):
             for i in range(n)]
 
 
-@functools.lru_cache(maxsize=None)
-def central_matrix(n):
-    m = np.array(central_matrix_exact(n), dtype=float)
-    m.setflags(write=False)
-    return m
-
-
-def cell_stats(v, absdet):
-    """int_S ||x - pbar||^2 dx of each simplex in v (m, n+1, n), given
-    its |det E| (from geometry.abs_det, or inherited by a child).
-
-    M has constant diagonal d and off-diagonal o, so the moment
-    |det E| tr(E^T E M) is |det E| ((d - o) sum_i |e_i|^2 + o |sum_i e_i|^2)
-    over the edge rows e_i = p_i - p_0.
-    """
-    central = central_matrix(v.shape[-1])
-    off = central[0, 1] if len(central) > 1 else 0.0
-    edges = v[:, 1:] - v[:, :1]
-    edge_sum = edges.sum(axis=1)
-    return absdet * ((central[0, 0] - off) * np.sum(edges * edges, axis=(1, 2))
-                     + off * np.sum(edge_sum * edge_sum, axis=1))
+def cell_stats(e2, vol):
+    """int_S ||x - pbar||^2 dx of each cell, from its squared edge
+    lengths e2 (E, ...) (geometry.edge_lengths_sq) and its volume:
+    vol * sum(e2) / ((n+1)^2 (n+2)), summed in edge order like e2 itself."""
+    k = (1 + math.isqrt(1 + 8 * len(e2))) // 2  # n+1 vertices, E = k(k-1)/2
+    return vol * functools.reduce(np.add, e2) / (k * k * (k + 1))
 
 
 def central_second_moment(s):
-    """int_S ||x - pbar||^2 dx = |det E| trace(E^T E M).
+    """int_S ||x - pbar||^2 dx of one simplex (see cell_stats).
 
     InvariantViolation if it overflows."""
-    absdet = geometry.abs_det(s)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        csm = cell_stats(s.vertices[None], absdet)
-    if not np.isfinite(csm[0]):
+        csm = float(cell_stats(s.batch()[1], geometry.volume(s))[0])
+    if not math.isfinite(csm):
         raise InvariantViolation(
             "non-finite second moment: the simplex is too large")
-    return float(csm[0])
+    return csm
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,8 @@ def test_criterion_1_constants_table():
     for n in range(1, 7):
         expected = n * n / (math.factorial(n + 2) * (n + 1))
         got = moments.central_second_moment_unit(n)
-        trace = float(np.trace(moments.central_matrix(n)))
+        trace = float(np.trace(np.array(moments.central_matrix_exact(n),
+                                       dtype=float)))
         worst = max(worst,
                     abs(got - expected) / expected,
                     abs(trace - expected) / expected)

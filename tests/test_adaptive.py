@@ -416,6 +416,24 @@ def test_leaves_inherit_exact_volumes(monkeypatch, n):
             == result.estimate == geometry.volume(s)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_root_cell_is_the_one_shot_certificate(n):
+    # One cell, one certificate: the loop's root and the API's one-shot
+    # bound run the same kernel on the same simplex, bit for bit.
+    rng = np.random.default_rng(5)
+    f = field_mod.parse_expr(
+        "exp(" + "+".join(f"x{i + 1}" for i in range(n)) + ")", n)
+    pair = vertices_plus_barycenter_rule(n)
+    for _ in range(100):
+        s = rand_simplex(rng, n)
+        for rule, one_shot in ((None, bounds.midpoint_bound(f, s, 2.5, True)),
+                               (pair, bounds.rule_bound(pair, f, s, 2.5,
+                                                        True))):
+            cfg = AdaptiveConfig(tolerance=math.inf, max_cells=1, rule=rule,
+                                 k_override=2.5)
+            assert integrate_adaptive(f, s, cfg) == one_shot
+
+
 # heap_integrate(EXP_SUM_2D, UNIT_TRIANGLE, 1e-6, K=global K) takes
 # about 45 s, so its cell count and depth histogram are pinned here.
 HEAP_AT_1E6 = (165692, {17: 96452, 18: 69240})

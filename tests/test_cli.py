@@ -221,6 +221,23 @@ def test_integrate_bad_max_cells_is_a_parse_error(unit2, max_cells):
     assert text.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--expr=--", "--simplex", "S", "--tol", "1"],
+    ["integrate", "--expr", "x1", "--simplex=--", "--tol", "1"],
+    ["integrate", "--expr", "x1", "--simplex", "S", "--tol=--"],
+    ["integrate", "--expr", "x1", "--simplex", "S", "--tol", "1",
+     "--rule=--"],
+    ["integrate", "--expr", "x1", "--simplex", "S", "--tol", "1",
+     "--report=--"],
+    ["sandwich", "--expr=--", "--simplex", "S"],
+    ["moments", "--dim=--"]],
+    ids=["expr", "simplex", "tol", "rule", "report", "sandwich", "moments"])
+def test_double_dash_option_value_is_a_parse_error(unit2, argv):
+    code, text = invoke([unit2 if arg == "S" else arg for arg in argv])
+    assert code == 2
+    assert text.startswith("error:")
+
+
 def test_rule_header_not_an_integer_is_a_parse_error(tmp_path, unit2):
     path = tmp_path / "bad.rule"
     path.write_text("dim x\nnodes 1\n1/3 1/3 1/3\n1\n")

@@ -129,11 +129,12 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
     # 5 triangles of 15 lattice points each: one point per call, chunks
     # inside one simplex's lattice, and lattices of two simplices a call.
     rng = np.random.default_rng(3)
-    V = np.stack([rand_simplex(rng, 2).vertices for _ in range(5)])
+    simplices = [rand_simplex(rng, 2) for _ in range(5)]
+    V = np.concatenate([s.batch()[0] for s in simplices], axis=-1)
     f = field.parse_expr("exp(x1*x2) + sin(x1)", 2)
     expected = field.lattice_k(f, V, 4)
     assert list(expected) == [
-        field.d2f_sup_norm(f, geometry.Simplex(v), 4) for v in V]
+        field.d2f_sup_norm(f, s, 4) for s in simplices]
     sizes = []
     batch = field.hessians
     monkeypatch.setattr(field, "POINTS_PER_CALL", points_per_call)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from certicube import cubature, geometry
+from certicube import cubature, geometry, moments
 from certicube.errors import DegenerateSimplex, ParseError
 
 from util import rand_simplex
@@ -78,6 +78,49 @@ def test_chart_round_trip_random_interior_points():
             back = ch.to_physical(u)
             assert np.linalg.norm(back - x) <= 1e-12 * max(
                 1.0, np.linalg.norm(x))
+
+
+def test_chart_maps_batches_of_points():
+    ch = geometry.chart(geometry.Simplex([[0.0, 0.0], [2.0, 1.0], [0.0, 3.0]]))
+    u = np.array([[0.5, 0.0], [0.0, 0.5], [0.25, 0.25]])
+    for batch in (u[:2], u):  # m == n once, m != n once
+        x = ch.to_physical(batch)
+        assert np.allclose(x, [[1.0, 0.5], [0.0, 1.5], [0.5, 1.0]][:len(x)])
+        assert np.allclose(ch.to_reference(x), batch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_split_of_a_batch_is_bisect_of_each_simplex(n):
+    # Jittered unit simplices, and unit simplices with their vertices
+    # permuted, whose longest edges tie; the first longest edge in
+    # lexicographic pair order is cut, the left child keeps vertex i and
+    # the right one j. A cell's squared edge lengths and second moment
+    # are the same bits in a batch as alone (at n = 9 numpy's own sums
+    # would differ).
+    rng = np.random.default_rng(n)
+    unit = geometry.unit_simplex(n).vertices
+    simplices = [geometry.Simplex(unit + rng.uniform(-0.2, 0.2, unit.shape))
+                 for _ in range(40)] + [
+        geometry.Simplex(rng.permutation(unit)) for _ in range(10)]
+    W = np.concatenate([s.batch()[0] for s in simplices], axis=-1)
+    e2 = geometry.edge_lengths_sq(W)
+    children = geometry.unpack(geometry.split(W, e2))
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    for k, s in enumerate(simplices):
+        assert np.array_equal(e2[:, k:k + 1], s.batch()[1])
+        assert moments.cell_stats(e2, 1.0)[k] == moments.cell_stats(
+            s.batch()[1], 1.0)[0]
+        v = s.vertices
+        lengths = [sum((a - b) * (a - b) for a, b in zip(v[i], v[j]))
+                   for i, j in pairs]
+        i, j = pairs[lengths.index(max(lengths))]
+        left, right = v.copy(), v.copy()
+        left[j] = right[i] = 0.5 * (v[i] + v[j])
+        halves = geometry.bisect(s)
+        for child, half, expected in zip(children[2 * k:2 * k + 2], halves,
+                                         (left, right)):
+            assert np.array_equal(child, expected)
+            assert np.array_equal(half.vertices, expected)
 
 
 def test_bisect_segment():

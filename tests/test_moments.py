@@ -15,6 +15,28 @@ from util import mc_integral, rand_simplex
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_edge_sum_moment_is_the_central_matrix_trace(n):
+    # sum_{i<j} |v_i - v_j|^2 / ((n+1)^2 (n+2) n!) = tr(E^T E M), exactly,
+    # with E's columns the edges v_i - v_0 and M the unit central matrix.
+    rng = np.random.default_rng(40 + n)
+    v = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+          for _ in range(n)] for _ in range(n + 1)]
+    edge_sum = sum(sum((a - b) ** 2 for a, b in zip(v[i], v[j]))
+                   for i in range(n + 1) for j in range(i + 1, n + 1))
+    edges = [[p - o for p, o in zip(row, v[0])] for row in v[1:]]
+    gram = [[sum(a * b for a, b in zip(ei, ej)) for ej in edges]
+            for ei in edges]
+    central = moments.central_matrix_exact(n)
+    trace = sum(gram[i][j] * central[j][i]
+                for i in range(n) for j in range(n))
+    scale = (n + 1) ** 2 * (n + 2)
+    assert edge_sum / (scale * math.factorial(n)) == trace
+    e2 = geometry.edge_lengths_sq(np.array(v, dtype=float))
+    assert moments.cell_stats(e2, 1.0) == pytest.approx(
+        float(edge_sum / scale), rel=1e-14)
+
+
 def test_monomial_moment_values():
     assert moments.monomial_moment(2, (1, 0)) == pytest.approx(1 / 6)
     assert moments.monomial_moment(2, (2, 0)) == pytest.approx(1 / 12)
@@ -47,7 +69,7 @@ def test_central_second_moment_unit_values():
 
 def test_central_matrix_trace_matches_scalar():
     for n in range(1, 9):
-        m = moments.central_matrix(n)
+        m = np.array(moments.central_matrix_exact(n), dtype=float)
         scalar = moments.central_second_moment_unit(n)
         assert np.trace(m) == pytest.approx(scalar, rel=1e-14)
 
