@@ -1,25 +1,26 @@
 """Certified adaptive integration by batched longest-edge bisection.
 
 Each cell carries a rigorous radius K_cell * moment times the factor
-bounds.certificate gives the rule; both are additive over a partition, so
-refining the largest-radius cells until the summed radius meets the
+bounds.certificate gives the rule; both are additive over a partition,
+so refining the largest-radius cells until the summed radius meets the
 tolerance certifies the whole simplex. The leaves are numpy arrays kept
 in creation order. Each round bisects, in one kernel call, the leaves
 with radius >= BAND * max, taken by (-radius, creation index), and keeps
 the longest prefix in which each leaf's radius is at least every child
-radius made before it: exactly the pops of a greedy max-heap (ties to
-the older cell). The prefix also ends where the running total reaches
-the tolerance, at max_depth and at max_cells; the other children are
-discarded. So that few are, a round is cut short where the tolerance is
-predicted to fall (plus SLACK), from the radius shrink of the last
-round's splits; a cut that falls short only leaves work for the next
-round. The run computes one determinant, the root's: bisection halves
-the volume exactly, so a leaf at depth d inherits 2^-d of it. Leaves
-are a coordinate-major batch (see geometry) and carry their squared
-edge lengths e2, made once per cell: e2 gives its second moment and its
-split's longest edge. Sums use math.fsum, exactly rounded in any order.
-Per-cell K is field.lattice_k of the new cells; the loop knows no
-lattice and no Hessian source.
+radius made before it: exactly the pops of a greedy max-heap (ties that
+survive rounding go to the older cell). The prefix also ends where the
+running total reaches the tolerance, at max_depth and at max_cells; the
+other children are discarded. So that few are, a round is cut short
+where the tolerance is predicted to fall (plus SLACK), from the radius
+shrink of the last round's splits; a cut that falls short only leaves
+work for the next round. The run computes one determinant, the root's,
+and a leaf at depth d inherits 2^-d of it; a float cell's rounded
+midpoints leave its edges, so its true volume differs slightly, which
+the radius does not yet cover. Leaves are a coordinate-major batch (see
+geometry) and carry their squared edge lengths e2, made once per cell:
+e2 gives its second moment and its split's longest edge. Sums use
+math.fsum, exactly rounded in any order. Per-cell K is field.lattice_k
+of the new cells; the loop knows no lattice and no Hessian source.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
 
     def _cells(W, depth):
         """(estimate, radius, K, e2) of each cell of W at its tree depth."""
-        # Bisection halves the volume exactly: a power of two is exact.
+        # Inherited, not measured: see the module docstring.
         vol = np.ldexp(root_vol, -depth)
         e2 = geometry.edge_lengths_sq(W)
         k_cell = (np.full(len(vol), global_k, dtype=float)

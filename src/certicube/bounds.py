@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cubature as cubature_mod
 from . import field as field_mod
-from . import geometry, moments
+from . import geometry, moments, qform
 from .errors import (ConvexityScreenFailed, InvariantViolation,
                      RuleNotApplicable)
 
@@ -89,7 +89,7 @@ def hh_sandwich(f, s, screen=False):
     """
     if screen:
         points = geometry.lattice_points(s, SCREEN_RESOLUTION)
-        low = np.linalg.eigvalsh(field_mod.hessians(f, points))[:, 0]
+        low = qform.extreme_eigenvalues(field_mod.hessians(f, points))[0]
         bad = np.flatnonzero(low < SCREEN_EIG_SLACK)
         if bad.size:
             raise ConvexityScreenFailed(
@@ -97,7 +97,8 @@ def hh_sandwich(f, s, screen=False):
                 f"{points[bad[0]]}")
     vol = geometry.volume(s)
     # The barycenter rule's node, so lower is the midpoint estimate.
-    node = cubature_mod.builtin("barycenter", s.dimension).nodes @ s.vertices
+    node = geometry.points(
+        cubature_mod.builtin("barycenter", s.dimension).nodes, s.batch()[0])
     values = field_mod.evaluate_batch(f, np.vstack((node, s.vertices)))
     upper = vol * exact_sum(values[1:]) / (s.dimension + 1)
     return SandwichResult(lower=vol * float(values[0]), upper=upper)

@@ -7,6 +7,7 @@ error, 3 refinement budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,6 +29,7 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+@functools.cache  # built once per process: argparse set-up is slow
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="certicube",

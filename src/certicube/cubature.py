@@ -130,10 +130,7 @@ def _exact_rule(n, nodes, weights, provenance):
 def _multi_indices(n, max_degree):
     for degree in range(max_degree + 1):
         for alpha in itertools.combinations_with_replacement(range(n), degree):
-            index = [0] * n
-            for axis in alpha:
-                index[axis] += 1
-            yield tuple(index)
+            yield tuple(map(alpha.count, range(n)))
 
 
 def verify(rule):
@@ -166,12 +163,9 @@ def _verify(rule):
         residuals[alpha] = residual
         if residual > EXACTNESS_TOL:
             degree_ok[sum(alpha)] = False
-    if degree_ok[0] and degree_ok[1] and degree_ok[2]:
-        exactness = 2
-    elif degree_ok[0] and degree_ok[1]:
-        exactness = 1
-    else:
-        exactness = 0  # degree 0 holds by the weight-sum invariant
+    # Degree 0 holds by the weight-sum invariant.
+    exactness = (2 if all(degree_ok.values())
+                 else 1 if degree_ok[0] and degree_ok[1] else 0)
     return RuleReport(
         positivity=positivity,
         barycenter_ok=barycenter_ok,
@@ -200,9 +194,7 @@ def apply_rule(rule, f, s):
 
 def _parse_number(token, lineno):
     try:
-        if "/" in token:
-            return Fraction(token)
-        return Fraction(float(token))
+        return Fraction(token if "/" in token else float(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad number {token!r}: {exc}", line=lineno)
 
@@ -226,16 +218,15 @@ def load_rule(path):
         cursor += 1
         return item
 
-    lineno, head = take("dim header")
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise ParseError(f"expected 'dim n', got {head!r}", line=lineno)
-    n = int(parts[1])
-    lineno, head = take("nodes header")
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "nodes":
-        raise ParseError(f"expected 'nodes m', got {head!r}", line=lineno)
-    m = int(parts[1])
+    def header(word, count):
+        lineno, head = take(f"{word} header")
+        parts = head.split()
+        if len(parts) != 2 or parts[0] != word:
+            raise ParseError(f"expected '{word} {count}', got {head!r}",
+                             line=lineno)
+        return int(parts[1])
+
+    n, m = header("dim", "n"), header("nodes", "m")
 
     nodes_exact = []
     for k in range(m):
@@ -265,9 +256,7 @@ def load_rule(path):
 def save_rule(rule, path):
     """Write a rule back out; exact fractions are kept when available."""
     def fmt(exact, value):
-        if exact is not None:
-            return str(exact)
-        return repr(float(value))
+        return repr(float(value)) if exact is None else str(exact)
 
     with open(path, "w") as fh:
         fh.write(f"# cubature rule: {rule.provenance}\n")

@@ -56,8 +56,9 @@ class Tape:
     ops: tuple
 
     def __call__(self, points):
-        # A constant tape yields one float: broadcast it to every point.
-        return np.broadcast_to(run(self, Floats(points)), points.shape[:-1])
+        value = run(self, Floats(points))  # a float if the tape is constant
+        return (np.full(points.shape[:-1], value)
+                if isinstance(value, float) else value)
 
     def hessians(self, points):
         """Hessian (m, n, n) at each row of points (m, n), exact up to

@@ -24,7 +24,7 @@ from . import expr as expr_mod
 from . import geometry
 from .errors import (DimensionMismatch, EvaluationFailure,
                      InvariantViolation, NegativeGauge)
-from .qform import QuadraticForm
+from .qform import QuadraticForm, operator_norms
 
 FD_STEP = 1e-4
 DEFAULT_LATTICE_RESOLUTION = 20
@@ -71,7 +71,7 @@ def evaluate_batch(f, points):
     if values.shape != points.shape[:-1]:
         raise DimensionMismatch(
             f"values of shape {values.shape} at points {points.shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise EvaluationFailure("integrand non-finite on a batch point")
     return values
 
@@ -132,8 +132,8 @@ def lattice_k(f, W, resolution):
     k = np.empty(W.shape[-1])
     for i in range(0, len(k), per_call):
         points = geometry.points(weights, W[..., i:i + per_call])
-        norms = np.concatenate([np.max(np.abs(np.linalg.eigvalsh(
-            hessians(f, points[j:j + step]))), axis=-1)
+        norms = np.concatenate([
+            operator_norms(hessians(f, points[j:j + step]))
             for j in range(0, len(points), step)])
         k[i:i + per_call] = norms.reshape(len(weights), -1).max(axis=0)
     return k

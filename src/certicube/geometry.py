@@ -175,7 +175,7 @@ def lattice_weights(n, resolution):
 
 def lattice_points(s, resolution):
     """Physical lattice points of mesh 1/resolution on the simplex."""
-    return lattice_weights(s.dimension, resolution) @ s.vertices
+    return points(lattice_weights(s.dimension, resolution), s.batch()[0])
 
 
 def load_simplex(path):

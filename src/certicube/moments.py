@@ -55,10 +55,7 @@ def monomial_moment(n, alpha):
 
 def _moment(n, *axes):
     """int_{S1} of the product of x_i over the given axes (none: vol)."""
-    alpha = [0] * n
-    for axis in axes:
-        alpha[axis] += 1
-    return monomial_moment_exact(n, alpha)
+    return monomial_moment_exact(n, [axes.count(i) for i in range(n)])
 
 
 def central_second_moment_unit_exact(n):

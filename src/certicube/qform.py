@@ -38,13 +38,36 @@ def evaluate(phi, x):
     return float(x @ phi.coeffs @ x)
 
 
+def extreme_eigenvalues(H):
+    """(lowest, highest) eigenvalue (m,) of each matrix of the stack H
+    (m, n, n), read from its lower triangle as eigvalsh does: the one
+    spectral kernel. A closed form for n <= 2, halved before adding so
+    finite entries do not overflow; eigvalsh for n >= 3."""
+    n = H.shape[-1]
+    if n == 1:
+        return H[..., 0, 0], H[..., 0, 0]
+    if n > 2:
+        eig = np.linalg.eigvalsh(H)
+        return eig[..., 0], eig[..., -1]
+    a, d = 0.5 * H[..., 0, 0], 0.5 * H[..., 1, 1]
+    with np.errstate(over="ignore"):  # inf past the range, as eigvalsh
+        mid, r = a + d, np.hypot(a - d, H[..., 1, 0])
+        return mid - r, mid + r
+
+
+def operator_norms(H):
+    """max |eigenvalue| = sup of |x^T A x| on |x| = 1, per matrix A."""
+    lo, hi = extreme_eigenvalues(H)
+    return np.maximum(-lo, hi)
+
+
 def operator_norm(phi):
-    """sup |phi(x)| over the unit sphere = max |eigenvalue|."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(phi.coeffs))))
+    """sup |phi(x)| over the unit sphere: operator_norms of one form."""
+    return float(operator_norms(phi.coeffs[None])[0])
 
 
 def min_eigenvalue(phi):
-    return float(np.linalg.eigvalsh(phi.coeffs)[0])
+    return float(extreme_eigenvalues(phi.coeffs[None])[0][0])
 
 
 def sum_abs_bound(phi):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from certicube import bounds, cubature, field, geometry, moments
+from certicube import bounds, cubature, field, geometry, moments, qform
 from certicube.errors import (ConvexityScreenFailed, InvariantViolation,
                               NegativeGauge, RuleNotApplicable)
 from certicube.field import ScalarField
@@ -63,6 +63,16 @@ def test_sandwich_screening_rejects_concave():
     with pytest.raises(ConvexityScreenFailed):
         bounds.hh_sandwich(f, UNIT_TRIANGLE, screen=True)
     bounds.hh_sandwich(NORM_SQ_2D, UNIT_TRIANGLE, screen=True)
+
+
+def test_sandwich_screening_passes_a_singular_convex_field():
+    # x1^2 in 2-D: every Hessian is diag(2, 0), lowest eigenvalue exactly 0.
+    f = field.parse_expr("x1^2", 2)
+    points = geometry.lattice_points(UNIT_TRIANGLE, bounds.SCREEN_RESOLUTION)
+    low, _ = qform.extreme_eigenvalues(field.hessians(f, points))
+    assert np.all(low == 0.0)
+    result = bounds.hh_sandwich(f, UNIT_TRIANGLE, screen=True)
+    assert result == bounds.hh_sandwich(f, UNIT_TRIANGLE)
 
 
 def test_midpoint_bound_sharp_for_norm_squared():

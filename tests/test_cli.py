@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -527,15 +529,58 @@ def test_simplex_files_end_in_a_documented_exit(cli_paths, text, argv):
         _check_documented_exit(argv + ["--simplex", cli_paths["simplex"]])
 
 
-def test_numpy_is_the_only_runtime_dependency():
-    # A fresh interpreter: this one has the test-only packages loaded.
+def fresh_python(script, *args):
+    """stdout of script run in a new interpreter that imports this
+    certicube; this one has test-only packages loaded and state set."""
     path = [os.path.dirname(os.path.dirname(certicube.__file__)),
             os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], check=True,
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    return done.stdout
+
+
+def test_numpy_is_the_only_runtime_dependency():
     script = ("import sys, certicube, certicube.cli; print(sorted(m for m in "
               "('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest') "
               "if m in sys.modules))")
-    done = subprocess.run(
-        [sys.executable, "-c", script], check=True, capture_output=True,
-        text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
-    assert done.stdout.strip() == "[]"
+    assert fresh_python(script).strip() == "[]"
+
+
+def test_numpy_eigensolvers_are_called_only_by_qform():
+    # qform.extreme_eigenvalues is the one spectral kernel.
+    package = os.path.dirname(certicube.__file__)
+    calls = re.compile(r"eigvalsh|\beigh\b|\beigvals\b|\beig\(")
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "qform.py":
+            with open(os.path.join(package, name)) as fh:
+                offenders += [f"{name}:{k}" for k, line in enumerate(fh, 1)
+                              if calls.search(line)]
+    assert offenders == []
+
+
+def test_cached_parser_keeps_no_state_between_runs(unit2):
+    # The parser is built once per process: each command must print and
+    # exit as it does as the first command of a fresh interpreter.
+    commands = [
+        ["integrate", "--expr", "x1"],  # a parse error
+        ["integrate", "--expr", "x1*x1", "--simplex", unit2, "--tol=--"],
+        ["integrate", "--expr", "exp(x1+x2)", "--simplex", unit2,
+         "--tol", "1e-3", "--K", "20"],
+        ["integrate", "--expr", "exp(x1+x2)", "--simplex", unit2,
+         "--tol", "1e-3"],
+        ["bound", "--rule", "barycenter", "--expr", "x1*x2",
+         "--simplex", unit2],
+        ["sandwich", "--expr", "x1^2 + x2^2", "--simplex", unit2,
+         "--screen"],
+    ]
+    script = ("import io, json, sys; from certicube.cli import run; "
+              "out = io.StringIO(); code = run(json.loads(sys.argv[1]), out); "
+              "print(json.dumps([code, out.getvalue()]))")
+    in_process = [list(invoke(argv)) for argv in commands]
+    fresh = [json.loads(fresh_python(script, json.dumps(argv)))
+             for argv in commands]
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [2, 2, 0, 0, 0, 0]

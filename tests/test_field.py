@@ -145,6 +145,23 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
     assert max(sizes) <= max(1, points_per_call // 9)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_lattice_k_is_the_largest_operator_norm_on_the_lattice(n):
+    # Bit for bit: the loop and the reference heap take K by one kernel.
+    rng = np.random.default_rng(12 + n)
+    x = [f"x{i + 1}" for i in range(n)]
+    fields = [field.parse_expr(f"exp({'*'.join(x)}) + sin({x[0]})", n),
+              field.parse_expr(f"{x[-1]}^2 - 3*{x[0]}*{x[-1]}", n),
+              ScalarField(dimension=n, evaluator=lambda p: np.cos(
+                  p.sum(axis=-1)) * np.exp(p[..., 0]))]
+    for f in fields:
+        for _ in range(10):
+            s = rand_simplex(rng, n)
+            expected = max(qform.operator_norm(field.hessian_at(f, p))
+                           for p in geometry.lattice_points(s, 4))
+            assert field.lattice_k(f, s.batch()[0], 4)[0] == expected
+
+
 def test_convexify_exact_cancellation():
     f = ScalarField(dimension=2,
                     evaluator=lambda x: -np.sum(x ** 2, axis=-1),
