@@ -5,22 +5,25 @@ bounds.certificate gives the rule; both are additive over a partition,
 so refining the largest-radius cells until the summed radius meets the
 tolerance certifies the whole simplex. The leaves are numpy arrays kept
 in creation order. Each round bisects, in one kernel call, the leaves
-with radius >= BAND * max, taken by (-radius, creation index), and keeps
+with radius >= grow * max, taken by (-radius, creation index), and keeps
 the longest prefix in which each leaf's radius is at least every child
 radius made before it: exactly the pops of a greedy max-heap (ties that
 survive rounding go to the older cell). The prefix also ends where the
 running total reaches the tolerance, at max_depth and at max_cells; the
-other children are discarded. So that few are, a round is cut short
-where the tolerance is predicted to fall (plus SLACK), from the radius
-shrink of the last round's splits; a cut that falls short only leaves
-work for the next round. The run computes one determinant, the root's,
-and a leaf at depth d inherits 2^-d of it; a float cell's rounded
-midpoints leave its edges, so its true volume differs slightly, which
-the radius does not yet cover. Leaves are a coordinate-major batch (see
-geometry) and carry their squared edge lengths e2, made once per cell:
-e2 gives its second moment and its split's longest edge. Sums use
-math.fsum, exactly rounded in any order. Per-cell K is field.lattice_k
-of the new cells; the loop knows no lattice and no Hessian source.
+other children are discarded. grow is the largest child/parent radius
+ratio among the last round's kept splits, capped at 1: a leaf below
+grow * max is likely outgrown by a child of the largest leaf, which
+would end the prefix before it. A round is also cut short where the
+tolerance is predicted to fall (plus SLACK), from the radius shrink of
+the last round's splits; a cut that falls short only leaves work for the
+next round. The run computes one determinant, the root's, and a leaf at
+depth d inherits 2^-d of it; a float cell's rounded midpoints leave its
+edges, so its true volume differs slightly, which the radius does not
+yet cover. Leaves are a coordinate-major batch (see geometry) and carry
+their squared edge lengths e2, made once per cell: e2 gives its second
+moment and its split's longest edge. Sums use math.fsum, exactly rounded
+in any order. Per-cell K is field.lattice_k of the new cells; the loop
+knows no lattice and no Hessian source.
 """
 
 from __future__ import annotations
@@ -37,13 +40,11 @@ from .bounds import CertifiedResult, certificate, certify_cells, exact_sum
 from .cubature import CubatureRule
 from .errors import BudgetExhausted
 
-# BAND, SLACK and POINTS_PER_ROUND do not change the partition. BAND in
-# (0, 1] trades rounds against discarded splits. SLACK is how many
-# leaves past the predicted tolerance cut a round still splits, in case
-# its children shrink less than the last round's did. A round splits at
-# most as many leaves as keep its rule evaluations near
+# SLACK and POINTS_PER_ROUND do not change the partition. SLACK is how
+# many leaves past the predicted tolerance cut a round still splits, in
+# case its children shrink less than the last round's did. A round
+# splits at most as many leaves as keep its rule evaluations near
 # POINTS_PER_ROUND, bounding memory; field.lattice_k bounds its own.
-BAND = 0.25
 SLACK = 16
 POINTS_PER_ROUND = 2 ** 20
 # Per-cell K is field.lattice_k at this resolution.
@@ -86,10 +87,6 @@ class RunDiagnostics:
     radii: Optional[np.ndarray] = None
     k_cells: Optional[np.ndarray] = None
     depths: Optional[np.ndarray] = None
-
-    @property
-    def cells(self):
-        return len(self.radii)
 
     @property
     def k_min(self):
@@ -138,7 +135,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     est, rad, k_cell, e2 = _cells(W, depth)
     running = rad[0]
     rounds = discarded = 0
-    shrink = 1.0  # children/parents radius; 1 predicts nothing
+    shrink = grow = 1.0  # children/parents radius; 1 predicts nothing
 
     def finish(radius=None):
         if diagnostics is not None:
@@ -159,7 +156,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             running = exact_sum(rad)
             if running <= cfg.tolerance:
                 return finish(running)
-        band = np.flatnonzero(rad >= BAND * rad.max())
+        band = np.flatnonzero(rad >= grow * rad.max())
         band = band[np.argsort(-rad[band], kind="stable")]
         limit = ("max_depth" if depth[band[0]] >= cfg.max_depth else
                  "max_cells" if len(rad) + 1 > cfg.max_cells else None)
@@ -169,35 +166,40 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                 f"{running:g} > tolerance {cfg.tolerance:g}",
                 result=finish())
         band = band[:min(max_band, cfg.max_cells - len(rad))]
+        b_rad = rad[band]
         if shrink < 1:
             # Predicted totals if each split shrinks as the last round's
             # did; split up to the first at or below tol, plus SLACK.
-            left = running - (1 - shrink) * np.cumsum(rad[band])
-            band = band[:np.count_nonzero(left > cfg.tolerance) + 1 + SLACK]
+            left = running - (1 - shrink) * np.cumsum(b_rad)
+            cut = np.count_nonzero(left > cfg.tolerance) + 1 + SLACK
+            band, b_rad = band[:cut], b_rad[:cut]
         c_depth = np.repeat(depth[band] + 1, 2)
         children = geometry.split(W[..., band], e2[..., band])
         c_est, c_rad, c_k, c_e2 = _cells(children, c_depth)
         pair_rad = c_rad.reshape(-1, 2)
+        pair_sum, pair_max = pair_rad.sum(axis=1), pair_rad.max(axis=1)
         # totals[k]: the heap's running total before its k-th pop.
-        totals = np.cumsum(np.concatenate(
-            ([running], pair_rad.sum(axis=1) - rad[band])))
+        totals = np.cumsum(np.concatenate(([running], pair_sum - b_rad)))
         # The heap pops band[k] next only if no child made earlier in
         # the round has a larger radius, the total still exceeds tol and
         # band[k] is above max_depth.
-        child_max = np.maximum.accumulate(pair_rad.max(axis=1))
-        stop = ((rad[band[1:]] < child_max[:-1])
+        child_max = np.maximum.accumulate(pair_max)
+        stop = ((b_rad[1:] < child_max[:-1])
                 | (totals[1:-1] <= cfg.tolerance)
                 | (depth[band[1:]] >= cfg.max_depth))
         take = 1 + int(np.argmax(np.append(stop, True)))
         # Shrink of the kept splits and of their leading half (the largest
         # leaves, among which a tolerance cut falls). The smaller predicts
         # fewer splits: a short prediction costs a round, not discards.
-        parents = np.cumsum(rad[band[:take]])
-        kids = np.cumsum(pair_rad[:take].sum(axis=1))
+        parents = np.cumsum(b_rad[:take])
+        kids = np.cumsum(pair_sum[:take])
         half = (take - 1) // 2
         if parents[half] > 0:
             shrink = float(min(kids[-1] / parents[-1],
                                kids[half] / parents[half]))
+        # A child's K can exceed its parent's: capped, a band is never empty.
+        if b_rad[take - 1] > 0:
+            grow = min(1.0, (pair_max[:take] / b_rad[:take]).max())
         keep = np.ones(len(rad), dtype=bool)
         keep[band[:take]] = False
         new = (children, c_e2, c_est, c_rad, c_k, c_depth)

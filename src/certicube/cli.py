@@ -209,9 +209,6 @@ def run(argv, out=None):
     except (ParseError, ArityError, OSError, UnknownRule, ValueError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_PARSE
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=out)
-        return EXIT_BUDGET
     except CerticubeError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_FAIL

@@ -242,7 +242,8 @@ def load_rule(path):
         lineno, text = take(f"weight {k}")
         values = [_parse_number(tok, lineno) for tok in text.split()]
         if len(values) != 1:
-            raise ParseError(f"expected one weight on line", line=lineno)
+            raise ParseError(f"expected one weight, found {len(values)}",
+                             line=lineno)
         weights_exact.append(values[0])
 
     # The constructor checks the nodes and the weight sum; it leaves

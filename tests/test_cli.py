@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import certicube
 from certicube import cubature
 from certicube.cli import run
+from certicube.errors import ParseError
 
 
 def invoke(argv):
@@ -67,11 +68,38 @@ def test_verify_rule_degree1_fails(tmp_path):
      "negative barycentric coordinate at node 0"),
     ("dim 2\nnodes 1\n0.3 0.3 0.3\n1\n",
      "barycentric sum 0.8999999999999999 != 1 at node 0"),
-    ("dim 1\nnodes 1\n0.5 0.5\n0.9\n", "weights sum 0.9 != 1")])
+    ("dim 1\nnodes 1\n0.5 0.5\n0.9\n", "weights sum 0.9 != 1"),
+    ("dim 1\nnodes 2\n0.5 0.5\n1 0\n3/2\n-1/2\n",
+     "negative weight at node 1")])
 def test_verify_rule_structural_defect(tmp_path, text, message):
     path = tmp_path / "defect.rule"
     path.write_text(text)
     assert invoke(["verify-rule", str(path)]) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("dim 2\nnodes 1\n0.5 0.5\n1\n",
+     "node 0 has 2 coordinates, expected 3", 3),
+    ("dim 1\nnodes 1\n0.5 0.5\n1/2 1/2\n",
+     "expected one weight, found 2", 4)])
+def test_verify_rule_malformed_line(tmp_path, text, message, line):
+    path = tmp_path / "malformed.rule"
+    path.write_text(text)
+    assert invoke(["verify-rule", str(path)]) == (2, f"error: {message}\n")
+    with pytest.raises(ParseError) as err:
+        cubature.load_rule(path)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("expr,simplex,message", [
+    ("x1 $ 2", "0 0\n1 0\n0 1\n", "unexpected character '$' at 3"),
+    ("foo(x1)", "0 0\n1 0\n0 1\n", "unknown identifier 'foo' at 0"),
+    ("x1", "# no vertices\n\n", "empty simplex file")])
+def test_malformed_input_is_a_parse_error(tmp_path, expr, simplex, message):
+    path = tmp_path / "domain.spx"
+    path.write_text(simplex)
+    argv = ["sandwich", "--expr", expr, "--simplex", str(path)]
+    assert invoke(argv) == (2, f"error: {message}\n")
 
 
 def test_verify_rule_missing_file():
@@ -529,15 +557,20 @@ def test_simplex_files_end_in_a_documented_exit(cli_paths, text, argv):
         _check_documented_exit(argv + ["--simplex", cli_paths["simplex"]])
 
 
-def fresh_python(script, *args):
-    """stdout of script run in a new interpreter that imports this
-    certicube; this one has test-only packages loaded and state set."""
+def fresh_run(*args):
+    """The finished run of a new interpreter, given args, that imports
+    this certicube; this one has test-only packages loaded and state set."""
     path = [os.path.dirname(os.path.dirname(certicube.__file__)),
             os.environ.get("PYTHONPATH", "")]
-    done = subprocess.run(
-        [sys.executable, "-c", script, *args], check=True,
-        capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+
+
+def fresh_python(script, *args):
+    """stdout of script, which must exit 0, run by fresh_run."""
+    done = fresh_run("-c", script, *args)
+    done.check_returncode()
     return done.stdout
 
 
@@ -584,3 +617,12 @@ def test_cached_parser_keeps_no_state_between_runs(unit2):
              for argv in commands]
     assert in_process == fresh
     assert [code for code, _ in fresh] == [2, 2, 0, 0, 0, 0]
+
+
+def test_module_entry_point_exits_with_the_run_code(unit2):
+    budget = ["integrate", "--expr", "exp(x1+x2)", "--simplex", unit2,
+              "--tol", "1e-12", "--k-mode", "global", "--max-cells", "20"]
+    for argv, code in ((["moments", "--dim", "2"], 0), (budget, 3)):
+        done = fresh_run("-m", "certicube.cli", *argv)
+        assert (done.returncode, done.stdout) == invoke(argv)
+        assert done.returncode == code

@@ -73,6 +73,12 @@ def test_rule_invariant_checks():
     with pytest.raises(InvariantViolation):
         CubatureRule(dimension=1, nodes=np.array([[1.2, -0.2]]),
                      weights=np.array([1.0]))
+    with pytest.raises(InvariantViolation, match="one weight per node"):
+        CubatureRule(dimension=1, nodes=np.array([[0.5, 0.5]]),
+                     weights=np.array([0.5, 0.5]))
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        CubatureRule(dimension=1, nodes=np.array([[np.nan, 0.5]]),
+                     weights=np.array([1.0]))
 
 
 def one_field(n):

@@ -255,6 +255,11 @@ def test_wrongly_shaped_values_raise():
     one_value = ScalarField(dimension=2, evaluator=lambda x: np.array([1.0]))
     with pytest.raises(DimensionMismatch):
         field.evaluate_batch(one_value, np.zeros((5, 2)))
+    # A Hessian per point must be (n, n), not a gradient-shaped (n,).
+    flat = ScalarField(dimension=2, evaluator=lambda x: x[:, 0],
+                       hessian=lambda u: np.zeros_like(u))
+    with pytest.raises(DimensionMismatch, match="Hessians of shape"):
+        field.hessians(flat, np.zeros((5, 2)))
 
 
 def test_parse_expr_batch_evaluation():

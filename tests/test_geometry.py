@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from certicube import cubature, geometry, moments
-from certicube.errors import DegenerateSimplex, ParseError
+from certicube.errors import DegenerateSimplex, DimensionMismatch, ParseError
 
 from util import rand_simplex
 
@@ -184,3 +184,9 @@ def test_simplex_file_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         geometry.load_simplex(path)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (1, 0), (4, 2)])
+def test_simplex_needs_n_plus_1_vertices_in_r_n(shape):
+    with pytest.raises(DimensionMismatch, match="n\\+1 vertices"):
+        geometry.Simplex(np.zeros(shape))

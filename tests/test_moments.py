@@ -56,6 +56,12 @@ def test_monomial_moment_rejects_degree_3():
         moments.monomial_moment(2, (2, 1))
 
 
+@pytest.mark.parametrize("alpha", [(1,), (1, 0, 0), (-1, 1)])
+def test_monomial_moment_rejects_invalid_multi_index(alpha):
+    with pytest.raises(UnsupportedDegree, match="invalid for n=2"):
+        moments.monomial_moment_exact(2, alpha)
+
+
 def test_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         moments.monomial_moment(19, (0,) * 19)

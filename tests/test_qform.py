@@ -32,6 +32,15 @@ def test_evaluate_dimension_mismatch():
         qform.evaluate(QuadraticForm(np.eye(2)), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("coeffs,message", [
+    (np.ones((2, 3)), "not square"), (np.ones(2), "not square"),
+    ([[1.0, math.inf], [0.0, 1.0]], "non-finite"),
+    ([[math.nan]], "non-finite")])
+def test_construction_rejects_bad_coefficients(coeffs, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        QuadraticForm(coeffs)
+
+
 def test_construction_symmetrizes():
     phi = QuadraticForm([[1.0, 2.0], [0.0, 3.0]])
     assert phi.coeffs[0, 1] == phi.coeffs[1, 0] == 1.0
