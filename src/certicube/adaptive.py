@@ -22,8 +22,8 @@ edges, so its true volume differs slightly, which the radius does not
 yet cover. Leaves are a coordinate-major batch (see geometry) and carry
 their squared edge lengths e2, made once per cell: e2 gives its second
 moment and its split's longest edge. Sums use math.fsum, exactly rounded
-in any order. Per-cell K is field.lattice_k of the new cells; the loop
-knows no lattice and no Hessian source.
+in any order. Per-cell K is the larger magnitude of the new cells'
+field.lattice_spectrum; the loop knows no lattice and no Hessian source.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from .errors import BudgetExhausted
 # many leaves past the predicted tolerance cut a round still splits, in
 # case its children shrink less than the last round's did. A round
 # splits at most as many leaves as keep its rule evaluations near
-# POINTS_PER_ROUND, bounding memory; field.lattice_k bounds its own.
+# POINTS_PER_ROUND, bounding memory; lattice_spectrum bounds its own.
 SLACK = 16
 POINTS_PER_ROUND = 2 ** 20
-# Per-cell K is field.lattice_k at this resolution.
+# Per-cell K is sampled by field.lattice_spectrum at this resolution.
 K_RESOLUTION = 4
 
 
@@ -124,9 +124,11 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         # Inherited, not measured: see the module docstring.
         vol = np.ldexp(root_vol, -depth)
         e2 = geometry.edge_lengths_sq(W)
-        k_cell = (np.full(len(vol), global_k, dtype=float)
-                  if global_k is not None
-                  else field_mod.lattice_k(f, W, K_RESOLUTION))
+        if global_k is not None:
+            k_cell = np.full(len(vol), global_k, dtype=float)
+        else:
+            lo, hi = field_mod.lattice_spectrum(f, W, K_RESOLUTION)
+            k_cell = np.maximum(-lo, hi)
         est, rad = certify_cells(rule, factor, f, W, e2, vol, k_cell)
         return est, rad, k_cell, e2
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cubature as cubature_mod
 from . import field as field_mod
-from . import geometry, moments, qform
+from . import geometry, moments
 from .errors import (ConvexityScreenFailed, InvariantViolation,
                      RuleNotApplicable)
 
@@ -84,17 +84,16 @@ def exact_sum(values):
 def hh_sandwich(f, s, screen=False):
     """vol*f(pbar) <= integral <= vol * vertex mean, for convex f.
 
-    Convexity is the caller's assertion; with screen=True a sampled
-    Hessian check rejects fields with a clearly indefinite direction.
+    Convexity is the caller's assertion; with screen=True the lowest
+    Hessian eigenvalue on a lattice (field.lattice_spectrum) rejects
+    fields with a clearly indefinite direction.
     """
     if screen:
-        points = geometry.lattice_points(s, SCREEN_RESOLUTION)
-        low = qform.extreme_eigenvalues(field_mod.hessians(f, points))[0]
-        bad = np.flatnonzero(low < SCREEN_EIG_SLACK)
-        if bad.size:
+        low = field_mod.lattice_spectrum(f, s.batch()[0],
+                                         SCREEN_RESOLUTION)[0][0]
+        if low < SCREEN_EIG_SLACK:
             raise ConvexityScreenFailed(
-                f"sampled Hessian eigenvalue {low[bad[0]]:g} at "
-                f"{points[bad[0]]}")
+                f"lowest sampled Hessian eigenvalue {low:g}")
     vol = geometry.volume(s)
     # The barycenter rule's node, so lower is the midpoint estimate.
     node = geometry.points(

@@ -58,9 +58,6 @@ def _build_parser():
     p.add_argument("--simplex", required=True)
     p.add_argument("--K", type=float, default=None,
                    help="analytic curvature constant (certified)")
-    p.add_argument("--resolution", type=int,
-                   default=field_mod.DEFAULT_LATTICE_RESOLUTION,
-                   help="Hessian sampling lattice resolution")
 
     p = sub.add_parser("integrate", help="adaptive certified integration")
     p.add_argument("--expr", required=True)
@@ -139,8 +136,7 @@ def _cmd_bound(args, out):
     f = field_mod.parse_expr(args.expr, simplex.dimension)
     rule = _load_rule_arg(args.rule, simplex.dimension)
     certified = args.K is not None
-    gauge = args.K if certified else field_mod.d2f_sup_norm(
-        f, simplex, resolution=args.resolution)
+    gauge = args.K if certified else field_mod.d2f_sup_norm(f, simplex)
     result = bounds_mod.rule_bound(rule, f, simplex, gauge,
                                    gauge_certified=certified)
     rule, factor = bounds_mod.certificate(rule)

@@ -201,12 +201,7 @@ def _parse_number(token, lineno):
 
 def load_rule(path):
     """Line-oriented rule file; fractions p/q are parsed exactly."""
-    lines = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                lines.append((lineno, text))
+    lines = geometry.read_lines(path)
     cursor = 0
 
     def take(what):
@@ -221,10 +216,11 @@ def load_rule(path):
     def header(word, count):
         lineno, head = take(f"{word} header")
         parts = head.split()
-        if len(parts) != 2 or parts[0] != word:
-            raise ParseError(f"expected '{word} {count}', got {head!r}",
-                             line=lineno)
-        return int(parts[1])
+        number = parts[1] if len(parts) == 2 and parts[0] == word else ""
+        if not (number.isascii() and number.isdigit() and int(number) > 0):
+            raise ParseError(f"expected '{word} {count}' with {count} >= 1, "
+                             f"got {head!r}", line=lineno)
+        return int(number)
 
     n, m = header("dim", "n"), header("nodes", "m")
 

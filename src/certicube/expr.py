@@ -18,15 +18,15 @@ run() executes a tape over an arithmetic, an object with one method per
 opcode. Floats evaluates at a batch (m, n) of points.
 Jets carries second-order forward-mode jets (value, gradient, Hessian)
 through the tape, exact up to rounding (Griewank & Walther, Evaluating
-Derivatives, 2nd ed., SIAM 2008, ch. 13). str(tape) prints it through
-the same loop, so parse(str(tape), n) == tape.
+Derivatives, 2nd ed., SIAM 2008, ch. 13). A tape keeps the text it was
+compiled from, and str(tape) returns it; equality compares the
+instructions only, so parse(str(tape), n) == tape.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,12 +48,14 @@ _TOKEN_RE = re.compile(r"""
 class Tape:
     """A compiled expression. ``ops`` holds one (opcode, argument slots,
     constant) instruction per slot; the last slot is the result.
+    ``text`` is the source, which str() returns; equality ignores it.
 
     Calling a tape evaluates it in floats, one value (m,) per row of
     points (m, n); ``hessians`` runs it in jets.
     """
 
     ops: tuple
+    text: str = field(default="", compare=False)
 
     def __call__(self, points):
         value = run(self, Floats(points))  # a float if the tape is constant
@@ -69,7 +71,7 @@ class Tape:
             else np.broadcast_to(hess, shape)
 
     def __str__(self):
-        return run(self, _Text())[0]
+        return self.text
 
 
 def run(tape, arith):
@@ -235,46 +237,6 @@ class Jets:
         return _chain(a, r, d, -0.5 * d / a[0])
 
 
-def _wrap(operand, minimum):
-    text, strength = operand
-    return text if strength >= minimum else f"({text})"
-
-
-def _infix(symbol, strength, left_min, right_min):
-    def op(self, a, b):
-        return f"{_wrap(a, left_min)}{symbol}{_wrap(b, right_min)}", strength
-    return op
-
-
-class _Text:
-    """A slot holds (text, binding strength); the text has parentheses
-    only where the grammar needs them. A negation binds below ^."""
-
-    @staticmethod
-    def const(c):
-        return repr(c), 2.5 if math.copysign(1.0, c) < 0 else 10
-
-    @staticmethod
-    def var(i):
-        return f"x{i + 1}", 10
-
-    @staticmethod
-    def neg(a):
-        return f"-{_wrap(a, 3)}", 2.5
-
-    add = _infix(" + ", 1, 1, 2)
-    sub = _infix(" - ", 1, 1, 2)
-    mul = _infix("*", 2, 2, 3)
-    div = _infix("/", 2, 2, 3)
-    pow = _infix("^", 3, 4, 3)
-
-    def powc(self, a, c):
-        return self.pow(a, self.const(c))
-
-    def __getattr__(self, name):  # the functions
-        return lambda a: (f"{name}({a[0]})", 10)
-
-
 class _Tokenizer:
     def __init__(self, text):
         self.tokens = []
@@ -402,4 +364,4 @@ def parse(text, n):
         raise ParseError(
             f"unexpected trailing input {remaining!r} at {pos}",
             position=pos, expected=("end of input",))
-    return Tape(tuple(compiler.ops))
+    return Tape(tuple(compiler.ops), text)

@@ -7,9 +7,11 @@ wrongly shaped result raises DimensionMismatch. A parsed expression's
 evaluator is its tape, and its hessian the tape run in jets, exact up
 to rounding, one pass per batch and evaluating nothing off the points.
 Without a hessian, hessians takes central finite differences with the
-absolute step FD_STEP. lattice_k samples the sup Hessian norm of each
-simplex on a barycentric lattice, so it is not certified; a caller with
-a known constant passes it as K instead.
+absolute step FD_STEP. lattice_spectrum samples the lowest and highest
+Hessian eigenvalue of each simplex on a barycentric lattice: K is the
+larger magnitude of the two, and the convexity screen reads the lowest.
+A sample is not certified; a caller with a known constant passes it as
+K instead.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from . import expr as expr_mod
 from . import geometry
 from .errors import (DimensionMismatch, EvaluationFailure,
                      InvariantViolation, NegativeGauge)
-from .qform import QuadraticForm, operator_norms
+from .qform import QuadraticForm, extreme_eigenvalues
 
 FD_STEP = 1e-4
 DEFAULT_LATTICE_RESOLUTION = 20
 # Bounds the integrand evaluations, and so the memory, of one hessians
-# call in lattice_k: a finite-difference Hessian takes 2n^2 + 1.
+# call in lattice_spectrum: a finite-difference Hessian takes 2n^2 + 1.
 POINTS_PER_CALL = 2 ** 20
 
 
@@ -118,31 +120,34 @@ def hessian_at(f, u):
     return QuadraticForm(hessians(f, np.asarray(u, dtype=float)[None])[0])
 
 
-def lattice_k(f, W, resolution):
-    """Largest Hessian operator norm on the barycentric lattice of mesh
-    1/resolution of each cell of the batch W (see geometry), as (m,);
-    sampled, so not certified. Each hessians call, and the lattice built
-    for it, covers about POINTS_PER_CALL integrand evaluations."""
+def lattice_spectrum(f, W, resolution):
+    """(lowest, highest) Hessian eigenvalue, each (m,), on the barycentric
+    lattice of mesh 1/resolution of each cell of the batch W (see
+    geometry): the one Hessian sampler, so not certified. Each hessians
+    call, and the lattice built for it, covers about POINTS_PER_CALL
+    integrand evaluations."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     n = len(W) - 1
     weights = geometry.lattice_weights(n, resolution)
     step = max(1, POINTS_PER_CALL // (2 * n * n + 1))
     per_call = max(1, step // len(weights))
-    k = np.empty(W.shape[-1])
-    for i in range(0, len(k), per_call):
+    lo, hi = np.empty((2, W.shape[-1]))
+    for i in range(0, W.shape[-1], per_call):
         points = geometry.points(weights, W[..., i:i + per_call])
-        norms = np.concatenate([
-            operator_norms(hessians(f, points[j:j + step]))
-            for j in range(0, len(points), step)])
-        k[i:i + per_call] = norms.reshape(len(weights), -1).max(axis=0)
-    return k
+        spectra = [extreme_eigenvalues(hessians(f, points[j:j + step]))
+                   for j in range(0, len(points), step)]
+        low, high = (np.concatenate(side).reshape(len(weights), -1)
+                     for side in zip(*spectra))
+        lo[i:i + per_call], hi[i:i + per_call] = low.min(0), high.max(0)
+    return lo, hi
 
 
 def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION):
-    """Estimate sup over the simplex of the Hessian operator norm: the
-    one-simplex case of lattice_k, so not certified."""
-    return float(lattice_k(f, s.batch()[0], resolution)[0])
+    """Estimate sup over the simplex of the Hessian operator norm, the
+    larger magnitude of its lattice_spectrum, so not certified."""
+    lo, hi = lattice_spectrum(f, s.batch()[0], resolution)
+    return float(np.maximum(-lo, hi)[0])
 
 
 def convexify(f, gauge):

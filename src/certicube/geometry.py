@@ -178,18 +178,23 @@ def lattice_points(s, resolution):
     return points(lattice_weights(s.dimension, resolution), s.batch()[0])
 
 
+def read_lines(path):
+    """(line number, text) of each line of a simplex or rule file that
+    is not blank once its '#' comment is stripped."""
+    with open(path) as fh:
+        lines = [(lineno, line.split("#", 1)[0].strip())
+                 for lineno, line in enumerate(fh, start=1)]
+    return [(lineno, text) for lineno, text in lines if text]
+
+
 def load_simplex(path):
     """One vertex per line, whitespace-separated decimals."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                rows.append([float(tok) for tok in text.split()])
-            except ValueError as exc:
-                raise ParseError(f"bad vertex line: {exc}", line=lineno)
+    for lineno, text in read_lines(path):
+        try:
+            rows.append([float(tok) for tok in text.split()])
+        except ValueError as exc:
+            raise ParseError(f"bad vertex line: {exc}", line=lineno)
     if not rows:
         raise ParseError("empty simplex file", line=1)
     n = len(rows[0])

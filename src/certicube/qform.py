@@ -55,15 +55,10 @@ def extreme_eigenvalues(H):
         return mid - r, mid + r
 
 
-def operator_norms(H):
-    """max |eigenvalue| = sup of |x^T A x| on |x| = 1, per matrix A."""
-    lo, hi = extreme_eigenvalues(H)
-    return np.maximum(-lo, hi)
-
-
 def operator_norm(phi):
-    """sup |phi(x)| over the unit sphere: operator_norms of one form."""
-    return float(operator_norms(phi.coeffs[None])[0])
+    """sup |phi(x)| over the unit sphere: max |eigenvalue| of the form."""
+    lo, hi = extreme_eigenvalues(phi.coeffs[None])
+    return float(np.maximum(-lo, hi)[0])
 
 
 def min_eigenvalue(phi):

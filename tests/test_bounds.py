@@ -59,6 +59,15 @@ def test_sandwich_lower_is_the_midpoint_estimate_bit_for_bit():
 
 
 def test_sandwich_screening_rejects_concave():
+    # The message reports the lowest eigenvalue sampled on the lattice.
+    f = field.parse_expr("x1^2 - x1^4 - 3*x1*x2", 2)
+    points = geometry.lattice_points(UNIT_TRIANGLE, bounds.SCREEN_RESOLUTION)
+    low, _ = qform.extreme_eigenvalues(field.hessians(f, points))
+    with pytest.raises(ConvexityScreenFailed) as err:
+        bounds.hh_sandwich(f, UNIT_TRIANGLE, screen=True)
+    assert str(err.value) == \
+        f"lowest sampled Hessian eigenvalue {low.min():g}"
+    assert low[0] > low.min()  # not the first point's value
     f = polynomial_field(2, {(2, 0): -1.0, (0, 2): -1.0})
     with pytest.raises(ConvexityScreenFailed):
         bounds.hh_sandwich(f, UNIT_TRIANGLE, screen=True)

@@ -226,6 +226,15 @@ def test_unknown_flag_rejected():
     assert code == 2
 
 
+def test_bound_has_no_resolution_option(unit2):
+    # bound samples K at d2f_sup_norm's default lattice, as --k-mode
+    # global does.
+    argv = ["bound", "--rule", "barycenter", "--expr", "exp(x1+x2)",
+            "--simplex", unit2]
+    assert invoke(argv + ["--resolution", "3"])[0] == 2
+    assert "K:        5.43656365691809" in invoke(argv)[1]
+
+
 def test_threads_flag_does_not_change_output(unit2):
     base = ["integrate", "--expr", "exp(x1+x2)", "--simplex", unit2,
             "--tol", "1e-4", "--k-mode", "global"]
@@ -277,6 +286,22 @@ def test_rule_header_not_an_integer_is_a_parse_error(tmp_path, unit2):
         code, text = invoke(argv)
         assert code == 2
         assert text.startswith("error:")
+
+
+@pytest.mark.parametrize("text,line", [
+    ("dim 0\nnodes 1\n1\n1\n", 1),
+    ("# header\n\ndim -1\nnodes 1\n1\n1\n", 3),
+    ("dim 1\nnodes 0\n", 2),
+    ("dim 1\n# nodes\nnodes -1\n1/2 1/2\n1\n", 3)],
+    ids=["dim 0", "dim -1", "nodes 0", "nodes -1"])
+def test_rule_header_not_positive_is_a_parse_error(tmp_path, text, line):
+    path = tmp_path / "bad.rule"
+    path.write_text(text)
+    code, out = invoke(["verify-rule", str(path)])
+    assert code == 2 and ">= 1, got" in out
+    with pytest.raises(ParseError) as err:
+        cubature.load_rule(path)
+    assert err.value.line == line
 
 
 @pytest.mark.parametrize("command,k", [("integrate", "-1"),
@@ -423,8 +448,7 @@ def cli_argv(draw, paths):
     elif command == "sandwich":
         argv += shape + (["--screen"] if draw(st.booleans()) else [])
     elif command == "bound":
-        argv += [f"--rule={rule}"] + shape + opt("--K", NUMBERS) + opt(
-            "--resolution", ["-1", "0", "1", "3"])
+        argv += [f"--rule={rule}"] + shape + opt("--K", NUMBERS)
     else:
         tol = draw(st.sampled_from(TOLERANCES))
         cells = draw(st.sampled_from(["-1", "0", "1", "2", "40"]))
@@ -505,6 +529,24 @@ def test_sandwich_on_a_huge_triangle(tmp_path):
         code, out = invoke(SHAPE_COMMANDS[1] + ["--simplex", str(path)])
         assert (code, out) == (1, "error: non-finite cell radius: K or the "
                                   "simplex is too large\n")
+
+
+def test_dimension_19_stops_at_the_moment_table(tmp_path):
+    # Every rule's report is checked against the exact moment table,
+    # which ends at n = 18; the sandwich reads no rule report.
+    spx, rule = tmp_path / "unit19.spx", tmp_path / "bary19.rule"
+    spx.write_text("\n".join(" ".join("1" if j == i else "0"
+                                       for j in range(19))
+                             for i in range(-1, 19)) + "\n")
+    rule.write_text("dim 19\nnodes 1\n" + "1/20 " * 20 + "\n1\n")
+    shape = ["--expr", "x1^2", "--simplex", str(spx)]
+    refused = (1, "error: dimension 19 exceeds 18 (64-bit factorials)\n")
+    for argv in (["integrate", "--tol", "1", "--K", "1"],
+                 ["bound", "--rule", "barycenter", "--K", "1"]):
+        assert invoke(argv + shape) == refused
+    assert invoke(["verify-rule", str(rule)]) == refused
+    code, out = invoke(["sandwich"] + shape)
+    assert code == 0 and out.startswith("lower: ")
 
 
 # Property test over simplex-file text: lines of 0-4 tokens; three files
@@ -588,6 +630,20 @@ def test_numpy_eigensolvers_are_called_only_by_qform():
     offenders = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py") and name != "qform.py":
+            with open(os.path.join(package, name)) as fh:
+                offenders += [f"{name}:{k}" for k, line in enumerate(fh, 1)
+                              if calls.search(line)]
+    assert offenders == []
+
+
+def test_only_field_and_geometry_sample_hessians():
+    # field.lattice_spectrum is the one Hessian sampler: no other module
+    # builds a lattice or asks for Hessians at points.
+    package = os.path.dirname(certicube.__file__)
+    calls = re.compile(r"(?<!def )\bhessians\(|lattice_weights|lattice_points")
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name not in ("field.py", "geometry.py"):
             with open(os.path.join(package, name)) as fh:
                 offenders += [f"{name}:{k}" for k, line in enumerate(fh, 1)
                               if calls.search(line)]

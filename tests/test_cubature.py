@@ -240,6 +240,13 @@ def test_rule_file_negative_coordinate(tmp_path):
         cubature.load_rule(path)
 
 
+def test_rule_nodes_need_n_plus_1_coordinates():
+    # A rule file cannot reach this shape check: its headers and node
+    # lines are parsed first.
+    with pytest.raises(InvariantViolation, match=r"\(m, 3\) barycentric"):
+        CubatureRule(dimension=2, nodes=np.ones((1, 2)), weights=[1.0])
+
+
 def test_rule_file_parse_error_has_line(tmp_path):
     path = tmp_path / "broken.rule"
     path.write_text("dim 2\nnodes 1\n0.5 oops 0.2\n1\n")

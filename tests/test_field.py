@@ -124,42 +124,61 @@ def test_sup_norm_affine_field_is_zero():
     assert field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=3) == 0.0
 
 
+def lattice_fields(n):
+    """Two parsed fields and a finite-difference one (no hessian) on R^n."""
+    x = [f"x{i + 1}" for i in range(n)]
+    return [field.parse_expr(f"exp({'*'.join(x)}) + sin({x[0]})", n),
+            field.parse_expr(f"{x[-1]}^2 - 3*{x[0]}*{x[-1]}", n),
+            ScalarField(dimension=n, evaluator=lambda p: np.cos(
+                p.sum(axis=-1)) * np.exp(p[..., 0]))]
+
+
+def lattice_extremes(f, s, resolution):
+    """Reference (lowest, highest) sampled eigenvalue of one simplex."""
+    points = geometry.lattice_points(s, resolution)
+    lo, hi = qform.extreme_eigenvalues(field.hessians(f, points))
+    return lo.min(), hi.max()
+
+
 @pytest.mark.parametrize("points_per_call", [1, 9 * 7, 9 * 40])
 def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
-    # 5 triangles of 15 lattice points each: one point per call, chunks
-    # inside one simplex's lattice, and lattices of two simplices a call.
-    rng = np.random.default_rng(3)
-    simplices = [rand_simplex(rng, 2) for _ in range(5)]
-    V = np.concatenate([s.batch()[0] for s in simplices], axis=-1)
-    f = field.parse_expr("exp(x1*x2) + sin(x1)", 2)
-    expected = field.lattice_k(f, V, 4)
-    assert list(expected) == [
-        field.d2f_sup_norm(f, s, 4) for s in simplices]
-    sizes = []
-    batch = field.hessians
-    monkeypatch.setattr(field, "POINTS_PER_CALL", points_per_call)
-    monkeypatch.setattr(field, "hessians",
-                        lambda f, p: sizes.append(len(p)) or batch(f, p))
-    assert np.array_equal(field.lattice_k(f, V, 4), expected)
-    assert sum(sizes) == 5 * 15
-    assert max(sizes) <= max(1, points_per_call // 9)
+    # 5 simplices of 5, 15 or 35 lattice points each, one point per call
+    # up to whole lattices of several simplices a call (9 evaluations per
+    # finite-difference Hessian in 2-D).
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(3 + n)
+        simplices = [rand_simplex(rng, n) for _ in range(5)]
+        V = np.concatenate([s.batch()[0] for s in simplices], axis=-1)
+        for f in lattice_fields(n):
+            lo, hi = field.lattice_spectrum(f, V, 4)
+            expected = [lattice_extremes(f, s, 4) for s in simplices]
+            assert list(zip(lo, hi)) == expected
+            sizes = []
+            batch = field.hessians
+            with monkeypatch.context() as patch:
+                patch.setattr(field, "POINTS_PER_CALL", points_per_call)
+                patch.setattr(field, "hessians",
+                              lambda f, p: sizes.append(len(p)) or batch(f, p))
+                chunked = field.lattice_spectrum(f, V, 4)
+            assert np.array_equal(chunked, (lo, hi))
+            lattice = len(geometry.lattice_weights(n, 4))
+            assert sum(sizes) == 5 * lattice
+            assert max(sizes) <= max(1, points_per_call // (2 * n * n + 1))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_lattice_k_is_the_largest_operator_norm_on_the_lattice(n):
-    # Bit for bit: the loop and the reference heap take K by one kernel.
+    # Bit for bit: the loop and the reference heap take K by one kernel,
+    # the larger magnitude of the lowest and highest sampled eigenvalue.
     rng = np.random.default_rng(12 + n)
-    x = [f"x{i + 1}" for i in range(n)]
-    fields = [field.parse_expr(f"exp({'*'.join(x)}) + sin({x[0]})", n),
-              field.parse_expr(f"{x[-1]}^2 - 3*{x[0]}*{x[-1]}", n),
-              ScalarField(dimension=n, evaluator=lambda p: np.cos(
-                  p.sum(axis=-1)) * np.exp(p[..., 0]))]
-    for f in fields:
+    for f in lattice_fields(n):
         for _ in range(10):
             s = rand_simplex(rng, n)
+            lo, hi = field.lattice_spectrum(f, s.batch()[0], 4)
+            assert (lo[0], hi[0]) == lattice_extremes(f, s, 4)
             expected = max(qform.operator_norm(field.hessian_at(f, p))
                            for p in geometry.lattice_points(s, 4))
-            assert field.lattice_k(f, s.batch()[0], 4)[0] == expected
+            assert field.d2f_sup_norm(f, s, 4) == expected
 
 
 def test_convexify_exact_cancellation():
@@ -244,6 +263,12 @@ def test_parse_print_parse_stable():
                  "sin(x1)*cos(x2) - sqrt(x1 + 4)", "2*x1^3^2"):
         tree = parse(text, 2)
         assert parse(str(tree), 2) == tree
+
+
+def test_tape_prints_its_source():
+    for text in ("x1^2 + x2^2", "exp(x1+x2)", "-x1*(x2 - 3)/2",
+                 "sin(x1)*cos(x2) - sqrt(x1 + 4)", "2*x1^3^2"):
+        assert str(parse(text, 2)) == text
 
 
 def test_wrongly_shaped_values_raise():

@@ -189,8 +189,6 @@ def test_one_form_is_the_one_matrix_case_of_the_kernel():
             lo, hi = qform.extreme_eigenvalues(phi.coeffs[None])
             assert qform.min_eigenvalue(phi) == lo[0]
             assert qform.operator_norm(phi) == max(abs(lo[0]), abs(hi[0]))
-            assert qform.operator_norm(phi) == \
-                qform.operator_norms(phi.coeffs[None])[0]
 
 
 def test_eigenvalue_past_the_float_range_is_inf_without_a_warning():
