@@ -14,16 +14,17 @@ other children are discarded. grow is the largest child/parent radius
 ratio among the last round's kept splits, capped at 1: a leaf below
 grow * max is likely outgrown by a child of the largest leaf, which
 would end the prefix before it. A round is also cut short where the
-tolerance is predicted to fall (plus SLACK), from the radius shrink of
-the last round's splits; a cut that falls short only leaves work for the
-next round. The run computes one determinant, the root's, and a leaf at
+tolerance is predicted to fall, from the radius shrink of the last
+round's splits; a cut that falls short only leaves work for the next
+round. The run computes one determinant, the root's, and a leaf at
 depth d inherits 2^-d of it; a float cell's rounded midpoints leave its
 edges, so its true volume differs slightly, which the radius does not
 yet cover. Leaves are a coordinate-major batch (see geometry) and carry
 their squared edge lengths e2, made once per cell: e2 gives its second
 moment and its split's longest edge. Sums use math.fsum, exactly rounded
 in any order. Per-cell K is the larger magnitude of the new cells'
-field.lattice_spectrum; the loop knows no lattice and no Hessian source.
+field.lattice_spectrum; the loop knows no lattice and no Hessian, so a
+field without a hessian needs k_override.
 """
 
 from __future__ import annotations
@@ -40,12 +41,9 @@ from .bounds import CertifiedResult, certificate, certify_cells, exact_sum
 from .cubature import CubatureRule
 from .errors import BudgetExhausted
 
-# SLACK and POINTS_PER_ROUND do not change the partition. SLACK is how
-# many leaves past the predicted tolerance cut a round still splits, in
-# case its children shrink less than the last round's did. A round
-# splits at most as many leaves as keep its rule evaluations near
-# POINTS_PER_ROUND, bounding memory; lattice_spectrum bounds its own.
-SLACK = 16
+# POINTS_PER_ROUND does not change the partition. A round splits at most
+# as many leaves as keep its rule evaluations near POINTS_PER_ROUND,
+# bounding memory; lattice_spectrum bounds its own.
 POINTS_PER_ROUND = 2 ** 20
 # Per-cell K is sampled by field.lattice_spectrum at this resolution.
 K_RESOLUTION = 4
@@ -171,9 +169,9 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         b_rad = rad[band]
         if shrink < 1:
             # Predicted totals if each split shrinks as the last round's
-            # did; split up to the first at or below tol, plus SLACK.
+            # did; split up to the first at or below tol.
             left = running - (1 - shrink) * np.cumsum(b_rad)
-            cut = np.count_nonzero(left > cfg.tolerance) + 1 + SLACK
+            cut = np.count_nonzero(left > cfg.tolerance) + 1
             band, b_rad = band[:cut], b_rad[:cut]
         c_depth = np.repeat(depth[band] + 1, 2)
         children = geometry.split(W[..., band], e2[..., band])

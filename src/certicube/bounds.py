@@ -9,7 +9,8 @@ radii; rule_bound, midpoint_bound and the adaptive loop all use both.
 All radii are conditional on the supplied curvature constant K >= the
 sup operator norm of the second differential over the simplex;
 K_certified records whether K was an analytic constant or a lattice
-estimate.
+estimate. A lattice estimate reads the field's own hessian, so a field
+without one needs its K given.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def hh_sandwich(f, s, screen=False):
     """vol*f(pbar) <= integral <= vol * vertex mean, for convex f.
 
     Convexity is the caller's assertion; with screen=True the lowest
-    Hessian eigenvalue on a lattice (field.lattice_spectrum) rejects
-    fields with a clearly indefinite direction.
+    Hessian eigenvalue on a lattice (field.lattice_spectrum, which needs
+    the field's hessian) rejects fields with a clearly indefinite
+    direction.
     """
     if screen:
         low = field_mod.lattice_spectrum(f, s.batch()[0],

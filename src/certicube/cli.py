@@ -35,8 +35,8 @@ def _build_parser():
         prog="certicube",
         description="Certified integration on simplices.")
     parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker hint; results are deterministic "
-                             "regardless of this value")
+                        help="accepted and ignored: output is the same "
+                             "for every value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="print unit-simplex moment table")
@@ -134,12 +134,13 @@ def _cmd_sandwich(args, out):
 def _cmd_bound(args, out):
     simplex = geometry.load_simplex(args.simplex)
     f = field_mod.parse_expr(args.expr, simplex.dimension)
-    rule = _load_rule_arg(args.rule, simplex.dimension)
+    # Certificate first: a refused rule must not pay for a K lattice.
+    rule, factor = bounds_mod.certificate(
+        _load_rule_arg(args.rule, simplex.dimension))
     certified = args.K is not None
     gauge = args.K if certified else field_mod.d2f_sup_norm(f, simplex)
     result = bounds_mod.rule_bound(rule, f, simplex, gauge,
                                    gauge_certified=certified)
-    rule, factor = bounds_mod.certificate(rule)
     label = " (midpoint bound)" if factor < 1 else ""
     print(f"rule: {rule.provenance}{label}", file=out)
     _print_certified(result, out)

@@ -14,7 +14,7 @@ class DimensionMismatch(CerticubeError):
 
 
 class EvaluationFailure(CerticubeError):
-    """An integrand returned a non-finite value."""
+    """An integrand returned a non-finite value, or has no Hessian."""
 
 
 class NegativeGauge(CerticubeError):

@@ -3,8 +3,8 @@
 Grammar:
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' factor)?          # right-associative power
-    base   := number | var | func '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | base ('^' factor)?  # -a^b is -(a^b)
+    base   := number | var | func '(' expr ')' | '(' expr ')'
     var    := 'x' digits                  # 1-indexed
 
 Functions: exp, sin, cos, log, sqrt. The parser's single pass emits a
@@ -311,6 +311,9 @@ class _Compiler:
         return node
 
     def factor(self):
+        if self.tok.peek()[1] == "-":
+            self.tok.advance()
+            return self.apply("neg", self.factor())
         node = self.base()
         if self.tok.peek()[1] == "^":
             self.tok.advance()
@@ -345,9 +348,6 @@ class _Compiler:
             inner = self.expr()
             tok.expect(")")
             return inner
-        if text == "-":
-            tok.advance()
-            return self.apply("neg", self.base())
         shown = text if kind != "end" else "end of input"
         raise ParseError(
             f"expected a value, found {shown} at {pos}", position=pos,

@@ -6,12 +6,12 @@ A ScalarField has one batched contract: its evaluator maps points
 wrongly shaped result raises DimensionMismatch. A parsed expression's
 evaluator is its tape, and its hessian the tape run in jets, exact up
 to rounding, one pass per batch and evaluating nothing off the points.
-Without a hessian, hessians takes central finite differences with the
-absolute step FD_STEP. lattice_spectrum samples the lowest and highest
-Hessian eigenvalue of each simplex on a barycentric lattice: K is the
-larger magnitude of the two, and the convexity screen reads the lowest.
-A sample is not certified; a caller with a known constant passes it as
-K instead.
+Hessians come only from the field's own hessian: a field without one
+needs its K from the caller. lattice_spectrum samples the lowest and
+highest Hessian eigenvalue of each simplex on a barycentric lattice: K
+is the larger magnitude of the two, and the convexity screen reads the
+lowest. A sample is not certified; a caller with a known constant
+passes it as K instead.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .errors import (DimensionMismatch, EvaluationFailure,
                      InvariantViolation, NegativeGauge)
 from .qform import QuadraticForm, extreme_eigenvalues
 
-FD_STEP = 1e-4
 DEFAULT_LATTICE_RESOLUTION = 20
-# Bounds the integrand evaluations, and so the memory, of one hessians
-# call in lattice_spectrum: a finite-difference Hessian takes 2n^2 + 1.
+# Bounds the Hessian entries, and so the memory, of one hessians call in
+# lattice_spectrum: n^2 a point.
 POINTS_PER_CALL = 2 ** 20
 
 
@@ -48,9 +47,8 @@ class ScalarField:
     ``evaluator`` maps points (m, n) to values (m,), and ``hessian`` (if
     given) maps them to symmetric Hessians (m, n, n); parse_expr passes
     its tape and the tape's jets. A pointwise function must be
-    vectorized by the caller (``x[..., i]``, ``axis=-1``). Without a
-    hessian, finite differences with step FD_STEP are taken, so the
-    evaluator must tolerate +-FD_STEP excursions per axis.
+    vectorized by the caller (``x[..., i]``, ``axis=-1``). A field
+    without a hessian has no sampled K: give K instead.
     """
 
     dimension: int
@@ -79,39 +77,22 @@ def evaluate_batch(f, points):
 
 
 def hessians(f, points):
-    """Second differential at each row of points (m, n), as (m, n, n).
-
-    The field's own hessian if it has one, else central finite
-    differences (O(h^2)): one evaluate_batch call for every stencil point
-    of every row. InvariantViolation if an entry is not finite.
-    """
+    """Second differential at each row of points (m, n), as (m, n, n):
+    the field's own hessian, which evaluates nothing. EvaluationFailure
+    if the field has none, InvariantViolation if an entry is not
+    finite."""
+    if f.hessian is None:
+        raise EvaluationFailure(
+            "field has no hessian: pass hessian= to ScalarField, or give "
+            "K (k_override, --K or a gauge)")
     points = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):  # non-finite entries raise below
-        coeffs = np.asarray(f.hessian(points) if f.hessian is not None
-                            else _fd_hessians(f, points), dtype=float)
+        coeffs = np.asarray(f.hessian(points), dtype=float)
     if coeffs.shape != points.shape + points.shape[-1:]:
         raise DimensionMismatch(
             f"Hessians of shape {coeffs.shape} at points {points.shape}")
     if not np.all(np.isfinite(coeffs)):
         raise InvariantViolation("non-finite Hessian: K is not finite")
-    return coeffs
-
-
-def _fd_hessians(f, points):
-    p, n = points.shape
-    h = FD_STEP
-    eye = h * np.eye(n)
-    iu, ju = np.triu_indices(n, 1)
-    corners = [si * eye[iu] + sj * eye[ju] for si in (1, -1) for sj in (1, -1)]
-    steps = np.concatenate([np.zeros((1, n)), eye, -eye] + corners)
-    values = evaluate_batch(f, (points[:, None] + steps).reshape(-1, n))
-    values = values.reshape(p, -1)
-    centre, plus, minus = np.split(values[:, :2 * n + 1], [1, n + 1], 1)
-    pp, pm, mp, mm = np.moveaxis(values[:, 2 * n + 1:].reshape(p, 4, -1), 1, 0)
-    coeffs = np.empty((p, n, n))
-    coeffs[:, range(n), range(n)] = (plus - 2.0 * centre + minus) / (h * h)
-    coeffs[:, iu, ju] = coeffs[:, ju, iu] = (
-        (pp - pm) - mp + mm) / (4.0 * h * h)
     return coeffs
 
 
@@ -125,12 +106,12 @@ def lattice_spectrum(f, W, resolution):
     lattice of mesh 1/resolution of each cell of the batch W (see
     geometry): the one Hessian sampler, so not certified. Each hessians
     call, and the lattice built for it, covers about POINTS_PER_CALL
-    integrand evaluations."""
+    Hessian entries."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     n = len(W) - 1
     weights = geometry.lattice_weights(n, resolution)
-    step = max(1, POINTS_PER_CALL // (2 * n * n + 1))
+    step = max(1, POINTS_PER_CALL // (n * n))
     per_call = max(1, step // len(weights))
     lo, hi = np.empty((2, W.shape[-1]))
     for i in range(0, W.shape[-1], per_call):
@@ -155,8 +136,9 @@ def convexify(f, gauge):
 
     For gauge >= the sup Hessian norm of f, both outputs are convex and
     their Hessians are bounded by 2*gauge in operator norm. Each output's
-    hessian is the batch gauge*I +- hessians(f, points), so FD-backed
-    fields still work and a parsed field makes one jet pass per batch.
+    hessian is the batch gauge*I +- hessians(f, points): one jet pass
+    per batch for a parsed field, the no-hessian error for a field
+    without one.
     """
     check_gauge(gauge)
     n = f.dimension

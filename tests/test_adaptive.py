@@ -154,9 +154,8 @@ def test_rule_based_adaptive():
     for n in (1, 2, 3):
         rule = vertices_plus_barycenter_rule(n)
         s = rand_simplex(rng, n)
-        f = ScalarField(
-            dimension=n,
-            evaluator=lambda x: np.exp(np.sum(x, axis=-1)))
+        f = field_mod.parse_expr(
+            "exp(" + "+".join(f"x{i + 1}" for i in range(n)) + ")", n)
         result = integrate_adaptive(
             f, s, AdaptiveConfig(tolerance=1e-4, rule=rule, k_mode="global"))
         oracle, se = mc_integral(np.random.default_rng(n), s,
@@ -215,9 +214,8 @@ def test_config_rejects_bad_k_override(k):
 
 
 def test_non_finite_k_or_radius_raises():
-    # FD second differences of 1e308 overflow, so per-cell K is inf.
-    huge = ScalarField(dimension=2,
-                       evaluator=lambda x: np.full(len(x), 1e308))
+    # The Hessian of 1e308*x1^2 overflows, so per-cell K is inf.
+    huge = field_mod.parse_expr("1e308*x1*x1", 2)
     # A finite K times the moment of a huge simplex overflows the radius.
     big = geometry.Simplex(1e80 * UNIT_TRIANGLE.vertices)
     affine = polynomial_field(2, quadratic_terms(1.0, [1.0, 1.0], None))
@@ -263,8 +261,8 @@ def test_k_override_marks_certified():
 
 
 def _exp_field(a, hessian):
-    """exp(a.x) with its "analytic" Hessian, parsed ("tape": exact jets)
-    or opaque ("fd": finite differences)."""
+    """exp(a.x), opaque with its "analytic" Hessian or parsed ("tape":
+    exact jets)."""
     n = len(a)
     if hessian == "tape":
         terms = " + ".join(f"{float(c)!r}*x{i + 1}" for i, c in enumerate(a))
@@ -274,30 +272,30 @@ def _exp_field(a, hessian):
         return np.exp(u @ a)[:, None, None] * np.outer(a, a)
 
     return ScalarField(dimension=n, evaluator=lambda x: np.exp(x @ a),
-                       hessian=analytic if hessian == "analytic" else None)
+                       hessian=analytic)
 
 
 # (dimension, rule?, K mode, tol / root radius, max_cells, max_depth):
 # K mode "override" passes the analytic constant, "global" the lattice
-# sup, "fd", "tape" and "analytic" are per-cell K from finite
-# differences, a parsed field's jets or analytic Hessians.
+# sup, "tape" and "analytic" are per-cell K from a parsed field's jets
+# or analytic Hessians.
 HEAP_CASES = [
     (1, False, "override", 1e-4, 10 ** 6, 60),
-    (1, True, "fd", 1e-4, 10 ** 6, 60),
+    (1, True, "tape", 1e-4, 10 ** 6, 60),
     (2, False, "override", 5e-3, 10 ** 6, 60),
     (2, False, "global", 5e-3, 10 ** 6, 60),
     (2, True, "override", 4e-3, 10 ** 6, 60),
-    (2, False, "fd", 4e-3, 10 ** 6, 60),
+    (2, False, "tape", 4e-3, 10 ** 6, 60),
     (2, True, "analytic", 5e-3, 10 ** 6, 60),
     (3, False, "override", 3e-2, 10 ** 6, 60),
     (3, True, "override", 2e-2, 10 ** 6, 60),
-    (3, False, "fd", 0.06, 10 ** 6, 60),
+    (3, False, "tape", 0.06, 10 ** 6, 60),
     (2, False, "override", 1e-6, 37, 60),
-    (3, True, "fd", 1e-6, 21, 60),
+    (3, True, "tape", 1e-6, 21, 60),
     (3, False, "override", 1e-9, 60, 60),
     (3, True, "override", 1e-9, 45, 60),
-    (2, False, "fd", 1e-9, 50, 60),
-    (2, False, "fd", 1e-6, 10 ** 6, 4),
+    (2, False, "tape", 1e-9, 50, 60),
+    (2, False, "tape", 1e-6, 10 ** 6, 4),
     (1, False, "override", 1e-9, 10 ** 6, 5),
     (2, True, "tape", 4e-3, 10 ** 6, 60),
     (3, False, "tape", 1e-6, 21, 60),
@@ -312,7 +310,7 @@ def test_matches_reference_heap(case, seed):
     rng = np.random.default_rng(1000 * seed + case)
     s = rand_simplex(rng, n)
     a = rng.uniform(-1.5, 1.5, size=n)
-    f = _exp_field(a, k_mode if k_mode in ("fd", "tape") else "analytic")
+    f = _exp_field(a, "tape" if k_mode == "tape" else "analytic")
     rule = vertices_plus_barycenter_rule(n) if use_rule else None
     k_ref = None
     if k_mode == "override":
@@ -345,10 +343,10 @@ def test_matches_reference_heap(case, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_batched_fd_k_matches_hessian_at(n):
+def test_batched_k_matches_hessian_at(n):
     rng = np.random.default_rng(70 + n)
     s = rand_simplex(rng, n)
-    f = _exp_field(rng.uniform(-1.5, 1.5, size=n), "fd")
+    f = _exp_field(rng.uniform(-1.5, 1.5, size=n), "tape")
     diag = RunDiagnostics()
     refine_steps(f, s, AdaptiveConfig(tolerance=1.0), 12, diagnostics=diag)
     assert len(diag.k_cells) == 13
@@ -384,7 +382,7 @@ def test_matches_reference_heap_at_every_cell_budget(monkeypatch, n):
 def test_partition_does_not_depend_on_round_size(monkeypatch, points):
     rng = np.random.default_rng(9)
     s = rand_simplex(rng, 2)
-    f = _exp_field(rng.uniform(-2.0, 2.0, size=2), "fd")
+    f = _exp_field(rng.uniform(-2.0, 2.0, size=2), "tape")
     cfg = AdaptiveConfig(tolerance=1e-4)
     base = RunDiagnostics()
     expected = integrate_adaptive(f, s, cfg, diagnostics=base)

@@ -185,14 +185,14 @@ def test_midpoint_validity_smooth_battery():
     from certicube.adaptive import AdaptiveConfig, integrate_adaptive
 
     cases = [
-        (2, lambda x: np.exp(x[..., 0] + x[..., 1])),
-        (2, lambda x: np.sin(x[..., 0]) * np.cos(x[..., 1])),
-        (1, lambda x: np.exp(x[..., 0])),
-        (1, lambda x: np.sin(3.0 * x[..., 0])),
+        (2, "exp(x1 + x2)"),
+        (2, "sin(x1)*cos(x2)"),
+        (1, "exp(x1)"),
+        (1, "sin(3.0*x1)"),
     ]
     rng = np.random.default_rng(15)
-    for n, evaluator in cases:
-        f = ScalarField(dimension=n, evaluator=evaluator)
+    for n, text in cases:
+        f = field.parse_expr(text, n)
         s = rand_simplex(rng, n)
         gauge = 1.05 * field.d2f_sup_norm(f, s, resolution=20)
         result = bounds.midpoint_bound(f, s, gauge)

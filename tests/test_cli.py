@@ -192,6 +192,16 @@ def test_bound_degree1_rule_fails(unit2):
         assert code == 1 and "exactness_degree=1" in text
 
 
+def test_bound_refuses_the_rule_before_sampling_k(unit2, monkeypatch):
+    def sample(*args, **kwargs):
+        raise AssertionError("K sampled for a rule without a certificate")
+
+    monkeypatch.setattr(certicube.field, "d2f_sup_norm", sample)
+    code, text = invoke(["bound", "--rule", "vertex", "--expr", "exp(x1)",
+                         "--simplex", unit2])
+    assert code == 1 and "exactness_degree=1" in text
+
+
 def test_integrate_exp(unit2, tmp_path):
     report = tmp_path / "run.report"
     code, text = invoke(["integrate", "--expr", "exp(x1+x2)",
@@ -372,6 +382,24 @@ def test_constant_power_at_zero_integrates(unit_segment):
                              unit_segment, "--tol", "1e-3"])
         assert code == 0
         assert f"estimate: {value}\nradius:   0\n" in text
+
+
+def interval(text):
+    line = [l for l in text.splitlines() if l.startswith("interval")][0]
+    return [float(v) for v in line.split(":")[1].strip(" []").split(",")]
+
+
+def test_gaussian_interval_contains_its_integral(unit_segment):
+    # -x1^2 is -(x1^2); (-x1)^2 would integrate exp(+x1^2). K = 2 is
+    # sup |f''| on [0, 1]. A text starting with "-" needs --expr=.
+    args = ["--simplex", unit_segment, "--K", "2", "--tol", "1e-6"]
+    code, text = invoke(["integrate", "--expr", "exp(-x1^2)", *args])
+    assert code == 0 and "certified: yes" in text
+    lo, hi = interval(text)
+    assert lo <= 0.746824132812427 <= hi
+    code, text = invoke(["integrate", "--expr=-x1^2", *args])
+    lo, hi = interval(text)
+    assert code == 0 and lo <= -1 / 3 <= hi
 
 
 @pytest.mark.parametrize("expr", ["sqrt(x1)", "log(x1)", "1/x1", "x1^0.5"])
@@ -637,10 +665,12 @@ def test_numpy_eigensolvers_are_called_only_by_qform():
 
 
 def test_only_field_and_geometry_sample_hessians():
-    # field.lattice_spectrum is the one Hessian sampler: no other module
+    # field.lattice_spectrum is the one Hessian sampler, and
+    # field.hessians the one reader of a field's hessian: no other module
     # builds a lattice or asks for Hessians at points.
     package = os.path.dirname(certicube.__file__)
-    calls = re.compile(r"(?<!def )\bhessians\(|lattice_weights|lattice_points")
+    calls = re.compile(r"(?<!def )\bhessians\(|\.hessian\(|lattice_weights"
+                       r"|lattice_points")
     offenders = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py") and name not in ("field.py", "geometry.py"):

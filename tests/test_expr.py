@@ -248,3 +248,19 @@ def test_constants_fold_at_parse_time():
     assert [op for op, _, _ in tape.ops] == [
         "var", "powc", "var", "powc", "add", "var", "const", "mul", "add"]
     assert expr.parse("1/0", 1).ops == (("const", (), np.inf),)
+    assert expr.parse("-2^2", 1).ops == (("const", (), -4.0),)
+
+
+@pytest.mark.parametrize("text", ["-x1^2", "-2^2", "2^-x1", "x1^-2",
+                                  "x1*-x2^2", "--x1", "exp(-x1^2)"])
+def test_unary_minus_binds_looser_than_power(text):
+    # As in Python and sympy: -a^b is -(a^b), and a minus may follow ^.
+    xs = sympy.symbols("x1:3")
+    reference = sympy.lambdify(
+        xs, sympy.sympify(text.replace("^", "**"),
+                          locals=dict(zip(("x1", "x2"), xs))), "mpmath")
+    points = np.random.default_rng(21).uniform(0.1, 2.0, size=(20, 2))
+    got = field.evaluate_batch(field.parse_expr(text, 2), points)
+    with mpmath.workdps(40):
+        expected = [float(reference(*map(mpmath.mpf, p))) for p in points]
+    assert got == pytest.approx(expected, rel=1e-14, abs=0)

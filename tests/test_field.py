@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from certicube import bounds, field, geometry, qform
+from certicube import bounds, cubature, field, geometry, qform
+from certicube.adaptive import AdaptiveConfig, integrate_adaptive
 from certicube.errors import (ArityError, DimensionMismatch,
                               EvaluationFailure, InvariantViolation,
                               NegativeGauge, ParseError)
@@ -22,63 +23,27 @@ def norm_sq_field(n):
         hessian=lambda u: np.broadcast_to(2.0 * np.eye(n), u.shape + (n,)))
 
 
+NO_HESSIAN = ScalarField(dimension=2,
+                         evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]))
+
+
 def test_hessian_norm_squared():
     f = norm_sq_field(2)
     h = field.hessian_at(f, [0.3, -0.4])
     assert np.allclose(h.coeffs, 2.0 * np.eye(2))
 
 
-def test_hessian_product_fd():
-    f = ScalarField(dimension=2, evaluator=lambda x: x[..., 0] * x[..., 1])
-    h = field.hessian_at(f, [0.7, 0.2])
-    assert np.allclose(h.coeffs, [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
-
-
-def test_hessian_exp_at_origin_fd_vs_analytic():
-    fd = ScalarField(dimension=2,
-                     evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]))
-    analytic = ScalarField(
-        dimension=2, evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]),
-        hessian=lambda u: np.exp(u[:, 0] + u[:, 1])[:, None, None]
-        * np.ones((2, 2)))
-    h_fd = field.hessian_at(fd, [0.0, 0.0])
-    h_an = field.hessian_at(analytic, [0.0, 0.0])
-    assert np.allclose(h_an.coeffs, np.ones((2, 2)))
-    assert np.max(np.abs(h_fd.coeffs - h_an.coeffs)) <= 1e-6
-
-
-def test_hessian_fd_accuracy_battery():
-    cases = [
-        (2, lambda x: np.sum(x ** 2, axis=-1),
-         lambda u: 2.0 * np.eye(2)),
-        (2, lambda x: np.exp(x[..., 0] + x[..., 1]),
-         lambda u: np.exp(u[0] + u[1]) * np.ones((2, 2))),
-        (2, lambda x: np.sin(x[..., 0]) * np.cos(x[..., 1]),
-         lambda u: np.array([
-             [-np.sin(u[0]) * np.cos(u[1]), -np.cos(u[0]) * np.sin(u[1])],
-             [-np.cos(u[0]) * np.sin(u[1]), -np.sin(u[0]) * np.cos(u[1])]])),
-    ]
-    rng = np.random.default_rng(13)
-    for n, evaluator, hess in cases:
-        f = ScalarField(dimension=n, evaluator=evaluator)
-        for _ in range(5):
-            u = rng.uniform(0.0, 1.0, size=n)
-            got = field.hessian_at(f, u)
-            assert np.max(np.abs(got.coeffs - hess(u))) <= 1e-5
-
-
 def test_hessian_is_symmetric():
-    f = ScalarField(dimension=2,
-                    evaluator=lambda x: x[..., 0] ** 3 * x[..., 1])
+    f = field.parse_expr("x1^3*x2", 2)
     h = field.hessian_at(f, [0.4, 0.9])
     assert h.coeffs[0, 1] == h.coeffs[1, 0]
 
 
 def test_hessian_non_finite_raises():
-    f = ScalarField(dimension=1, evaluator=lambda x: np.log(x[..., 0]))
+    f = field.parse_expr("log(x1)", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning before the error
-        with pytest.raises(EvaluationFailure):
+        with pytest.raises(InvariantViolation, match="non-finite Hessian"):
             field.hessian_at(f, [0.0])
 
 
@@ -103,8 +68,7 @@ def test_sup_norm_constant_hessian():
 
 
 def test_sup_norm_exp_on_triangle():
-    f = ScalarField(dimension=2,
-                    evaluator=lambda x: np.exp(x[..., 0] + x[..., 1]))
+    f = field.parse_expr("exp(x1+x2)", 2)
     estimate = field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=20)
     # Hessian norm 2 e^{x1+x2}, maximized on the hypotenuse.
     assert estimate == pytest.approx(2 * np.e, abs=1e-6)
@@ -125,12 +89,12 @@ def test_sup_norm_affine_field_is_zero():
 
 
 def lattice_fields(n):
-    """Two parsed fields and a finite-difference one (no hessian) on R^n."""
+    """Two parsed fields and an opaque polynomial with its analytic
+    Hessian on R^n."""
     x = [f"x{i + 1}" for i in range(n)]
     return [field.parse_expr(f"exp({'*'.join(x)}) + sin({x[0]})", n),
             field.parse_expr(f"{x[-1]}^2 - 3*{x[0]}*{x[-1]}", n),
-            ScalarField(dimension=n, evaluator=lambda p: np.cos(
-                p.sum(axis=-1)) * np.exp(p[..., 0]))]
+            rand_polynomial_field(np.random.default_rng(n), n)]
 
 
 def lattice_extremes(f, s, resolution):
@@ -143,8 +107,8 @@ def lattice_extremes(f, s, resolution):
 @pytest.mark.parametrize("points_per_call", [1, 9 * 7, 9 * 40])
 def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
     # 5 simplices of 5, 15 or 35 lattice points each, one point per call
-    # up to whole lattices of several simplices a call (9 evaluations per
-    # finite-difference Hessian in 2-D).
+    # up to whole lattices of several simplices a call (n^2 Hessian
+    # entries a point).
     for n in (1, 2, 3):
         rng = np.random.default_rng(3 + n)
         simplices = [rand_simplex(rng, n) for _ in range(5)]
@@ -163,7 +127,7 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
             assert np.array_equal(chunked, (lo, hi))
             lattice = len(geometry.lattice_weights(n, 4))
             assert sum(sizes) == 5 * lattice
-            assert max(sizes) <= max(1, points_per_call // (2 * n * n + 1))
+            assert max(sizes) <= max(1, points_per_call // (n * n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -203,7 +167,7 @@ def test_convexify_affine_with_zero_gauge():
 
 
 def test_convexify_sin_on_segment():
-    f = ScalarField(dimension=1, evaluator=lambda x: np.sin(x[..., 0]))
+    f = field.parse_expr("sin(x1)", 1)
     seg = geometry.Simplex([[0.0], [1.0]])
     plus, minus = field.convexify(f, 1.0)
     for g in (plus, minus):
@@ -294,20 +258,21 @@ def test_parse_expr_batch_evaluation():
 
 
 def test_parsed_hessians_evaluate_nothing(monkeypatch):
-    # A parsed field's Hessians are one jet pass; an opaque callable
-    # still takes the finite-difference stencil, 2n^2 + 1 points each.
+    # Hessians come from the field's own hessian alone: a parsed field's
+    # jets, an analytic map or a convexified field's K*I +- H_f. A field
+    # without one is refused, not differenced.
     sizes = []
     batch = field.evaluate_batch
     monkeypatch.setattr(field, "evaluate_batch",
                         lambda f, p: sizes.append(len(p)) or batch(f, p))
     points = geometry.lattice_points(UNIT_TRIANGLE, 4)
-    parsed = field.hessians(field.parse_expr("exp(x1*x2)", 2), points)
+    parsed = field.parse_expr("exp(x1*x2)", 2)
+    for f in (parsed, norm_sq_field(2), *field.convexify(parsed, 1.0)):
+        field.hessians(f, points)
     assert sizes == []
-    opaque = field.hessians(ScalarField(
-        dimension=2, evaluator=lambda x: np.exp(x[..., 0] * x[..., 1])),
-        points)
-    assert sizes == [9 * len(points)]
-    assert np.allclose(parsed, opaque, rtol=0, atol=1e-6)
+    with pytest.raises(EvaluationFailure, match="no hessian"):
+        field.hessians(NO_HESSIAN, points)
+    assert sizes == []
 
 
 def test_convexified_parsed_field_makes_one_jet_pass(monkeypatch):
@@ -321,3 +286,34 @@ def test_convexified_parsed_field_makes_one_jet_pass(monkeypatch):
     plus, _ = field.convexify(f, 1.0)
     field.d2f_sup_norm(plus, UNIT_TRIANGLE, resolution=20)
     assert sizes == [231]
+
+
+def test_field_without_hessian_needs_k():
+    # Every sampled-K path asks field.hessians, which names the ways out.
+    f = NO_HESSIAN
+    plus, _ = field.convexify(f, 1.0)
+    attempts = [
+        lambda: integrate_adaptive(f, UNIT_TRIANGLE,
+                                   AdaptiveConfig(tolerance=1e-3)),
+        lambda: integrate_adaptive(f, UNIT_TRIANGLE, AdaptiveConfig(
+            tolerance=1e-3, k_mode="global")),
+        lambda: field.d2f_sup_norm(f, UNIT_TRIANGLE),
+        lambda: bounds.hh_sandwich(f, UNIT_TRIANGLE, screen=True),
+        lambda: field.hessian_at(f, [0.2, 0.3]),
+        lambda: field.hessian_at(plus, [0.2, 0.3]),
+    ]
+    for attempt in attempts:
+        with pytest.raises(EvaluationFailure,
+                           match="no hessian.*hessian=.*k_override"):
+            attempt()
+
+
+def test_field_without_hessian_integrates_with_k():
+    f = NO_HESSIAN
+    gauge = 2 * np.e  # sup of 2 e^(x1+x2) on the unit triangle
+    result = integrate_adaptive(f, UNIT_TRIANGLE, AdaptiveConfig(
+        tolerance=1e-3, k_override=gauge))
+    assert result.K_certified and abs(result.estimate - 1.0) <= result.radius
+    one_shot = bounds.rule_bound(cubature.builtin("hh-mix-2d", 2), f,
+                                 UNIT_TRIANGLE, gauge)
+    assert abs(one_shot.estimate - 1.0) <= one_shot.radius
