@@ -3,7 +3,10 @@
 Each cell carries a rigorous radius K_cell * moment times the factor
 bounds.certificate gives the rule; both are additive over a partition,
 so refining the largest-radius cells until the summed radius meets the
-tolerance certifies the whole simplex. The leaves are numpy arrays kept
+tolerance certifies the whole simplex. The radius needs only K and the
+cell's geometry (bounds.cell_radii), so the rounds evaluate no
+integrand: the rule is applied once, to the final leaves, when the run
+returns or exhausts its budget. The leaves are numpy arrays kept
 in creation order. Each round bisects, in one kernel call, the leaves
 with radius >= grow * max, taken by (-radius, creation index), and keeps
 the longest prefix in which each leaf's radius is at least every child
@@ -37,13 +40,14 @@ import numpy as np
 from . import cubature as cubature_mod
 from . import field as field_mod
 from . import geometry
-from .bounds import CertifiedResult, certificate, certify_cells, exact_sum
+from .bounds import CertifiedResult, cell_radii, certificate, exact_sum
 from .cubature import CubatureRule
 from .errors import BudgetExhausted
 
-# POINTS_PER_ROUND does not change the partition. A round splits at most
-# as many leaves as keep its rule evaluations near POINTS_PER_ROUND,
-# bounding memory; lattice_spectrum bounds its own.
+# POINTS_PER_ROUND changes no bit of a result; it bounds memory. A round
+# splits at most as many leaves as have POINTS_PER_ROUND rule nodes, and
+# the final estimate pass evaluates the leaves' rule nodes
+# POINTS_PER_ROUND at a time; lattice_spectrum bounds its own.
 POINTS_PER_ROUND = 2 ** 20
 # Per-cell K is sampled by field.lattice_spectrum at this resolution.
 K_RESOLUTION = 4
@@ -116,9 +120,10 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     if global_k is None and cfg.k_mode == "global":
         global_k = field_mod.d2f_sup_norm(f, s)
     max_band = max(1, POINTS_PER_ROUND // (2 * len(rule.weights)))
+    chunk = max(1, POINTS_PER_ROUND // len(rule.weights))
 
     def _cells(W, depth):
-        """(estimate, radius, K, e2) of each cell of W at its tree depth."""
+        """(radius, K, e2) of each cell of W at its tree depth."""
         # Inherited, not measured: see the module docstring.
         vol = np.ldexp(root_vol, -depth)
         e2 = geometry.edge_lengths_sq(W)
@@ -127,17 +132,23 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         else:
             lo, hi = field_mod.lattice_spectrum(f, W, K_RESOLUTION)
             k_cell = np.maximum(-lo, hi)
-        est, rad = certify_cells(rule, factor, f, W, e2, vol, k_cell)
-        return est, rad, k_cell, e2
+        return cell_radii(factor, k_cell, e2, vol), k_cell, e2
 
     root_vol = geometry.volume(s)  # the run's one determinant
     W, depth = s.batch()[0], np.zeros(1, dtype=int)
-    est, rad, k_cell, e2 = _cells(W, depth)
+    rad, k_cell, e2 = _cells(W, depth)
     running = rad[0]
     rounds = discarded = 0
     shrink = grow = 1.0  # children/parents radius; 1 predicts nothing
 
     def finish(radius=None):
+        # The leaves' estimates, in creation order, POINTS_PER_ROUND rule
+        # nodes at a time.
+        vol = np.ldexp(root_vol, -depth)
+        est = np.concatenate([
+            cubature_mod.estimate(rule, f, W[..., i:i + chunk],
+                                  vol[i:i + chunk])
+            for i in range(0, len(vol), chunk)])
         if diagnostics is not None:
             diagnostics.rounds = rounds
             diagnostics.discarded_splits = discarded
@@ -175,9 +186,9 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             band, b_rad = band[:cut], b_rad[:cut]
         c_depth = np.repeat(depth[band] + 1, 2)
         children = geometry.split(W[..., band], e2[..., band])
-        c_est, c_rad, c_k, c_e2 = _cells(children, c_depth)
-        pair_rad = c_rad.reshape(-1, 2)
-        pair_sum, pair_max = pair_rad.sum(axis=1), pair_rad.max(axis=1)
+        c_rad, c_k, c_e2 = _cells(children, c_depth)
+        pair_sum = c_rad[0::2] + c_rad[1::2]
+        pair_max = np.maximum(c_rad[0::2], c_rad[1::2])
         # totals[k]: the heap's running total before its k-th pop.
         totals = np.cumsum(np.concatenate(([running], pair_sum - b_rad)))
         # The heap pops band[k] next only if no child made earlier in
@@ -202,10 +213,10 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             grow = min(1.0, (pair_max[:take] / b_rad[:take]).max())
         keep = np.ones(len(rad), dtype=bool)
         keep[band[:take]] = False
-        new = (children, c_e2, c_est, c_rad, c_k, c_depth)
-        W, e2, est, rad, k_cell, depth = (
+        new = (children, c_e2, c_rad, c_k, c_depth)
+        W, e2, rad, k_cell, depth = (
             np.concatenate((old[..., keep], add[..., :2 * take]), axis=-1)
-            for old, add in zip((W, e2, est, rad, k_cell, depth), new))
+            for old, add in zip((W, e2, rad, k_cell, depth), new))
         running = totals[take]
         rounds += 1
         discarded += len(band) - take

@@ -3,8 +3,11 @@ positive-rule bound.
 
 certificate(rule) alone decides which radius a rule earns (K/2 times
 the second moment at the barycenter, K times it for a positive
-degree-2-exact rule), and certify_cells alone computes estimates and
-radii; rule_bound, midpoint_bound and the adaptive loop all use both.
+degree-2-exact rule), and cell_radii alone computes a batch's radii
+from its geometry and K, with no integrand value; cubature.estimate
+computes its estimates. rule_bound and midpoint_bound make both calls
+on a batch of one cell; the adaptive loop ranks cells by cell_radii
+every round and estimates only its final leaves.
 
 All radii are conditional on the supplied curvature constant K >= the
 sup operator norm of the second differential over the simplex;
@@ -124,18 +127,16 @@ def certificate(rule):
     return rule, 1.0
 
 
-def certify_cells(rule, factor, f, W, e2, vol, gauge):
-    """(estimate, radius) of each cell of the batch W, given its squared
-    edge lengths e2, volume and curvature constant K: radius = factor *
-    K * second moment. InvariantViolation if a radius is not finite; an
-    estimate may overflow to inf."""
+def cell_radii(factor, gauge, e2, vol):
+    """Radius of each cell of a batch, given its squared edge lengths e2,
+    volume and curvature constant K: factor * K * second moment.
+    InvariantViolation if a radius is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        est = cubature_mod.estimate(rule, f, W, vol)
         rad = factor * gauge * moments.cell_stats(e2, vol)
     if not np.all(np.isfinite(rad)):
         raise InvariantViolation(
             "non-finite cell radius: K or the simplex is too large")
-    return est, rad
+    return rad
 
 
 def rule_bound(rule, f, s, gauge, gauge_certified=False):
@@ -146,8 +147,10 @@ def rule_bound(rule, f, s, gauge, gauge_certified=False):
     """
     field_mod.check_gauge(gauge)
     rule, factor = certificate(rule)
-    est, rad = certify_cells(rule, factor, f, *s.batch(), geometry.volume(s),
-                             gauge)
+    W, e2 = s.batch()
+    vol = geometry.volume(s)
+    est = cubature_mod.estimate(rule, f, W, vol)
+    rad = cell_radii(factor, gauge, e2, vol)
     return CertifiedResult(estimate=est[0], radius=rad[0], K_used=gauge,
                            K_certified=gauge_certified)
 

@@ -175,8 +175,8 @@ def _cmd_integrate(args, out):
             fh.write(f"rounds {diag.rounds}\n")
             fh.write(f"discarded_splits {diag.discarded_splits}\n")
             fh.write("depth histogram\n")
-            for depth in sorted(diag.depth_histogram):
-                fh.write(f"  {depth} {diag.depth_histogram[depth]}\n")
+            for depth, count in sorted(diag.depth_histogram.items()):
+                fh.write(f"  {depth} {count}\n")
     return code
 
 

@@ -178,18 +178,19 @@ def _verify(rule):
 
 def estimate(rule, f, W, vol):
     """vol * sum of weight * f(node) on each cell of the batch W, with one
-    evaluate_batch call over every node of every cell; may overflow."""
+    evaluate_batch call over every node of every cell; may overflow to
+    inf, which a CertifiedResult then rejects."""
     if rule.dimension != len(W) - 1:
         raise DimensionMismatch(
             f"rule dimension {rule.dimension} vs simplex {len(W) - 1}")
     values = field_mod.evaluate_batch(f, geometry.points(rule.nodes, W))
-    return vol * (rule.weights @ values.reshape(len(rule.weights), -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return vol * (rule.weights @ values.reshape(len(rule.weights), -1))
 
 
 def apply_rule(rule, f, s):
     """vol(S) * sum of weight * f(node point)."""
-    with np.errstate(over="ignore"):
-        return float(estimate(rule, f, s.batch()[0], geometry.volume(s))[0])
+    return float(estimate(rule, f, s.batch()[0], geometry.volume(s))[0])
 
 
 def _parse_number(token, lineno):

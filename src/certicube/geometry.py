@@ -10,6 +10,7 @@ simplex's one-cell batch from Simplex.batch.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,17 @@ class Simplex:
     def dimension(self):
         return self.vertices.shape[1]
 
+    @functools.cached_property
+    def abs_det(self):
+        """|det E|, the package's one determinant, computed on first use;
+        DegenerateSimplex (on every use) if it is at most EPS_GEOM *
+        (max edge length)^n."""
+        v = self.vertices
+        absdet = abs(float(np.linalg.det(v[1:] - v[0])))
+        if absdet <= EPS_GEOM * self.max_edge_length() ** self.dimension:
+            raise DegenerateSimplex(f"|det E| = {absdet:g} below threshold")
+        return absdet
+
     def max_edge_length(self):
         return self._longest
 
@@ -69,18 +81,9 @@ def unit_simplex(n):
     return Simplex(v)
 
 
-def abs_det(s):
-    """|det E|, the package's one determinant; DegenerateSimplex if it
-    is at most EPS_GEOM * (max edge length)^n."""
-    absdet = abs(float(np.linalg.det(s.vertices[1:] - s.vertices[0])))
-    if absdet <= EPS_GEOM * s.max_edge_length() ** s.dimension:
-        raise DegenerateSimplex(f"|det E| = {absdet:g} below threshold")
-    return absdet
-
-
 def volume(s):
     """|det E| / n!, strictly positive for non-degenerate input."""
-    return abs_det(s) / math.factorial(s.dimension)
+    return s.abs_det / math.factorial(s.dimension)
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ class AffineChart:
 def chart(s):
     v = s.vertices
     return AffineChart(origin=v[0].copy(), matrix=(v[1:] - v[0]).T,
-                       abs_det=abs_det(s))
+                       abs_det=s.abs_det)
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,8 +123,15 @@ def edge_lengths_sq(W):
     """Squared length of every edge of each cell in W (n+1, n, ...), as
     e2 (E, ...), in lexicographic vertex-pair order; coordinates add in
     order (not pairwise), so a cell's e2 is the same in any batch."""
-    i, j = _edge_pairs(len(W))
-    diff = W[i] - W[j]
+    k = len(W)
+    diff = np.empty((k * (k - 1) // 2,) + W.shape[1:], dtype=W.dtype)
+    start = 0
+    for a in range(k - 1):
+        # Edges (a, a+1), ..., (a, k-1) from slices, not gathers; the
+        # square drops the sign of W[b] - W[a].
+        stop = start + k - 1 - a
+        np.subtract(W[a + 1:], W[a], out=diff[start:stop])
+        start = stop
     diff *= diff
     return functools.reduce(np.add, diff.swapaxes(0, 1))
 
@@ -141,17 +151,18 @@ def split(W, e2):
     planes = np.arange(0, n * m, m)[:, None] + np.arange(m)
     i, j = (ends[longest] * (n * m) + planes for ends in (edge_i, edge_j))
     flat = W.reshape(-1)
-    children = np.stack((flat, flat), axis=-1).reshape(-1)
+    children = np.repeat(flat, 2)
     children[2 * j] = children[2 * i + 1] = 0.5 * (flat[i] + flat[j])
     return children.reshape(k, n, 2 * m)
 
 
 def points(weights, W):
     """Physical points (q * m, n) of the barycentric weights (q, n+1) in
-    every cell of W (n+1, n, m), by weight row, then cell."""
-    n = W.shape[1]
+    every cell of W (n+1, n, m), by weight row, then cell; each
+    coordinate's column is contiguous (a transposed view)."""
+    q, (n, m) = len(weights), W.shape[1:]
     flat = weights @ W.reshape(len(W), -1)
-    return flat.reshape(len(weights), n, -1).transpose(0, 2, 1).reshape(-1, n)
+    return flat.reshape(q, n, m).swapaxes(0, 1).reshape(n, q * m).T
 
 
 def bisect(s):
@@ -161,16 +172,26 @@ def bisect(s):
     return Simplex(left), Simplex(right)
 
 
+@functools.lru_cache(maxsize=4)
 def lattice_weights(n, resolution):
     """Barycentric weights (m, n+1), in lexicographic order, of the
     mesh-1/resolution lattice on an n-simplex, vertices and faces
-    included."""
-    heads = [()]
-    for _ in range(n):
-        heads = [h + (k,) for h in heads
-                 for k in range(resolution - sum(h) + 1)]
-    return np.array([h + (resolution - sum(h),) for h in heads],
-                    dtype=float) / resolution
+    included. Read-only: the last few lattices are kept, because
+    per-cell K asks for the same one every round."""
+    # Stars and bars: the integer parts of a weight, which sum to
+    # resolution, are the gaps between n bars in resolution + n slots.
+    # combinations lists the bar positions, and so the parts, in
+    # lexicographic order; the parts fit the smallest integer type.
+    slots = resolution + n
+    part = np.min_scalar_type(-1 - slots)
+    bars = itertools.chain.from_iterable(
+        itertools.combinations(range(slots), n))
+    fence = np.empty((math.comb(slots, n), n + 2), dtype=part)
+    fence[:, 0], fence[:, -1] = -1, slots
+    fence[:, 1:-1] = np.fromiter(bars, dtype=part).reshape(-1, n)
+    weights = (np.diff(fence) - 1) / resolution
+    weights.setflags(write=False)
+    return weights
 
 
 def lattice_points(s, resolution):

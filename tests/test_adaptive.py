@@ -11,13 +11,14 @@ from certicube import field as field_mod
 from certicube.adaptive import (AdaptiveConfig, RunDiagnostics,
                                 integrate_adaptive)
 from certicube.errors import (BudgetExhausted, CerticubeError,
-                              NegativeGauge, RuleNotApplicable)
+                              EvaluationFailure, NegativeGauge,
+                              RuleNotApplicable)
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
 from util import (heap_integrate, mc_integral, polynomial_field,
                   quadratic_terms, rand_simplex, refine_steps,
-                  vertices_plus_barycenter_rule)
+                  stroud_t3_rule, vertices_plus_barycenter_rule)
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EXP_SUM_2D = ScalarField(
@@ -484,3 +485,89 @@ def test_child_k_above_parent_k():
     assert (stop, result.cells, diag.depth_histogram) == ("tol", cells, hist)
     assert result.cells == 19
     assert abs(result.estimate - estimate) <= result.radius + radius
+
+
+def _counting_exp(n):
+    """exp(x1 + ... + xn), opaque with its analytic Hessian, and the
+    number of points its evaluator has been asked for."""
+    points = []
+
+    def evaluator(x):
+        points.append(len(x))
+        return np.exp(x.sum(axis=-1))
+
+    def hessian(u):
+        return np.exp(u.sum(axis=-1))[:, None, None] * np.ones((n, n))
+
+    return ScalarField(dimension=n, evaluator=evaluator,
+                       hessian=hessian), points
+
+
+@pytest.mark.parametrize("k_mode", ["override", "per-cell"])
+@pytest.mark.parametrize("n, rule", [(2, None), (3, stroud_t3_rule())])
+def test_integrand_is_evaluated_once_per_leaf_node(n, rule, k_mode):
+    # Radii need only K and geometry: the rounds evaluate nothing, and
+    # the final pass evaluates each leaf's rule nodes once.
+    f, points = _counting_exp(n)
+    s = rand_simplex(np.random.default_rng(n), n)
+    cfg = AdaptiveConfig(tolerance=1e-4, rule=rule,
+                         k_override=math.exp(n) if k_mode == "override"
+                         else None)
+    result = integrate_adaptive(f, s, cfg)
+    nodes = 1 if rule is None else len(rule.weights)
+    assert result.cells > 100
+    assert points == [result.cells * nodes]
+
+
+def test_final_estimates_come_in_chunks_of_points_per_round(monkeypatch):
+    f, points = _counting_exp(3)
+    s = rand_simplex(np.random.default_rng(3), 3)
+    cfg = AdaptiveConfig(tolerance=1e-4, rule=stroud_t3_rule(),
+                         k_override=math.exp(3))
+    expected = integrate_adaptive(f, s, cfg)
+    points.clear()
+    monkeypatch.setattr(adaptive_mod, "POINTS_PER_ROUND", 402)
+    assert integrate_adaptive(f, s, cfg) == expected
+    assert points[:-1] == [400] * (len(points) - 1)
+    assert 0 < points[-1] <= 400
+    assert sum(points) == 4 * expected.cells
+
+
+def test_budget_exhausted_partial_result_estimates_its_leaves():
+    diag = RunDiagnostics()
+    with pytest.raises(BudgetExhausted) as err:
+        integrate_adaptive(
+            EXP_SUM_2D, UNIT_TRIANGLE,
+            AdaptiveConfig(tolerance=1e-12, max_cells=50, k_mode="global"),
+            diagnostics=diag)
+    partial = err.value.result
+    assert len(diag.estimates) == partial.cells == 50
+    assert partial.estimate == math.fsum(diag.estimates)
+    # Each leaf's estimate is the rule on that leaf with its inherited
+    # volume, bit for bit.
+    rule = cubature.builtin("barycenter", 2)
+    root_vol = geometry.volume(UNIT_TRIANGLE)
+    for v, est, depth in zip(diag.vertices, diag.estimates, diag.depths):
+        assert est == cubature.estimate(rule, EXP_SUM_2D, v[..., None],
+                                        np.ldexp(root_vol, -depth))[0]
+
+
+@pytest.mark.parametrize("tol, fails", [(1.0, True), (1e-3, False)])
+def test_only_leaf_nodes_must_be_finite(tol, fails):
+    # f is NaN at the root's barycenter alone. A run that stops at the
+    # root evaluates it and fails; a run that splits the root never
+    # evaluates that node (f is not C^2 there, so no K given holds).
+    bary = geometry.points(cubature.builtin("barycenter", 2).nodes,
+                           UNIT_TRIANGLE.batch()[0])[0]
+
+    def evaluator(x):
+        return np.where(np.all(x == bary, axis=-1), math.nan, 1.0)
+
+    f = ScalarField(dimension=2, evaluator=evaluator)
+    cfg = AdaptiveConfig(tolerance=tol, k_override=1.0)
+    if fails:
+        with pytest.raises(EvaluationFailure):
+            integrate_adaptive(f, UNIT_TRIANGLE, cfg)
+    else:
+        result = integrate_adaptive(f, UNIT_TRIANGLE, cfg)
+        assert result.cells > 1 and result.estimate == 0.5

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from certicube import cubature, geometry, moments
 from certicube.errors import DegenerateSimplex, DimensionMismatch, ParseError
 
-from util import rand_simplex
+from util import (edge_lengths_sq_reference, lattice_weights_reference,
+                  points_reference, rand_simplex, split_reference)
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -40,8 +43,23 @@ def test_volume_scaled_triangle():
 
 def test_volume_degenerate():
     flat = geometry.Simplex([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(DegenerateSimplex):
-        geometry.volume(flat)
+    # |det E| is cached on first use, but an exception is not: every
+    # use of a degenerate simplex raises.
+    for use in (geometry.volume, geometry.chart, geometry.volume):
+        with pytest.raises(DegenerateSimplex):
+            use(flat)
+
+
+def test_determinant_is_computed_once(monkeypatch):
+    s = geometry.Simplex([[0.0, 0.0], [2.0, 1.0], [0.0, 3.0]])
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det",
+                        lambda a: calls.append(1) or det(a))
+    assert calls == []  # lazily: building a Simplex computes none
+    assert geometry.volume(s) == geometry.chart(s).abs_det / 2 == 3.0
+    assert geometry.volume(s) == 3.0
+    assert calls == [1]
 
 
 def test_chart_unit_simplex_is_identity():
@@ -121,6 +139,44 @@ def test_split_of_a_batch_is_bisect_of_each_simplex(n):
                                          (left, right)):
             assert np.array_equal(child, expected)
             assert np.array_equal(half.vertices, expected)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batch_kernels_match_reference_formulas(n):
+    # The gather-free kernels do the reference's arithmetic in its order:
+    # on a batch, a batch of one cell, a strided view and (edge lengths)
+    # a cell with no cell axis, including exact Fractions.
+    rng = np.random.default_rng(100 + n)
+    W = np.concatenate([rand_simplex(rng, n).batch()[0] for _ in range(9)],
+                       axis=-1)
+    weights = np.vstack([cubature.builtin("barycenter", n).nodes,
+                         geometry.lattice_weights(n, 3)])
+    for batch in (W, W[..., 4:5], W[..., 1::3]):
+        e2 = geometry.edge_lengths_sq(batch)
+        assert _same_bits(e2, edge_lengths_sq_reference(batch))
+        assert _same_bits(geometry.split(batch, e2),
+                          split_reference(batch, e2))
+        assert _same_bits(geometry.points(weights, batch),
+                          points_reference(weights, batch))
+    cell = W[..., 2]
+    assert _same_bits(geometry.edge_lengths_sq(cell),
+                      edge_lengths_sq_reference(cell))
+    exact = np.array([[Fraction(int(rng.integers(-9, 10)), 7)
+                       for _ in range(n)] for _ in range(n + 1)])
+    assert list(geometry.edge_lengths_sq(exact)) == list(
+        edge_lengths_sq_reference(exact))
+
+
+def test_lattice_weights_match_reference():
+    cases = [(n, r) for n in range(1, 6) for r in range(1, 7)]
+    for n, r in cases + [(n, 20) for n in range(1, 4)] + [(2, 256)]:
+        assert _same_bits(geometry.lattice_weights(n, r),
+                          lattice_weights_reference(n, r)), (n, r)
 
 
 def test_bisect_segment():

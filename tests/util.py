@@ -1,5 +1,6 @@
 """Shared random generators and small oracles for the test suite."""
 
+import functools
 import heapq
 import itertools
 import math
@@ -215,3 +216,56 @@ def heap_integrate(f, s, tol, rule=None, K=None, k_resolution=4,
         hist[cell[1]] = hist.get(cell[1], 0) + 1
     return (math.fsum(c[2] for c in live), math.fsum(c[3] for c in live),
             len(live), hist, stop)
+
+
+def stroud_t3_rule():
+    """Stroud's T3:2-1: the four points (a, b, b, b) and permutations,
+    weight 1/4 each, a = (5 + 3 sqrt 5)/20, b = (5 - sqrt 5)/20; positive
+    and degree-2 exact."""
+    from certicube.cubature import CubatureRule
+
+    a, b = (5.0 + 3.0 * math.sqrt(5.0)) / 20.0, (5.0 - math.sqrt(5.0)) / 20.0
+    nodes = [[a if j == k else b for j in range(4)] for k in range(4)]
+    return CubatureRule(dimension=3, nodes=np.array(nodes),
+                        weights=np.full(4, 0.25), provenance="stroud-t3-2-1")
+
+
+# Reference copies of geometry's batch kernels as first written: fancy-
+# index gathers and transposing copies, the same arithmetic in the same
+# order, so the kernels must match them bit for bit.
+
+def edge_lengths_sq_reference(W):
+    i, j = np.triu_indices(len(W), 1)
+    diff = W[i] - W[j]
+    diff *= diff
+    return functools.reduce(np.add, diff.swapaxes(0, 1))
+
+
+def split_reference(W, e2):
+    k, n, m = W.shape
+    edge_i, edge_j = np.triu_indices(k, 1)
+    longest, best = np.zeros(m, dtype=np.intp), e2[0]
+    for edge in range(1, len(e2)):
+        longest[e2[edge] > best] = edge
+        best = np.maximum(best, e2[edge])
+    planes = np.arange(0, n * m, m)[:, None] + np.arange(m)
+    i, j = (ends[longest] * (n * m) + planes for ends in (edge_i, edge_j))
+    flat = W.reshape(-1)
+    children = np.stack((flat, flat), axis=-1).reshape(-1)
+    children[2 * j] = children[2 * i + 1] = 0.5 * (flat[i] + flat[j])
+    return children.reshape(k, n, 2 * m)
+
+
+def points_reference(weights, W):
+    n = W.shape[1]
+    flat = weights @ W.reshape(len(W), -1)
+    return flat.reshape(len(weights), n, -1).transpose(0, 2, 1).reshape(-1, n)
+
+
+def lattice_weights_reference(n, resolution):
+    heads = [()]
+    for _ in range(n):
+        heads = [h + (k,) for h in heads
+                 for k in range(resolution - sum(h) + 1)]
+    return np.array([h + (resolution - sum(h),) for h in heads],
+                    dtype=float) / resolution
