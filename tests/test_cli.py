@@ -424,6 +424,36 @@ def test_constant_division_by_zero_is_an_error(unit_segment, argv):
     assert text == "error: integrand non-finite on a batch point\n"
 
 
+# The parser recurses once per nesting level; evaluation has no depth.
+TOO_DEEP = {"parentheses_250": "(" * 250 + "x1" + ")" * 250,
+            "minus_1000": "-" * 1000 + "x1",
+            "exp_400": "exp(" * 400 + "x1" + ")" * 400}
+
+
+@pytest.mark.parametrize("text", TOO_DEEP.values(), ids=TOO_DEEP)
+def test_deeply_nested_expression_is_a_parse_error(unit_segment, text):
+    argv = ["integrate", f"--expr={text}", "--simplex", unit_segment,
+            "--tol", "1e-3", "--K", "1"]
+    _check_documented_exit(argv)
+    code, out = invoke(argv)
+    assert code == 2
+    assert out.startswith("error: expression nested too deeply at ")
+
+
+def test_twenty_thousand_term_sum_integrates(unit_segment):
+    # 40,000 instructions compile to one program; the output is the one
+    # the tape interpreter printed.
+    code, text = invoke(["integrate", "--expr", "+".join(["x1"] * 20000),
+                         "--simplex", unit_segment, "--tol", "1e-3",
+                         "--K", "1"])
+    assert (code, text) == (0, "estimate: 10000\n"
+                               "radius:   0.00065104166666666663\n"
+                               "K:        1 (certified: yes)\n"
+                               "interval: [9999.9993489583339, "
+                               "10000.000651041666]\n"
+                               "cells:    8\n")
+
+
 # Property test over argv and rule-file text. Inputs are drawn from
 # small pools of edge values; --max-cells stays small to keep runs short.
 SIMPLICES = {"seg": "0\n4\n", "tri": "0 0\n1 0\n0 1\n",
@@ -658,6 +688,20 @@ def test_numpy_eigensolvers_are_called_only_by_qform():
     offenders = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py") and name != "qform.py":
+            with open(os.path.join(package, name)) as fh:
+                offenders += [f"{name}:{k}" for k, line in enumerate(fh, 1)
+                              if calls.search(line)]
+    assert offenders == []
+
+
+def test_only_expr_runs_generated_code():
+    # expr compiles one program per tape skeleton; no other module
+    # compiles or runs code it builds.
+    package = os.path.dirname(certicube.__file__)
+    calls = re.compile(r"(?<![\w.])(exec|eval|compile)\(")
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "expr.py":
             with open(os.path.join(package, name)) as fh:
                 offenders += [f"{name}:{k}" for k, line in enumerate(fh, 1)
                               if calls.search(line)]

@@ -1,7 +1,13 @@
 """The expression tape: float evaluation against a reference tree walk,
+the compiled program against the tape interpreter in floats and jets,
 jet Hessians against sympy (test-only), and powers at 0."""
 
+import io
 import operator
+import pickle
+import re
+import tokenize
+import tracemalloc
 import warnings
 
 import mpmath
@@ -12,7 +18,7 @@ import sympy
 from certicube import expr, field
 from certicube.errors import InvariantViolation
 
-from util import rand_polynomial_field
+from util import rand_polynomial_field, run_tape
 
 FUNCTION_NAMES = ("exp", "sin", "cos", "log", "sqrt")
 EXPONENTS = (0.0, 1.0, 2.0, 3.0, 0.5, -1.0, 2.5)
@@ -154,16 +160,19 @@ def test_float_tape_matches_the_tree_walk_bit_for_bit():
         tree = rand_tree(rng, n, 4)
         points = rng.uniform(-2.0, 2.0, size=(16, n))
         with np.errstate(all="ignore"):
+            tape = expr.parse(tree_text(tree), n)
+            got = tape(points)
+            for arith in (expr.Floats(points), expr.Jets(points)):
+                assert_same_bits(tape.program(arith), run_tape(tape, arith))
+            # The tape is a tree, as the program's evaluation stack
+            # assumes: every slot but the result is an argument of
+            # exactly one instruction.
+            reads = sorted(i for _, args, _ in tape.ops for i in args)
+            assert reads == list(range(len(tape.ops) - 1))
             try:
                 want = tree_walk(tree, points)
             except ZeroDivisionError:  # a constant 1/0 in the tree walk
                 continue
-            tape = expr.parse(tree_text(tree), n)
-            got = tape(points)
-        # run() releases each slot once read: every slot but the result
-        # must be an argument of exactly one instruction.
-        reads = sorted(i for _, args, _ in tape.ops for i in args)
-        assert reads == list(range(len(tape.ops) - 1))
         want, got = np.broadcast_arrays(want, got)
         assert np.array_equal(got, want, equal_nan=True), tree_text(tree)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -171,8 +180,27 @@ def test_float_tape_matches_the_tree_walk_bit_for_bit():
     assert checked >= 350
 
 
+def assert_same_bits(got, want):
+    """got is want bit for bit: a float or an array, or for jets a
+    (value, gradient, Hessian) with None where want has None."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert_same_bits(g, w)
+        return
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def _assert_jets_match_sympy(text, sympy_expr, n, points):
-    got = field.parse_expr(text, n).evaluator.hessians(points)
+    tape = field.parse_expr(text, n).evaluator
+    jets = expr.Jets(points)
+    assert_same_bits(tape.program(jets), run_tape(tape, jets))
+    got = tape.hessians(points)
     compared = 0
     for h, ref in zip(got, sympy_hessians(sympy_expr,
                                           sympy.symbols(f"x1:{n + 1}"),
@@ -264,3 +292,130 @@ def test_unary_minus_binds_looser_than_power(text):
     with mpmath.workdps(40):
         expected = [float(reference(*map(mpmath.mpf, p))) for p in points]
     assert got == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+class Recorder:
+    """An arithmetic whose every opcode returns (opcode, arguments), so a
+    run gives the tape's tree with its constants as passed."""
+
+    def __getattr__(self, op):
+        return lambda *args: (op, args)
+
+
+def _floats(tree):
+    if isinstance(tree, tuple):
+        return [x for item in tree for x in _floats(item)]
+    return [tree] if isinstance(tree, float) else []
+
+
+def test_tapes_of_one_skeleton_share_a_program_and_keep_their_constants():
+    texts = ["2.5*x1 + x2*3 - x1^0.5 + 7",
+             "-0.0*x1 + x2*(1/0) - x1^(0/0) + -(0/0)"]
+    tapes = [expr.parse(text, 2) for text in texts]
+    assert expr._skeleton(tapes[0].ops) == expr._skeleton(tapes[1].ops)
+    expr._compiled.cache_clear()
+    programs = [tape.program for tape in tapes]
+    info = expr._compiled.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert programs[0].__func__ is programs[1].__func__
+    points = np.array([[0.5, -2.0], [0.0, 0.0], [-1.0, 3.0]])
+    for tape, program in zip(tapes, programs):
+        got, want = program(Recorder()), run_tape(tape, Recorder())
+        assert repr(got) == repr(want)
+        constants = [c for _, _, c in tape.ops if isinstance(c, float)]
+        assert (np.array(_floats(got)).tobytes()
+                == np.array(constants).tobytes())
+        with np.errstate(all="ignore"):
+            assert_same_bits(program(expr.Floats(points)),
+                             run_tape(tape, expr.Floats(points)))
+    assert [repr(c) for c in _floats(programs[1](Recorder()))] == [
+        "-0.0", "inf", "nan", "nan"]
+
+
+_SOURCE_TOKEN = re.compile(r"s\d+|\d+|[()\[\],=.:]")
+
+
+def test_generated_source_holds_no_constant_text():
+    # Only identifiers, integer indices and opcodes from the table: a
+    # float written as text could lose -0.0, nan or inf, and the
+    # expression's own text never reaches exec.
+    names = {"def", "program", "c", "a", "return", *expr.OPCODES}
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        tape = expr.parse(tree_text(rand_tree(rng, n, 5)), n)
+        source = expr._source(expr._skeleton(tape.ops))
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type in (tokenize.NAME, tokenize.NUMBER, tokenize.OP):
+                assert (token.string in names
+                        or _SOURCE_TOKEN.fullmatch(token.string)), token
+            else:
+                assert token.type in (tokenize.NEWLINE, tokenize.NL,
+                                      tokenize.INDENT, tokenize.DEDENT,
+                                      tokenize.ENDMARKER), token
+
+
+def test_unknown_opcode_is_not_compiled():
+    with pytest.raises(ValueError, match="unknown opcode"):
+        expr.Tape((("var", (), 0), ("__class__", (0,), None))).program
+
+
+@pytest.mark.parametrize("text,reference", [
+    ("(" * 100 + "x1" + ")" * 100, lambda x: x),
+    ("-" * 99 + "x1", np.negative),
+    ("sin(" * 100 + "x1" + ")" * 100, None)],
+    ids=["parentheses_100", "minus_99", "sin_100"])
+def test_nesting_100_deep_parses_and_evaluates(text, reference):
+    points = np.array([[0.25], [-1.5], [2.0]])
+    if reference is None:
+        want = points[:, 0]
+        for _ in range(100):
+            want = np.sin(want)
+    else:
+        want = reference(points[:, 0])
+    tape = expr.parse(text, 1)
+    assert_same_bits(tape(points), want)
+    assert_same_bits(tape.program(expr.Jets(points)),
+                     run_tape(tape, expr.Jets(points)))
+
+
+def test_a_stored_value_is_read_before_its_local_is_reused():
+    # Each 40-term sum nests past the limit and is stored at depth 1; the
+    # first one is read before the second one is stored there.
+    text = ("x1 + (" + "+".join(["x1"] * 40) + ") + ("
+            + "+".join(["x2"] * 40) + ")")
+    points = np.array([[1.0, 1000.0], [2.0, -3.0]])
+    tape = expr.parse(text, 2)
+    assert "s1 = " in expr._source(expr._skeleton(tape.ops))
+    assert tape(points).tolist() == [41.0 + 40000.0, 82.0 - 120.0]
+
+
+@pytest.mark.parametrize("text", ["+".join(["x1"] * 200),
+                                  "exp(" * 100 + "x1" + ")" * 100],
+                         ids=["sum_200", "exp_100"])
+def test_program_holds_only_a_few_arrays(text):
+    # 100,000 points: one array of values is 800 kB. Each intermediate is
+    # dropped once read, as the tape interpreter dropped it.
+    points = np.random.default_rng(17).uniform(-1.0, 0.0, size=(100_000, 1))
+    program = expr.parse(text, 1).program  # compiled before tracing
+    tracemalloc.start()
+    try:
+        with np.errstate(all="ignore"):
+            program(expr.Floats(points))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * points.nbytes
+
+
+def test_tape_pickles_after_evaluation():
+    points = np.random.default_rng(19).uniform(0.0, 1.0, size=(5, 2))
+    tape = expr.parse("exp(x1*x2)", 2)
+    f = field.parse_expr("exp(x1*x2) - x2^2.5", 2)
+    before = tape(points), f.evaluator(points), f.hessian(points)
+    tape_copy, f_copy = pickle.loads(pickle.dumps((tape, f)))
+    assert tape_copy == tape and str(tape_copy) == str(tape)
+    assert f_copy.evaluator == f.evaluator
+    after = tape_copy(points), f_copy.evaluator(points), f_copy.hessian(points)
+    for got, want in zip(after, before):
+        assert_same_bits(got, want)

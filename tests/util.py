@@ -269,3 +269,26 @@ def lattice_weights_reference(n, resolution):
                  for k in range(resolution - sum(h) + 1)]
     return np.array([h + (resolution - sum(h),) for h in heads],
                     dtype=float) / resolution
+
+
+def run_tape(tape, arith):
+    """The tape interpreter that tape.program replaced, kept as its
+    oracle: the value of the tape's last slot in the given arithmetic.
+
+    The tape is a tree: each slot but the last is an argument of exactly
+    one later instruction, so a slot is released once it is read, and
+    only the live intermediates are held (jets are large)."""
+    slots = [None] * len(tape.ops)
+    for k, (op, args, const) in enumerate(tape.ops):
+        fn = getattr(arith, op)
+        if len(args) == 2:
+            a, b = args
+            slots[k] = fn(slots[a], slots[b])
+            slots[a] = slots[b] = None
+        elif args:
+            a = args[0]
+            slots[k] = fn(slots[a]) if const is None else fn(slots[a], const)
+            slots[a] = None
+        else:  # const, var
+            slots[k] = fn(const)
+    return slots[-1]
