@@ -39,7 +39,7 @@ import numpy as np
 
 from . import cubature as cubature_mod
 from . import field as field_mod
-from . import geometry
+from . import geometry, moments
 from .bounds import CertifiedResult, cell_radii, certificate, exact_sum
 from .cubature import CubatureRule
 from .errors import BudgetExhausted
@@ -80,8 +80,11 @@ class AdaptiveConfig:
 @dataclass
 class RunDiagnostics:
     """What a run did; the leaf arrays are the run's own, in creation
-    order: vertices (m, n+1, n), estimates, radii, K and depths (m,)."""
+    order: vertices (m, n+1, n), estimates, radii, K and depths (m,).
+    stop says why the run ended: "tolerance", "max_cells" or
+    "max_depth"."""
 
+    stop: Optional[str] = None
     rounds: int = 0
     discarded_splits: int = 0
     vertices: Optional[np.ndarray] = None
@@ -132,7 +135,8 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         else:
             lo, hi = field_mod.lattice_spectrum(f, W, K_RESOLUTION)
             k_cell = np.maximum(-lo, hi)
-        return cell_radii(factor, k_cell, e2, vol), k_cell, e2
+        return (cell_radii(factor, k_cell, moments.cell_stats(e2, vol)),
+                k_cell, e2)
 
     root_vol = geometry.volume(s)  # the run's one determinant
     W, depth = s.batch()[0], np.zeros(1, dtype=int)
@@ -141,7 +145,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     rounds = discarded = 0
     shrink = grow = 1.0  # children/parents radius; 1 predicts nothing
 
-    def finish(radius=None):
+    def finish(stop, radius=None):
         # The leaves' estimates, in creation order, POINTS_PER_ROUND rule
         # nodes at a time.
         vol = np.ldexp(root_vol, -depth)
@@ -150,6 +154,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                                   vol[i:i + chunk])
             for i in range(0, len(vol), chunk)])
         if diagnostics is not None:
+            diagnostics.stop = stop
             diagnostics.rounds = rounds
             diagnostics.discarded_splits = discarded
             (diagnostics.vertices, diagnostics.estimates, diagnostics.radii,
@@ -166,7 +171,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             # Re-sum exactly to rule out running-total drift.
             running = exact_sum(rad)
             if running <= cfg.tolerance:
-                return finish(running)
+                return finish("tolerance", running)
         band = np.flatnonzero(rad >= grow * rad.max())
         band = band[np.argsort(-rad[band], kind="stable")]
         limit = ("max_depth" if depth[band[0]] >= cfg.max_depth else
@@ -175,7 +180,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             raise BudgetExhausted(
                 f"{limit} {getattr(cfg, limit)} reached with radius "
                 f"{running:g} > tolerance {cfg.tolerance:g}",
-                result=finish())
+                result=finish(limit))
         band = band[:min(max_band, cfg.max_cells - len(rad))]
         b_rad = rad[band]
         if shrink < 1:

@@ -4,10 +4,12 @@ positive-rule bound.
 certificate(rule) alone decides which radius a rule earns (K/2 times
 the second moment at the barycenter, K times it for a positive
 degree-2-exact rule), and cell_radii alone computes a batch's radii
-from its geometry and K, with no integrand value; cubature.estimate
-computes its estimates. rule_bound and midpoint_bound make both calls
-on a batch of one cell; the adaptive loop ranks cells by cell_radii
-every round and estimates only its final leaves.
+from its second moments and K, with no integrand value;
+cubature.estimate computes its estimates. rule_bound and midpoint_bound
+estimate on a batch of one cell and pass cell_radii the second moment
+that the Simplex keeps, with its |det E|, once they are first used; the
+adaptive loop ranks cells by cell_radii of moments.cell_stats every
+round and estimates only its final leaves.
 
 All radii are conditional on the supplied curvature constant K >= the
 sup operator norm of the second differential over the simplex;
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import cubature as cubature_mod
 from . import field as field_mod
-from . import geometry, moments
+from . import geometry
 from .errors import (ConvexityScreenFailed, InvariantViolation,
                      RuleNotApplicable)
 
@@ -100,10 +102,11 @@ def hh_sandwich(f, s, screen=False):
             raise ConvexityScreenFailed(
                 f"lowest sampled Hessian eigenvalue {low:g}")
     vol = geometry.volume(s)
-    # The barycenter rule's node, so lower is the midpoint estimate.
-    node = geometry.points(
-        cubature_mod.builtin("barycenter", s.dimension).nodes, s.batch()[0])
-    values = field_mod.evaluate_batch(f, np.vstack((node, s.vertices)))
+    # The barycenter rule's node, so lower is the midpoint estimate, then
+    # the vertices as they are: weighting them would turn -0.0 into 0.0.
+    v = s.vertices
+    node = cubature_mod.builtin("barycenter", s.dimension).nodes @ v
+    values = field_mod.evaluate_batch(f, np.concatenate((node, v)))
     upper = vol * exact_sum(values[1:]) / (s.dimension + 1)
     return SandwichResult(lower=vol * float(values[0]), upper=upper)
 
@@ -127,13 +130,14 @@ def certificate(rule):
     return rule, 1.0
 
 
-def cell_radii(factor, gauge, e2, vol):
-    """Radius of each cell of a batch, given its squared edge lengths e2,
-    volume and curvature constant K: factor * K * second moment.
-    InvariantViolation if a radius is not finite."""
+def cell_radii(factor, gauge, m2):
+    """Radius of each cell of a batch, given its second moment m2
+    (moments.cell_stats, or a Simplex's kept second_moment) and its
+    curvature constant K: factor * K * m2. InvariantViolation if a radius
+    is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rad = factor * gauge * moments.cell_stats(e2, vol)
-    if not np.all(np.isfinite(rad)):
+        rad = factor * gauge * m2
+    if not np.isfinite(rad).all():
         raise InvariantViolation(
             "non-finite cell radius: K or the simplex is too large")
     return rad
@@ -147,11 +151,9 @@ def rule_bound(rule, f, s, gauge, gauge_certified=False):
     """
     field_mod.check_gauge(gauge)
     rule, factor = certificate(rule)
-    W, e2 = s.batch()
-    vol = geometry.volume(s)
-    est = cubature_mod.estimate(rule, f, W, vol)
-    rad = cell_radii(factor, gauge, e2, vol)
-    return CertifiedResult(estimate=est[0], radius=rad[0], K_used=gauge,
+    est = cubature_mod.estimate(rule, f, s.batch()[0], geometry.volume(s))
+    rad = cell_radii(factor, gauge, s.second_moment)
+    return CertifiedResult(estimate=est[0], radius=rad, K_used=gauge,
                            K_certified=gauge_certified)
 
 

@@ -53,7 +53,7 @@ class CubatureRule:
                 f"nodes must be (m, {n + 1}) barycentric vectors")
         if weights.shape != (nodes.shape[0],):
             raise InvariantViolation("one weight per node required")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise InvariantViolation("non-finite node or weight")
         for k, node in enumerate(nodes):
             if np.any(node < -STRUCTURAL_TOL):

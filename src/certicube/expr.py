@@ -1,4 +1,4 @@
-"""Recursive-descent parser that compiles textual integrands to a tape.
+"""Operator-precedence parser that compiles textual integrands to a tape.
 
 Grammar:
     expr   := term (('+'|'-') term)*
@@ -7,18 +7,21 @@ Grammar:
     base   := number | var | func '(' expr ')' | '(' expr ')'
     var    := 'x' digits                  # 1-indexed
 
-Functions: exp, sin, cos, log, sqrt. The parser's single pass emits a
-Tape: one instruction (opcode, argument slots, constant) per slot, in
-evaluation order. A sub-expression without a variable is folded into a
-constant as it is parsed, by the float arithmetic, so it has the bits
-evaluation would give it; a power with a constant exponent becomes
-"powc", which carries the exponent.
+Functions: exp, sin, cos, log, sqrt. Parentheses, calls and unary
+minuses nest at most MAX_NESTING deep, wherever parse is called: the
+parser does not recurse. Its single pass emits a Tape: one instruction
+(opcode, argument slots, constant) per slot, in evaluation order. A
+sub-expression without a variable is folded into a constant as it is
+parsed, by the float arithmetic, so it has the bits evaluation would
+give it; a power with a constant exponent becomes "powc", which carries
+the exponent.
 
 A tape runs as one straight-line Python function, tape.program, that
-makes one call to an arithmetic's method per instruction; an arithmetic
-is an object with one method per opcode. Floats evaluates at a batch
-(m, n) of points. Jets carries second-order forward-mode jets (value,
-gradient, Hessian) through the tape, exact up to rounding (Griewank &
+reads each variable it uses once and then makes one call to an
+arithmetic's method per other instruction; an arithmetic is an object
+with one method per opcode. Floats evaluates at a batch (m, n) of
+points. Jets carries second-order forward-mode jets (value, gradient,
+Hessian) through the tape, exact up to rounding (Griewank &
 Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13). The
 function's source depends only on the tape's skeleton, its instructions
 without their float constants, so it is compiled once per skeleton
@@ -108,10 +111,11 @@ def _skeleton(ops):
 
 
 def _source(skeleton):
-    """The text of ``program(c, a)``: one call ``a.<opcode>(...)`` per
-    instruction on the arithmetic ``a``. The float constant of slot j is
-    read from the tape's instructions as ``c[j][2]``, and a variable's
-    index is written as an integer.
+    """The text of ``program(c, a)`` on the arithmetic ``a``. Each
+    variable the tape uses is read once, at the top, as ``x<i> =
+    a.var(<i>)`` (i its 0-based index); every other instruction is one
+    call ``a.<opcode>(...)``. The float constant of slot j is read from
+    the tape's instructions as ``c[j][2]``.
 
     Each value is written into the call that reads it, so Python's own
     stack holds the intermediates and drops each once it is read, and
@@ -120,23 +124,27 @@ def _source(skeleton):
     entries of an evaluation stack. A value is stored instead, in the
     local named by its stack depth, when its call is nested _NESTING
     deep, or when it reads a deeper local, which the next store at that
-    depth would overwrite before the call runs."""
-    texts, levels, refs, lines, depth = [], [], [], [], 0
+    depth would overwrite before the call runs; a variable's local is
+    never overwritten."""
+    variables = sorted({c for op, _, c in skeleton if op == "var"})
+    lines = [f"    x{i:d} = a.var({i:d})" for i in variables]
+    texts, levels, refs, depth = [], [], [], 0
     for slot, (op, args, const) in enumerate(skeleton):
         if op not in OPCODES:
             raise ValueError(f"unknown opcode {op!r}")
-        operands = [texts[i] for i in args]
-        if const is True:
-            operands.append(f"c[{slot}][2]")
-        elif const is not None:
-            operands.append(f"{const:d}")
-        call = f"a.{op}({', '.join(operands)})"
         depth -= len(args)
-        level = 1 + max((levels[i] for i in args), default=0)
-        ref = max((refs[i] for i in args), default=-1)
-        if ref > depth or level > _NESTING:
-            lines.append(f"    s{depth} = {call}")
-            call, level, ref = f"s{depth}", 0, depth
+        if op == "var":
+            call, level, ref = f"x{const:d}", 0, -1
+        else:
+            operands = [texts[i] for i in args]
+            if const is not None:
+                operands.append(f"c[{slot}][2]")
+            call = f"a.{op}({', '.join(operands)})"
+            level = 1 + max((levels[i] for i in args), default=0)
+            ref = max((refs[i] for i in args), default=-1)
+            if ref > depth or level > _NESTING:
+                lines.append(f"    s{depth} = {call}")
+                call, level, ref = f"s{depth}", 0, depth
         texts.append(call)
         levels.append(level)
         refs.append(ref)
@@ -296,49 +304,60 @@ class Jets:
         return _chain(a, r, d, -0.5 * d / a[0])
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.tokens = []
-        for match in _TOKEN_RE.finditer(text):
-            kind, pos = match.lastgroup, match.start(match.lastgroup)
-            if kind == "bad":
-                raise ParseError(
-                    f"unexpected character {text[pos]!r} at {pos}",
-                    position=pos)
-            self.tokens.append((kind, match.group(kind), pos))
-        self.tokens.append(("end", "", len(text)))
-        self.cursor = 0
+def _tokens(text):
+    """(kind, text, position) of each token, then ("end", "", len(text))."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind, pos = match.lastgroup, match.start(match.lastgroup)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[pos]!r} at {pos}",
+                             position=pos)
+        tokens.append((kind, match.group(kind), pos))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
-    def peek(self):
-        return self.tokens[self.cursor]
 
-    def advance(self):
-        token = self.tokens[self.cursor]
-        self.cursor += 1
-        return token
-
-    def expect(self, value):
-        kind, text, pos = self.peek()
-        if text != value:
-            shown = text if kind != "end" else "end of input"
-            raise ParseError(
-                f"expected {value!r}, found {shown} at {pos}",
-                position=pos, expected=(value,))
-        return self.advance()
+def _expected(value, token):
+    """The ParseError for ``token`` where ``value`` was needed."""
+    kind, text, pos = token
+    shown = text if kind != "end" else "end of input"
+    return ParseError(f"expected {value!r}, found {shown} at {pos}",
+                      position=pos, expected=(value,))
 
 
 _VAR_RE = re.compile(r"x(\d+)")
-_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+# Binary operators: opcode, precedence, and the lowest precedence of a
+# pending operator applied before it. A unary minus binds between '*'
+# and '^', so -a*b is (-a)*b and -a^b is -(a^b); '^' alone groups to the
+# right, so a pending '^' waits for the next.
+_BINARY = {"+": ("add", 1, 1), "-": ("sub", 1, 1), "*": ("mul", 2, 2),
+           "/": ("div", 2, 2), "^": ("pow", 4, 5)}
+_NEG = ("neg", 3)
+# An expression nests at most this deep: parentheses, calls and unary
+# minuses, counted together. The parser keeps its pending operators in a
+# list, not on Python's stack, so the limit is the same wherever parse is
+# called.
+MAX_NESTING = 200
 
 
 class _Compiler:
-    """Parses and emits the tape in one pass. An operand is a slot (int)
-    or, for a sub-expression without a variable, its value (float)."""
+    """Parses and emits the tape in one pass over the tokens. An operand
+    is a slot (int) or, for a sub-expression without a variable, its
+    value (float).
 
-    def __init__(self, text, n):
-        self.tok = _Tokenizer(text)
+    The grammar is read by operator precedence (shunting-yard): operands
+    wait in one list and operators in another, and an operator is
+    applied once no later one binds tighter, so instructions are emitted
+    in postorder, as recursive descent would emit them. A pending '(' or
+    function call has precedence 0, so no operator is applied past it.
+    """
+
+    def __init__(self, n):
         self.n = n
         self.ops = []
+        self.operands = []
+        self.pending = []  # (opcode, precedence); '(' or a function: 0
+        self.depth = 0  # unary minuses and brackets pending
 
     def emit(self, op, args=(), const=None):
         self.ops.append((op, args, const))
@@ -355,58 +374,86 @@ class _Compiler:
             return self.emit("powc", (operands[0],), operands[1])
         return self.emit(op, tuple(map(self.slot, operands)))
 
-    def expr(self):
-        node = self.term()
-        while self.tok.peek()[1] in ("+", "-"):
-            op = _BINARY[self.tok.advance()[1]]
-            node = self.apply(op, node, self.term())
-        return node
+    def push(self, entry, pos):
+        """Open a nesting level: a unary minus, '(' or a call."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested too deeply at {pos}",
+                             position=pos)
+        self.pending.append(entry)
 
-    def term(self):
-        node = self.factor()
-        while self.tok.peek()[1] in ("*", "/"):
-            op = _BINARY[self.tok.advance()[1]]
-            node = self.apply(op, node, self.factor())
-        return node
+    def reduce(self, precedence):
+        """Apply the pending operators that bind at least this tightly."""
+        pending, operands = self.pending, self.operands
+        while pending and pending[-1][1] >= precedence:
+            op, _ = pending.pop()
+            if op == "neg":
+                self.depth -= 1
+                operands.append(self.apply(op, operands.pop()))
+            else:
+                right = operands.pop()
+                operands.append(self.apply(op, operands.pop(), right))
 
-    def factor(self):
-        if self.tok.peek()[1] == "-":
-            self.tok.advance()
-            return self.apply("neg", self.factor())
-        node = self.base()
-        if self.tok.peek()[1] == "^":
-            self.tok.advance()
-            node = self.apply("pow", node, self.factor())
-        return node
+    def compile(self, tokens):
+        """The slot (or folded value) of the whole expression."""
+        tokens, pending, operands = iter(tokens), self.pending, self.operands
+        groups = 0
+        while True:
+            # An operand: its unary minuses and opening brackets, then a
+            # number or a variable.
+            kind, text, pos = next(tokens)
+            if text == "-":
+                self.push(_NEG, pos)
+                continue
+            if text == "(" or text in FUNCTIONS:
+                if text != "(":
+                    token = next(tokens)
+                    if token[1] != "(":
+                        raise _expected("(", token)
+                self.push((text, 0), pos)
+                groups += 1
+                continue
+            operands.append(float(text) if kind == "number"
+                            else self.variable(kind, text, pos))
+            # Closing brackets, then an operator or the end.
+            while True:
+                token = next(tokens)
+                kind, text, pos = token
+                binary = _BINARY.get(text)
+                if binary:
+                    op, precedence, bound = binary
+                    if pending and pending[-1][1] >= bound:
+                        self.reduce(bound)
+                    pending.append((op, precedence))
+                    break
+                if groups == 0:
+                    if kind != "end":
+                        raise ParseError(
+                            f"unexpected trailing input {text!r} at {pos}",
+                            position=pos, expected=("end of input",))
+                    self.reduce(0)
+                    return operands.pop()
+                if text != ")":
+                    raise _expected(")", token)
+                self.reduce(1)
+                name = pending.pop()[0]
+                self.depth -= 1
+                groups -= 1
+                if name != "(":
+                    operands.append(self.apply(name, operands.pop()))
 
-    def base(self):
-        tok = self.tok
-        kind, text, pos = tok.peek()
-        if kind == "number":
-            tok.advance()
-            return float(text)
+    def variable(self, kind, text, pos):
+        """The slot of the variable that the token already read names."""
+        match = _VAR_RE.fullmatch(text) if kind == "ident" else None
+        if match:
+            index = int(match.group(1))
+            if not 1 <= index <= self.n:
+                raise ArityError(f"variable {text} outside x1..x{self.n}")
+            return self.emit("var", const=index - 1)
         if kind == "ident":
-            tok.advance()
-            if text in FUNCTIONS:
-                tok.expect("(")
-                inner = self.expr()
-                tok.expect(")")
-                return self.apply(text, inner)
-            match = _VAR_RE.fullmatch(text)
-            if match:
-                index = int(match.group(1))
-                if not 1 <= index <= self.n:
-                    raise ArityError(
-                        f"variable {text} outside x1..x{self.n}")
-                return self.emit("var", const=index - 1)
             raise ParseError(
                 f"unknown identifier {text!r} at {pos}", position=pos,
                 expected=tuple(sorted(FUNCTIONS)) + ("x<i>",))
-        if text == "(":
-            tok.advance()
-            inner = self.expr()
-            tok.expect(")")
-            return inner
         shown = text if kind != "end" else "end of input"
         raise ParseError(
             f"expected a value, found {shown} at {pos}", position=pos,
@@ -415,17 +462,7 @@ class _Compiler:
 
 def parse(text, n):
     """Compile ``text`` over variables x1..xn into a Tape."""
-    compiler = _Compiler(text, n)
-    try:
-        with np.errstate(all="ignore"):  # a folded 1/0 is inf, as evaluated
-            compiler.slot(compiler.expr())
-    except RecursionError:  # the parser recurses once per nesting level
-        pos = compiler.tok.peek()[2]
-        raise ParseError(f"expression nested too deeply at {pos}",
-                         position=pos) from None
-    kind, remaining, pos = compiler.tok.peek()
-    if kind != "end":
-        raise ParseError(
-            f"unexpected trailing input {remaining!r} at {pos}",
-            position=pos, expected=("end of input",))
+    compiler = _Compiler(n)
+    with np.errstate(all="ignore"):  # a folded 1/0 is inf, as evaluated
+        compiler.slot(compiler.compile(_tokens(text)))
     return Tape(tuple(compiler.ops), text)

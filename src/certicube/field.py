@@ -91,7 +91,7 @@ def hessians(f, points):
     if coeffs.shape != points.shape + points.shape[-1:]:
         raise DimensionMismatch(
             f"Hessians of shape {coeffs.shape} at points {points.shape}")
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise InvariantViolation("non-finite Hessian: K is not finite")
     return coeffs
 

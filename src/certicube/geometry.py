@@ -24,7 +24,11 @@ EPS_GEOM = 1e-13
 
 @dataclass(frozen=True)
 class Simplex:
-    """n+1 vertices in R^n, stored in construction order as rows."""
+    """n+1 vertices in R^n, stored in construction order as rows.
+
+    The vertices are read-only, so a simplex keeps |det E| and its
+    second moment once they are first used: a second certificate on the
+    same simplex computes neither again."""
 
     vertices: np.ndarray
 
@@ -33,7 +37,7 @@ class Simplex:
         if v.ndim != 2 or v.shape[0] != v.shape[1] + 1 or v.shape[1] < 1:
             raise DimensionMismatch(
                 f"need n+1 vertices of length n >= 1, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DimensionMismatch("non-finite vertex coordinate")
         # Bisection and the degeneracy check need the squared edge
         # lengths and max edge^n, which bounds |det E|, as finite floats.
@@ -49,7 +53,10 @@ class Simplex:
         e2.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_e2", e2)
-        object.__setattr__(self, "_longest", float(longest))
+        # Made here, set on first use: a key added to the instance dict
+        # after abs_det's would make Python rebuild the dict, at about
+        # 200 bytes a simplex.
+        object.__setattr__(self, "_second_moment", None)
 
     @property
     def dimension(self):
@@ -57,17 +64,29 @@ class Simplex:
 
     @functools.cached_property
     def abs_det(self):
-        """|det E|, the package's one determinant, computed on first use;
-        DegenerateSimplex (on every use) if it is at most EPS_GEOM *
-        (max edge length)^n."""
+        """|det E|, the package's one determinant, computed on first use
+        and kept; DegenerateSimplex (on every use) if it is at most
+        EPS_GEOM * (max edge length)^n."""
         v = self.vertices
         absdet = abs(float(np.linalg.det(v[1:] - v[0])))
         if absdet <= EPS_GEOM * self.max_edge_length() ** self.dimension:
             raise DegenerateSimplex(f"|det E| = {absdet:g} below threshold")
         return absdet
 
+    @property
+    def second_moment(self):
+        """int_S ||x - pbar||^2 dx (moments.cell_stats), computed on first
+        use and kept; inf if it overflows, which bounds.cell_radii and
+        moments.central_second_moment reject. DegenerateSimplex (on every
+        use) as abs_det."""
+        if self._second_moment is None:
+            from . import moments  # here, not on top: moments imports us
+            object.__setattr__(self, "_second_moment", float(
+                moments.cell_stats(self._e2, volume(self))[0]))
+        return self._second_moment
+
     def max_edge_length(self):
-        return self._longest
+        return float(np.sqrt(self._e2.max()))
 
     def batch(self):
         """(W, e2): the simplex as a read-only batch of one cell."""

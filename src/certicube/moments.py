@@ -81,17 +81,19 @@ def central_matrix_exact(n):
 def cell_stats(e2, vol):
     """int_S ||x - pbar||^2 dx of each cell, from its squared edge
     lengths e2 (E, ...) (geometry.edge_lengths_sq) and its volume:
-    vol * sum(e2) / ((n+1)^2 (n+2)), summed in edge order like e2 itself."""
+    vol * sum(e2) / ((n+1)^2 (n+2)), summed in edge order like e2 itself;
+    inf where it overflows, which its callers reject."""
     k = (1 + math.isqrt(1 + 8 * len(e2))) // 2  # n+1 vertices, E = k(k-1)/2
-    return vol * functools.reduce(np.add, e2) / (k * k * (k + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return vol * functools.reduce(np.add, e2) / (k * k * (k + 1))
 
 
 def central_second_moment(s):
-    """int_S ||x - pbar||^2 dx of one simplex (see cell_stats).
+    """int_S ||x - pbar||^2 dx of one simplex: its kept
+    Simplex.second_moment.
 
     InvariantViolation if it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        csm = float(cell_stats(s.batch()[1], geometry.volume(s))[0])
+    csm = s.second_moment
     if not math.isfinite(csm):
         raise InvariantViolation(
             "non-finite second moment: the simplex is too large")

@@ -19,7 +19,7 @@ class QuadraticForm:
         a = np.array(self.coeffs, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"coefficient array not square: {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DimensionMismatch("non-finite coefficient")
         a = 0.5 * (a + a.T)
         a.setflags(write=False)

@@ -338,6 +338,7 @@ def test_matches_reference_heap(case, seed):
     estimate, radius, cells, hist, ref_stop = ref
     assert (stop, result.cells, diag.depth_histogram) == \
         (ref_stop, cells, hist)
+    assert diag.stop == ("tolerance" if stop == "tol" else stop)
     # Near-equal radii may pick different cells on rounding noise, so
     # the two partitions can differ while both enclose the integral.
     assert abs(result.estimate - estimate) <= result.radius + radius

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from certicube import bounds, cubature, field, geometry, moments, qform
-from certicube.errors import (ConvexityScreenFailed, InvariantViolation,
-                              NegativeGauge, RuleNotApplicable)
+from certicube.errors import (ConvexityScreenFailed, DegenerateSimplex,
+                              InvariantViolation, NegativeGauge,
+                              RuleNotApplicable)
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
@@ -259,3 +261,73 @@ def test_certified_result_rejects_non_finite_or_negative(fields):
 def test_sandwich_result_rejects_non_finite(fields):
     with pytest.raises(InvariantViolation):
         bounds.SandwichResult(**(dict(lower=0.0, upper=1.0) | fields))
+
+
+def _certificates(f, s):
+    """(estimate, radius) of a midpoint and a degree-2 rule certificate,
+    and the kept second moment, all on s."""
+    mid = bounds.midpoint_bound(f, s, 2.0)
+    rule = bounds.rule_bound(vertices_plus_barycenter_rule(s.dimension), f,
+                             s, 2.0)
+    return [mid.estimate, mid.radius, rule.estimate, rule.radius,
+            moments.central_second_moment(s)]
+
+
+def test_second_moment_is_computed_once(monkeypatch):
+    calls = []
+    cell_stats = moments.cell_stats
+    monkeypatch.setattr(moments, "cell_stats",
+                        lambda *args: calls.append(1) or cell_stats(*args))
+    rng = np.random.default_rng(17)
+    for n in range(1, 5):
+        f = field.parse_expr("exp(0.3*(" + "+".join(
+            f"x{i + 1}" for i in range(n)) + "))", n)
+        s = rand_simplex(rng, n)
+        assert calls == []  # lazily: building a Simplex computes none
+        first = _certificates(f, s)
+        assert calls == [1]
+        again = _certificates(f, s)
+        assert calls == [1]  # kept: the second certificates compute none
+        fresh = _certificates(f, geometry.Simplex(s.vertices))
+        assert np.array(again).tobytes() == np.array(first).tobytes() \
+            == np.array(fresh).tobytes()
+        calls.clear()
+
+
+def test_degenerate_simplex_raises_on_every_certificate():
+    flat = geometry.Simplex([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    for _ in range(2):
+        with pytest.raises(DegenerateSimplex):
+            flat.second_moment
+        with pytest.raises(DegenerateSimplex):
+            bounds.midpoint_bound(NORM_SQ_2D, flat, 1.0)
+        with pytest.raises(DegenerateSimplex):
+            moments.central_second_moment(flat)
+
+
+def test_huge_simplex_radius_is_refused_without_a_warning():
+    # Its second moment overflows; the inf that is kept is rejected by
+    # every certificate that reads it, with no RuntimeWarning.
+    huge = geometry.Simplex([[0.0, 0.0], [1e150, 0.0], [0.0, 1e150]])
+    one = field.parse_expr("1", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(InvariantViolation,
+                               match="non-finite cell radius"):
+                bounds.midpoint_bound(one, huge, 1.0)
+            with pytest.raises(InvariantViolation,
+                               match="non-finite cell radius"):
+                bounds.midpoint_bound(one, huge, 0.0)  # 0 * inf
+            with pytest.raises(InvariantViolation,
+                               match="non-finite second moment"):
+                moments.central_second_moment(huge)
+        assert huge.second_moment == math.inf
+
+
+def test_sandwich_reads_the_vertices_with_their_signs():
+    # exp(1/x1) is 0 at -0.0 and inf at 0.0: a vertex weighted by an
+    # identity row would become 0.0 and fail the evaluation.
+    seg = geometry.Simplex([[-0.0], [1.0]])
+    result = bounds.hh_sandwich(field.parse_expr("exp(1/x1)", 1), seg)
+    assert (result.lower, result.upper) == (math.exp(2.0), math.e / 2)

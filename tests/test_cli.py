@@ -343,6 +343,34 @@ def test_integrate_report_lines(unit2, tmp_path):
     assert all(len(line.split()) == 2 for line in lines[header + 1:])
 
 
+def _report(tmp_path, argv):
+    """Exit code and the report's key/value lines before the histogram."""
+    report = tmp_path / "run.report"
+    code, _ = invoke(argv + ["--report", str(report)])
+    lines = report.read_text().splitlines()
+    head = lines[:lines.index("depth histogram")]
+    return code, dict(line.split() for line in head)
+
+
+@pytest.mark.parametrize("extra,code,stop,source", [
+    (["--K", "2"], 0, "tolerance", "override"),
+    ([], 0, "tolerance", "lattice"),
+    (["--k-mode", "global"], 0, "tolerance", "lattice"),
+    (["--K", "2", "--max-cells", "5"], 3, "max_cells", "override"),
+    (["--max-cells", "5"], 3, "max_cells", "lattice")])
+def test_integrate_report_says_why_it_stopped_and_where_k_came_from(
+        unit2, tmp_path, extra, code, stop, source):
+    argv = ["integrate", "--expr", "exp(x1+x2)", "--simplex", unit2,
+            "--tol", "1e-4"] + extra
+    got, report = _report(tmp_path, argv)
+    assert got == code
+    keys = list(report)
+    assert keys.index("stop") == keys.index("K_min") + 1
+    assert keys.index("K_source") == keys.index("stop") + 1
+    assert (report["stop"], report["K_source"]) == (stop, source)
+    assert keys[-2:] == ["rounds", "discarded_splits"]
+
+
 @pytest.fixture
 def segment(tmp_path):
     path = tmp_path / "segment.spx"
@@ -424,7 +452,7 @@ def test_constant_division_by_zero_is_an_error(unit_segment, argv):
     assert text == "error: integrand non-finite on a batch point\n"
 
 
-# The parser recurses once per nesting level; evaluation has no depth.
+# Each nests deeper than expr.MAX_NESTING; evaluation has no depth.
 TOO_DEEP = {"parentheses_250": "(" * 250 + "x1" + ")" * 250,
             "minus_1000": "-" * 1000 + "x1",
             "exp_400": "exp(" * 400 + "x1" + ")" * 400}

@@ -16,7 +16,7 @@ import pytest
 import sympy
 
 from certicube import expr, field
-from certicube.errors import InvariantViolation
+from certicube.errors import InvariantViolation, ParseError
 
 from util import rand_polynomial_field, run_tape
 
@@ -332,7 +332,7 @@ def test_tapes_of_one_skeleton_share_a_program_and_keep_their_constants():
         "-0.0", "inf", "nan", "nan"]
 
 
-_SOURCE_TOKEN = re.compile(r"s\d+|\d+|[()\[\],=.:]")
+_SOURCE_TOKEN = re.compile(r"[sx]\d+|\d+|[()\[\],=.:]")
 
 
 def test_generated_source_holds_no_constant_text():
@@ -355,9 +355,54 @@ def test_generated_source_holds_no_constant_text():
                                       tokenize.ENDMARKER), token
 
 
+def test_program_reads_each_variable_once():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        tape = expr.parse(tree_text(rand_tree(rng, n, 5)), n)
+        used = sorted({c for op, _, c in tape.ops if op == "var"})
+        lines = expr._source(expr._skeleton(tape.ops)).splitlines()
+        reads = [f"    x{i} = a.var({i})" for i in used]
+        assert lines[1:1 + len(used)] == reads
+        assert sum(line.count("a.var(") for line in lines) == len(used)
+
+
 def test_unknown_opcode_is_not_compiled():
     with pytest.raises(ValueError, match="unknown opcode"):
         expr.Tape((("var", (), 0), ("__class__", (0,), None))).program
+
+
+def _parse_down(frames, text):
+    """parse(text, 1) called ``frames`` frames below this one: the tape,
+    or the error's type and message."""
+    if frames:
+        return _parse_down(frames - 1, text)
+    try:
+        return expr.parse(text, 1)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def _nested(levels):
+    """Texts nested ``levels`` deep: brackets, minuses, calls, mixed."""
+    half = levels // 2
+    return ["(" * levels + "x1" + ")" * levels, "-" * levels + "x1",
+            "sin(" * levels + "x1" + ")" * levels,
+            "-(" * half + "x1" + ")" * half]
+
+
+@pytest.mark.parametrize("levels", [expr.MAX_NESTING, expr.MAX_NESTING + 2])
+def test_parse_depth_does_not_depend_on_the_callers_stack(levels):
+    # MAX_NESTING levels parse and more are refused, at the top of the
+    # stack and 500 frames down alike.
+    for text in _nested(levels):
+        top = _parse_down(0, text)
+        assert _parse_down(500, text) == top
+        if levels <= expr.MAX_NESTING:
+            assert isinstance(top, expr.Tape)
+        else:
+            assert top[0] is ParseError
+            assert top[1].startswith("expression nested too deeply at ")
 
 
 @pytest.mark.parametrize("text,reference", [
