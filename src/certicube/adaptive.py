@@ -24,10 +24,10 @@ depth d inherits 2^-d of it; a float cell's rounded midpoints leave its
 edges, so its true volume differs slightly, which the radius does not
 yet cover. Leaves are a coordinate-major batch (see geometry) and carry
 their squared edge lengths e2, made once per cell: e2 gives its second
-moment and its split's longest edge. Sums use math.fsum, exactly rounded
-in any order. Per-cell K is the larger magnitude of the new cells'
-field.lattice_spectrum; the loop knows no lattice and no Hessian, so a
-field without a hessian needs k_override.
+moment (geometry.cell_stats) and its split's longest edge. Sums use
+math.fsum, exactly rounded in any order. Per-cell K is the larger
+magnitude of the new cells' field.lattice_spectrum; the loop knows no
+lattice and no Hessian, so a field without a hessian needs k_override.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import cubature as cubature_mod
 from . import field as field_mod
-from . import geometry, moments
+from . import geometry
 from .bounds import CertifiedResult, cell_radii, certificate, exact_sum
 from .cubature import CubatureRule
 from .errors import BudgetExhausted
@@ -135,7 +135,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         else:
             lo, hi = field_mod.lattice_spectrum(f, W, K_RESOLUTION)
             k_cell = np.maximum(-lo, hi)
-        return (cell_radii(factor, k_cell, moments.cell_stats(e2, vol)),
+        return (cell_radii(factor, k_cell, geometry.cell_stats(e2, vol)),
                 k_cell, e2)
 
     root_vol = geometry.volume(s)  # the run's one determinant

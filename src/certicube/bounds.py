@@ -8,7 +8,7 @@ from its second moments and K, with no integrand value;
 cubature.estimate computes its estimates. rule_bound and midpoint_bound
 estimate on a batch of one cell and pass cell_radii the second moment
 that the Simplex keeps, with its |det E|, once they are first used; the
-adaptive loop ranks cells by cell_radii of moments.cell_stats every
+adaptive loop ranks cells by cell_radii of geometry.cell_stats every
 round and estimates only its final leaves.
 
 All radii are conditional on the supplied curvature constant K >= the
@@ -132,7 +132,7 @@ def certificate(rule):
 
 def cell_radii(factor, gauge, m2):
     """Radius of each cell of a batch, given its second moment m2
-    (moments.cell_stats, or a Simplex's kept second_moment) and its
+    (geometry.cell_stats, or a Simplex's kept second_moment) and its
     curvature constant K: factor * K * m2. InvariantViolation if a radius
     is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

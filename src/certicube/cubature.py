@@ -196,7 +196,7 @@ def apply_rule(rule, f, s):
 def _parse_number(token, lineno):
     try:
         return Fraction(token if "/" in token else float(token))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad number {token!r}: {exc}", line=lineno)
 
 

@@ -1,9 +1,10 @@
-"""Simplices in R^n: volumes, affine charts, bisection, lattices.
+"""Simplices in R^n: volumes, second moments, bisection, lattices.
 
 A batch of m cells is coordinate-major, W (n+1, n, m) (vertex,
 coordinate, cell), so kernels work on length-m planes. Only this module
-reads its vertex and coordinate axes; others index a batch and its
-squared edge lengths e2 only along the last (cell) axis, and take a
+reads its vertex and coordinate axes and the edge axis of its squared
+edge lengths e2 (cell_stats reduces e2 to second moments); others index
+a batch and its e2 only along the last (cell) axis, and take a
 simplex's one-cell batch from Simplex.batch.
 """
 
@@ -75,14 +76,13 @@ class Simplex:
 
     @property
     def second_moment(self):
-        """int_S ||x - pbar||^2 dx (moments.cell_stats), computed on first
-        use and kept; inf if it overflows, which bounds.cell_radii and
+        """int_S ||x - pbar||^2 dx (cell_stats), computed on first use and
+        kept; inf if it overflows, which bounds.cell_radii and
         moments.central_second_moment reject. DegenerateSimplex (on every
         use) as abs_det."""
         if self._second_moment is None:
-            from . import moments  # here, not on top: moments imports us
             object.__setattr__(self, "_second_moment", float(
-                moments.cell_stats(self._e2, volume(self))[0]))
+                cell_stats(self._e2, volume(self))[0]))
         return self._second_moment
 
     def max_edge_length(self):
@@ -103,28 +103,6 @@ def unit_simplex(n):
 def volume(s):
     """|det E| / n!, strictly positive for non-degenerate input."""
     return s.abs_det / math.factorial(s.dimension)
-
-
-@dataclass(frozen=True)
-class AffineChart:
-    """x = origin + E u maps unit to physical points (n,) or rows (m, n)."""
-
-    origin: np.ndarray
-    matrix: np.ndarray
-    abs_det: float
-
-    def to_physical(self, u):
-        return self.origin + np.asarray(u, dtype=float) @ self.matrix.T
-
-    def to_reference(self, x):
-        return np.linalg.solve(
-            self.matrix, (np.asarray(x, dtype=float) - self.origin).T).T
-
-
-def chart(s):
-    v = s.vertices
-    return AffineChart(origin=v[0].copy(), matrix=(v[1:] - v[0]).T,
-                       abs_det=s.abs_det)
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,6 +131,19 @@ def edge_lengths_sq(W):
         start = stop
     diff *= diff
     return functools.reduce(np.add, diff.swapaxes(0, 1))
+
+
+def cell_stats(e2, vol):
+    """int_S ||x - pbar||^2 dx of each cell, from its squared edge
+    lengths e2 (E, ...) (edge_lengths_sq) and its volume. A point uniform
+    on S has covariance sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)),
+    and sum_i ||v_i - pbar||^2 = sum_{i<j} ||v_i - v_j||^2 / (n+1), so
+    the moment is vol tr(Cov) = vol * sum(e2) / ((n+1)^2 (n+2)): positive
+    terms, no determinant, no cancellation. Summed in edge order like e2
+    itself; inf where it overflows, which its callers reject."""
+    k = (1 + math.isqrt(1 + 8 * len(e2))) // 2  # n+1 vertices, E = k(k-1)/2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return vol * functools.reduce(np.add, e2) / (k * k * (k + 1))
 
 
 def split(W, e2):

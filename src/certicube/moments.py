@@ -2,18 +2,16 @@
 
 All values come from the factorial formula
 int_{S1} x^alpha dx = (prod alpha_i!) / (n + |alpha|)!
-evaluated exactly in integers, plus the second central moment
-int_S ||x - pbar||^2 dx of a batch of simplices in closed form, from
-each cell's volume and squared edge lengths alone. A point uniform
-on S has covariance sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)),
-and sum_i ||v_i - pbar||^2 = sum_{i<j} ||v_i - v_j||^2 / (n+1), so
-int_S ||x - pbar||^2 = vol tr(Cov) = vol sum_{i<j} ||v_i - v_j||^2
-/ ((n+1)^2 (n+2)): positive terms, no determinant, no cancellation.
+evaluated exactly in integers, plus two second-order closed forms on a
+physical simplex S. A point uniform on S has mean pbar and covariance
+Cov = sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)), so the integral
+of a quadratic q over S is vol (q(pbar) + tr(A Cov)) (integrate_poly2),
+and int_S ||x - pbar||^2 = vol tr(Cov), which geometry.cell_stats
+computes for a batch from each cell's squared edge lengths.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,16 +76,6 @@ def central_matrix_exact(n):
             for i in range(n)]
 
 
-def cell_stats(e2, vol):
-    """int_S ||x - pbar||^2 dx of each cell, from its squared edge
-    lengths e2 (E, ...) (geometry.edge_lengths_sq) and its volume:
-    vol * sum(e2) / ((n+1)^2 (n+2)), summed in edge order like e2 itself;
-    inf where it overflows, which its callers reject."""
-    k = (1 + math.isqrt(1 + 8 * len(e2))) // 2  # n+1 vertices, E = k(k-1)/2
-    with np.errstate(over="ignore", invalid="ignore"):
-        return vol * functools.reduce(np.add, e2) / (k * k * (k + 1))
-
-
 def central_second_moment(s):
     """int_S ||x - pbar||^2 dx of one simplex: its kept
     Simplex.second_moment.
@@ -130,27 +118,16 @@ def integrate_poly2(q, s):
     """Exact integral over s of q(x) = c + b.x + x^T A x, degree <= 2.
 
     ``q`` is a (constant, linear vector or None, QuadraticForm or None)
-    triple. Expansion through the affine chart onto reference monomials;
-    no numerical quadrature is involved.
+    triple. vol (q(pbar) + tr(A Cov)) with the vertex covariance of the
+    module docstring; no numerical quadrature is involved.
     """
     c, b, phi = q
     n = s.dimension
     _check_dimension(n)
-    ch = geometry.chart(s)
-    e, p0 = ch.matrix, ch.origin
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
     a = np.zeros((n, n)) if phi is None else phi.coeffs
-
-    const = float(c) + b @ p0 + p0 @ a @ p0
-    lin = e.T @ b + 2.0 * (e.T @ (a @ p0))
-    quad = e.T @ a @ e
-
-    m1 = 1.0 / math.factorial(n + 1)
-    m2 = 2.0 / math.factorial(n + 2)
-    m11 = 1.0 / math.factorial(n + 2)
-    vol_ref = 1.0 / math.factorial(n)
-
-    total = const * vol_ref + float(np.sum(lin)) * m1
-    total += float(np.trace(quad)) * m2
-    total += float(np.sum(quad) - np.trace(quad)) * m11
-    return ch.abs_det * total
+    pbar = s.vertices.mean(axis=0)
+    d = s.vertices - pbar
+    spread = np.sum((d @ a) * d) / ((n + 1) * (n + 2))
+    return geometry.volume(s) * (float(c) + b @ pbar + pbar @ a @ pbar
+                                 + spread)

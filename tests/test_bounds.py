@@ -275,8 +275,8 @@ def _certificates(f, s):
 
 def test_second_moment_is_computed_once(monkeypatch):
     calls = []
-    cell_stats = moments.cell_stats
-    monkeypatch.setattr(moments, "cell_stats",
+    cell_stats = geometry.cell_stats
+    monkeypatch.setattr(geometry, "cell_stats",
                         lambda *args: calls.append(1) or cell_stats(*args))
     rng = np.random.default_rng(17)
     for n in range(1, 5):

@@ -1,3 +1,5 @@
+import ast
+import graphlib
 import io
 import json
 import math
@@ -81,7 +83,11 @@ def test_verify_rule_structural_defect(tmp_path, text, message):
     ("dim 2\nnodes 1\n0.5 0.5\n1\n",
      "node 0 has 2 coordinates, expected 3", 3),
     ("dim 1\nnodes 1\n0.5 0.5\n1/2 1/2\n",
-     "expected one weight, found 2", 4)])
+     "expected one weight, found 2", 4),
+    ("dim 1\nnodes 1\n1e999 0.5\n1\n",
+     "bad number '1e999': cannot convert Infinity to integer ratio", 3),
+    ("dim 1\nnodes 1\n1/2 1/2\n\n# weight\n-inf\n",
+     "bad number '-inf': cannot convert Infinity to integer ratio", 6)])
 def test_verify_rule_malformed_line(tmp_path, text, message, line):
     path = tmp_path / "malformed.rule"
     path.write_text(text)
@@ -94,6 +100,9 @@ def test_verify_rule_malformed_line(tmp_path, text, message, line):
 @pytest.mark.parametrize("expr,simplex,message", [
     ("x1 $ 2", "0 0\n1 0\n0 1\n", "unexpected character '$' at 3"),
     ("foo(x1)", "0 0\n1 0\n0 1\n", "unknown identifier 'foo' at 0"),
+    ("exp x1", "0 0\n1 0\n0 1\n", "expected '(', found x1 at 4"),
+    ("sin", "0 0\n1 0\n0 1\n", "expected '(', found end of input at 3"),
+    ("2*cos+1", "0 0\n1 0\n0 1\n", "expected '(', found + at 5"),
     ("x1", "# no vertices\n\n", "empty simplex file")])
 def test_malformed_input_is_a_parse_error(tmp_path, expr, simplex, message):
     path = tmp_path / "domain.spx"
@@ -496,7 +505,7 @@ EXPRS = ["x1", "exp(x1)", "x1*x1", "-x1*x1", "1e308", "-1e308*x1",
 EXPR_TOKENS = ["x1", "x2", "(", ")", "+", "-", "*", "/", "^", "exp",
                "log", "1e308", "0", ".5", " "]
 RULE_TOKENS = ["0", "1", "1/3", "1/2", "1/12", "3/4", "-1", "1/0",
-               "1e308", "nan", "x"]
+               "1e308", "1e999", "inf", "-inf", "nan", "x"]
 RULE_LINES = st.one_of(
     st.sampled_from(["dim 1", "dim 2", "dim 3", "dim x", "dim -1",
                      "nodes 1", "nodes 4", "nodes 0", "nodes -1",
@@ -707,6 +716,31 @@ def test_numpy_is_the_only_runtime_dependency():
               "('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest') "
               "if m in sys.modules))")
     assert fresh_python(script).strip() == "[]"
+
+
+def test_package_import_graph_is_acyclic():
+    # Relative imports at any depth, at module level or inside a
+    # function; a name that is not a module comes from __init__.
+    package = os.path.dirname(certicube.__file__)
+    modules = {name[:-3] for name in os.listdir(package)
+               if name.endswith(".py")}
+    graph = {}
+    for module in sorted(modules):
+        with open(os.path.join(package, module + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        graph[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = ([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names])
+                graph[module] |= {name if name in modules else "__init__"
+                                  for name in names}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    # Cells, volumes and second moments sit below every other module.
+    assert graph["geometry"] == {"errors"}
 
 
 def test_numpy_eigensolvers_are_called_only_by_qform():

@@ -372,6 +372,18 @@ def test_unknown_opcode_is_not_compiled():
         expr.Tape((("var", (), 0), ("__class__", (0,), None))).program
 
 
+@pytest.mark.parametrize("text,message,position", [
+    ("exp x1", "expected '(', found x1 at 4", 4),
+    ("sin", "expected '(', found end of input at 3", 3),
+    ("2*cos+1", "expected '(', found + at 5", 5)])
+def test_function_name_needs_an_open_bracket(text, message, position):
+    with pytest.raises(ParseError) as err:
+        expr.parse(text, 1)
+    assert str(err.value) == message
+    assert err.value.position == position
+    assert err.value.expected == ("(",)
+
+
 def _parse_down(frames, text):
     """parse(text, 1) called ``frames`` frames below this one: the tape,
     or the error's type and message."""

@@ -88,6 +88,12 @@ def test_sup_norm_affine_field_is_zero():
     assert field.d2f_sup_norm(f, UNIT_TRIANGLE, resolution=3) == 0.0
 
 
+def test_sup_norm_needs_a_lattice_of_at_least_one_step():
+    with pytest.raises(ValueError) as err:
+        field.d2f_sup_norm(norm_sq_field(2), UNIT_TRIANGLE, resolution=0)
+    assert str(err.value) == "resolution must be >= 1, got 0"
+
+
 def lattice_fields(n):
     """Two parsed fields and an opaque polynomial with its analytic
     Hessian on R^n."""

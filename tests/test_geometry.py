@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from certicube import cubature, geometry, moments
+from certicube import cubature, geometry
 from certicube.errors import DegenerateSimplex, DimensionMismatch, ParseError
 
 from util import (edge_lengths_sq_reference, lattice_weights_reference,
@@ -45,7 +45,7 @@ def test_volume_degenerate():
     flat = geometry.Simplex([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     # |det E| is cached on first use, but an exception is not: every
     # use of a degenerate simplex raises.
-    for use in (geometry.volume, geometry.chart, geometry.volume):
+    for use in (geometry.volume, lambda s: s.abs_det, geometry.volume):
         with pytest.raises(DegenerateSimplex):
             use(flat)
 
@@ -57,54 +57,9 @@ def test_determinant_is_computed_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "det",
                         lambda a: calls.append(1) or det(a))
     assert calls == []  # lazily: building a Simplex computes none
-    assert geometry.volume(s) == geometry.chart(s).abs_det / 2 == 3.0
+    assert geometry.volume(s) == s.abs_det / 2 == 3.0
     assert geometry.volume(s) == 3.0
     assert calls == [1]
-
-
-def test_chart_unit_simplex_is_identity():
-    ch = geometry.chart(geometry.unit_simplex(3))
-    assert np.allclose(ch.matrix, np.eye(3))
-    assert ch.abs_det == pytest.approx(1.0)
-
-
-def test_chart_scaling():
-    tri = geometry.Simplex([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    ch = geometry.chart(tri)
-    assert np.allclose(ch.to_physical([0.5, 0.5]), [1.0, 1.0])
-
-
-def test_chart_maps_barycenter_to_reference_barycenter():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 3):
-        s = rand_simplex(rng, n)
-        u = geometry.chart(s).to_reference(s.vertices.mean(axis=0))
-        assert np.allclose(u, np.full(n, 1 / (n + 1)), atol=1e-12)
-
-
-def test_chart_round_trip_random_interior_points():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3):
-        s = rand_simplex(rng, n)
-        ch = geometry.chart(s)
-        for _ in range(100):
-            gaps = rng.standard_exponential(n + 1)
-            bary = gaps / gaps.sum()
-            x = bary @ s.vertices
-            u = ch.to_reference(x)
-            assert np.all(u >= -1e-12) and u.sum() <= 1 + 1e-12
-            back = ch.to_physical(u)
-            assert np.linalg.norm(back - x) <= 1e-12 * max(
-                1.0, np.linalg.norm(x))
-
-
-def test_chart_maps_batches_of_points():
-    ch = geometry.chart(geometry.Simplex([[0.0, 0.0], [2.0, 1.0], [0.0, 3.0]]))
-    u = np.array([[0.5, 0.0], [0.0, 0.5], [0.25, 0.25]])
-    for batch in (u[:2], u):  # m == n once, m != n once
-        x = ch.to_physical(batch)
-        assert np.allclose(x, [[1.0, 0.5], [0.0, 1.5], [0.5, 1.0]][:len(x)])
-        assert np.allclose(ch.to_reference(x), batch)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
@@ -126,7 +81,7 @@ def test_split_of_a_batch_is_bisect_of_each_simplex(n):
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     for k, s in enumerate(simplices):
         assert np.array_equal(e2[:, k:k + 1], s.batch()[1])
-        assert moments.cell_stats(e2, 1.0)[k] == moments.cell_stats(
+        assert geometry.cell_stats(e2, 1.0)[k] == geometry.cell_stats(
             s.batch()[1], 1.0)[0]
         v = s.vertices
         lengths = [sum((a - b) * (a - b) for a, b in zip(v[i], v[j]))

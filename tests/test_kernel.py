@@ -1,12 +1,12 @@
 """Property tests for the one-shot certificates on the batched kernel.
 
-volume, central_second_moment, chart, apply_rule, midpoint_bound,
-rule_bound and hh_sandwich are checked on random and near-degenerate
-simplices in dimensions 1-4 against closed forms evaluated exactly, in
-rational arithmetic, on the float inputs. Errors are allowed a few ulps,
-scaled by the condition number of the edge matrix (LU determinants are
-backward stable) and, for estimates, by the magnitude of the quadratic's
-terms.
+volume, central_second_moment, integrate_poly2, apply_rule,
+midpoint_bound, rule_bound and hh_sandwich are checked on random and
+near-degenerate simplices in dimensions 1-4 against closed forms
+evaluated exactly, in rational arithmetic, on the float inputs. Errors
+are allowed a few ulps, scaled by the condition number of the edge
+matrix (LU determinants are backward stable) and, for estimates and
+integrals, by the magnitude of the quadratic's terms.
 """
 
 import math
@@ -21,6 +21,7 @@ from certicube import bounds, cubature, geometry, moments
 from certicube.cubature import CubatureRule
 from certicube.errors import DegenerateSimplex
 from certicube.field import ScalarField
+from certicube.qform import QuadraticForm
 
 from util import vertices_plus_barycenter_rule
 
@@ -101,6 +102,33 @@ def _exact_rule(rule, f, v, vol):
     return vol * total
 
 
+def _exact_integral(f, v, vol):
+    """int_S f exactly over the float vertices v: x = v_0 + E u pulls f
+    back to the unit simplex, whose monomial integrals are
+    monomial_moment_exact, with |det E| = n! vol."""
+    n = v.shape[1]
+    rows = [[Q(float(t)) for t in row] for row in v]
+    edges = [[p - o for p, o in zip(r, rows[0])] for r in rows[1:]]
+    a = [[Q(t) for t in row] for row in f.a]
+
+    def form(x, y):  # x^T A y
+        return sum(x[i] * a[i][j] * y[j] for i in range(n) for j in range(n))
+
+    def moment(*axes):
+        return moments.monomial_moment_exact(
+            n, [axes.count(k) for k in range(n)])
+
+    # f(v_0 + E u) = f(v_0) + sum_k (b + 2 A v_0).e_k u_k
+    #                + sum_kl e_k^T A e_l u_k u_l, e_k = v_{k+1} - v_0.
+    total = f.exact(rows[0]) * moment()
+    for k, ek in enumerate(edges):
+        total += (sum(Q(f.b[i]) * ek[i] for i in range(n))
+                  + 2 * form(rows[0], ek)) * moment(k)
+        total += sum(form(ek, el) * moment(k, l)
+                     for l, el in enumerate(edges))
+    return math.factorial(n) * vol * total
+
+
 def _close(got, exact, scale):
     assert abs(float(Q(float(got)) - exact)) <= scale, (
         got, float(exact), scale)
@@ -127,12 +155,13 @@ def problems(draw):
 
 def _certificates(f, s, k):
     """Every one-shot entry point on one simplex, by name."""
-    n = s.dimension
+    n, quad = s.dimension, f.evaluator
     rule = vertices_plus_barycenter_rule(n)
     return {
         "volume": lambda: geometry.volume(s),
         "moment": lambda: moments.central_second_moment(s),
-        "chart": lambda: geometry.chart(s),
+        "poly2": lambda: moments.integrate_poly2(
+            (quad.c, quad.b, QuadraticForm(quad.a)), s),
         "apply_rule": lambda: cubature.apply_rule(rule, f, s),
         "midpoint": lambda: bounds.midpoint_bound(f, s, k),
         "rule": lambda: bounds.rule_bound(rule, f, s, k),
@@ -166,11 +195,10 @@ def test_one_shot_paths_match_closed_forms(problem):
     geom = ULPS * EPS * (1.0 + cond)
     _close(calls["volume"](), vol, geom * vol)
     _close(calls["moment"](), moment, geom * moment)
-    _close(calls["chart"]().abs_det, vol * math.factorial(n),
-           geom * vol * math.factorial(n))
 
     size = f.magnitude(float(np.max(np.abs(v))))
     est = geom * size * float(vol)
+    _close(calls["poly2"](), _exact_integral(f, v, vol), est)
     rule = vertices_plus_barycenter_rule(n)
     bary = cubature.builtin("barycenter", n)
     vertex = cubature.builtin("vertex", n)

@@ -33,7 +33,7 @@ def test_edge_sum_moment_is_the_central_matrix_trace(n):
     scale = (n + 1) ** 2 * (n + 2)
     assert edge_sum / (scale * math.factorial(n)) == trace
     e2 = geometry.edge_lengths_sq(np.array(v, dtype=float))
-    assert moments.cell_stats(e2, 1.0) == pytest.approx(
+    assert geometry.cell_stats(e2, 1.0) == pytest.approx(
         float(edge_sum / scale), rel=1e-14)
 
 
