@@ -17,7 +17,7 @@ from . import cubature as cubature_mod
 from . import field as field_mod
 from . import geometry, moments
 from .errors import (ArityError, BudgetExhausted, CerticubeError,
-                     ParseError, UnknownRule)
+                     ParseError, RuleNotApplicable, UnknownRule)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -119,7 +119,14 @@ def _cmd_verify_rule(args, out):
     print(f"barycenter condition: {yn(report.barycenter_ok)}", file=out)
     print(f"max residual: {_fmt(max(report.residuals.values()))}", file=out)
     print(f"degree-2 certificate: {yn(report.thm2_applicable)}", file=out)
-    return EXIT_OK if report.thm2_applicable else EXIT_FAIL
+    try:
+        _, factor = bounds_mod.certificate(rule)
+    except RuleNotApplicable:
+        print("certificate: none", file=out)
+        return EXIT_FAIL
+    name = "midpoint, factor 1/2" if factor < 1 else "rule, factor 1"
+    print(f"certificate: {name}", file=out)
+    return EXIT_OK
 
 
 def _cmd_sandwich(args, out):

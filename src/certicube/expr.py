@@ -8,24 +8,29 @@ Grammar:
     var    := 'x' digits                  # 1-indexed
 
 Functions: exp, sin, cos, log, sqrt. Parentheses, calls and unary
-minuses nest at most MAX_NESTING deep, wherever parse is called: the
-parser does not recurse. Its single pass emits a Tape: one instruction
-(opcode, argument slots, constant) per slot, in evaluation order. A
+minuses nest to any depth, wherever parse is called: the parser does
+not recurse. Its single pass emits a Tape: one instruction (opcode,
+argument slots, constant) per slot, in evaluation order. A
 sub-expression without a variable is folded into a constant as it is
 parsed, by the float arithmetic, so it has the bits evaluation would
 give it; a power with a constant exponent becomes "powc", which carries
 the exponent.
 
 A tape runs as one straight-line Python function, tape.program, that
-reads each variable it uses once and then makes one call to an
-arithmetic's method per other instruction; an arithmetic is an object
-with one method per opcode. Floats evaluates at a batch (m, n) of
-points. Jets carries second-order forward-mode jets (value, gradient,
-Hessian) through the tape, exact up to rounding (Griewank &
-Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13). The
+reads each variable it uses once and then makes one statement, a call
+to an arithmetic's method, per other instruction; an arithmetic is an
+object with one method per opcode. Floats evaluates at a batch (m, n)
+of points. Jets carries second-order forward-mode jets (value,
+gradient, Hessian) through the tape, exact up to rounding (Griewank &
+Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13). The tape
+is a postorder tree, so an instruction's arguments are the top entries
+of an evaluation stack. Each value is stored in the local named by its
+depth among the stack's values that are not variable reads, so a dead
+value is overwritten once the stack grows over it again, and a deep
+nest costs what a flat chain of as many instructions costs. The
 function's source depends only on the tape's skeleton, its instructions
 without their float constants, so it is compiled once per skeleton
-(about 10 us an instruction) and cached. A tape binds that function to
+(about 10-20 us an instruction) and cached. A tape binds that function to
 its instructions on first evaluation, and the function reads the float
 constants from them, never from text. A tape keeps the text it was
 parsed from, and str(tape) returns it; equality compares the
@@ -98,11 +103,6 @@ class Tape:
         return self.text
 
 
-# A call nested this deep is stored in a local: Python's parser takes at
-# most 200 nested brackets.
-_NESTING = 32
-
-
 def _skeleton(ops):
     """The instructions with each float constant replaced by True; a
     variable's index stays, as an integer."""
@@ -111,46 +111,28 @@ def _skeleton(ops):
 
 
 def _source(skeleton):
-    """The text of ``program(c, a)`` on the arithmetic ``a``. Each
-    variable the tape uses is read once, at the top, as ``x<i> =
-    a.var(<i>)`` (i its 0-based index); every other instruction is one
-    call ``a.<opcode>(...)``. The float constant of slot j is read from
-    the tape's instructions as ``c[j][2]``.
-
-    Each value is written into the call that reads it, so Python's own
-    stack holds the intermediates and drops each once it is read, and
-    there are fewer statements to compile (about 20 us each). The tape
-    is a postorder tree: an instruction's arguments are the top
-    entries of an evaluation stack. A value is stored instead, in the
-    local named by its stack depth, when its call is nested _NESTING
-    deep, or when it reads a deeper local, which the next store at that
-    depth would overwrite before the call runs; a variable's local is
-    never overwritten."""
+    """The text of ``program(c, a)``: ``x<i> = a.var(<i>)`` for each
+    variable i the tape uses, then ``s<d> = a.<opcode>(<operands>)`` for
+    each other instruction, d its result's depth on the stack, with the
+    float constant of slot j read as ``c[j][2]``."""
     variables = sorted({c for op, _, c in skeleton if op == "var"})
     lines = [f"    x{i:d} = a.var({i:d})" for i in variables]
-    texts, levels, refs, depth = [], [], [], 0
+    names, depth = [], 0
     for slot, (op, args, const) in enumerate(skeleton):
         if op not in OPCODES:
             raise ValueError(f"unknown opcode {op!r}")
-        depth -= len(args)
         if op == "var":
-            call, level, ref = f"x{const:d}", 0, -1
-        else:
-            operands = [texts[i] for i in args]
-            if const is not None:
-                operands.append(f"c[{slot}][2]")
-            call = f"a.{op}({', '.join(operands)})"
-            level = 1 + max((levels[i] for i in args), default=0)
-            ref = max((refs[i] for i in args), default=-1)
-            if ref > depth or level > _NESTING:
-                lines.append(f"    s{depth} = {call}")
-                call, level, ref = f"s{depth}", 0, depth
-        texts.append(call)
-        levels.append(level)
-        refs.append(ref)
+            names.append(f"x{const:d}")
+            continue
+        operands = [names[i] for i in args]
+        depth -= sum(name[0] == "s" for name in operands)
+        if const is not None:
+            operands.append(f"c[{slot}][2]")
+        names.append(f"s{depth}")
+        lines.append(f"    s{depth} = a.{op}({', '.join(operands)})")
         depth += 1
     return "\n".join(["def program(c, a):", *lines,
-                      f"    return {texts[-1]}\n"])
+                      f"    return {names[-1]}\n"])
 
 
 @functools.lru_cache(maxsize=64)
@@ -333,11 +315,6 @@ _VAR_RE = re.compile(r"x(\d+)")
 _BINARY = {"+": ("add", 1, 1), "-": ("sub", 1, 1), "*": ("mul", 2, 2),
            "/": ("div", 2, 2), "^": ("pow", 4, 5)}
 _NEG = ("neg", 3)
-# An expression nests at most this deep: parentheses, calls and unary
-# minuses, counted together. The parser keeps its pending operators in a
-# list, not on Python's stack, so the limit is the same wherever parse is
-# called.
-MAX_NESTING = 200
 
 
 class _Compiler:
@@ -357,7 +334,6 @@ class _Compiler:
         self.ops = []
         self.operands = []
         self.pending = []  # (opcode, precedence); '(' or a function: 0
-        self.depth = 0  # unary minuses and brackets pending
 
     def emit(self, op, args=(), const=None):
         self.ops.append((op, args, const))
@@ -374,21 +350,12 @@ class _Compiler:
             return self.emit("powc", (operands[0],), operands[1])
         return self.emit(op, tuple(map(self.slot, operands)))
 
-    def push(self, entry, pos):
-        """Open a nesting level: a unary minus, '(' or a call."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"expression nested too deeply at {pos}",
-                             position=pos)
-        self.pending.append(entry)
-
     def reduce(self, precedence):
         """Apply the pending operators that bind at least this tightly."""
         pending, operands = self.pending, self.operands
         while pending and pending[-1][1] >= precedence:
             op, _ = pending.pop()
             if op == "neg":
-                self.depth -= 1
                 operands.append(self.apply(op, operands.pop()))
             else:
                 right = operands.pop()
@@ -403,14 +370,14 @@ class _Compiler:
             # number or a variable.
             kind, text, pos = next(tokens)
             if text == "-":
-                self.push(_NEG, pos)
+                pending.append(_NEG)
                 continue
             if text == "(" or text in FUNCTIONS:
                 if text != "(":
                     token = next(tokens)
                     if token[1] != "(":
                         raise _expected("(", token)
-                self.push((text, 0), pos)
+                pending.append((text, 0))
                 groups += 1
                 continue
             operands.append(float(text) if kind == "number"
@@ -437,7 +404,6 @@ class _Compiler:
                     raise _expected(")", token)
                 self.reduce(1)
                 name = pending.pop()[0]
-                self.depth -= 1
                 groups -= 1
                 if name != "(":
                     operands.append(self.apply(name, operands.pop()))

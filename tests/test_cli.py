@@ -17,6 +17,8 @@ from certicube import cubature
 from certicube.cli import run
 from certicube.errors import ParseError
 
+from util import stroud_t3_rule
+
 
 def invoke(argv):
     out = io.StringIO()
@@ -63,6 +65,27 @@ def test_verify_rule_degree1_fails(tmp_path):
     code, text = invoke(["verify-rule", str(path)])
     assert code == 1
     assert "exactness: 1" in text
+
+
+@pytest.mark.parametrize("rule,code,last", [
+    ("barycenter_file", 0, "certificate: midpoint, factor 1/2"),
+    ("vertex", 1, "certificate: none"),
+    ("hh-mix-2d", 0, "certificate: rule, factor 1"),
+    ("stroud", 0, "certificate: rule, factor 1")],
+    ids=["barycenter_file", "vertex", "hh-mix-2d", "stroud"])
+def test_verify_rule_exits_as_the_certificate_policy_decides(
+        tmp_path, rule, code, last):
+    # The same decision as bound and integrate: a one-node barycenter
+    # rule is certified with the midpoint factor, though not degree-2.
+    path = tmp_path / "policy.rule"
+    if rule == "barycenter_file":
+        path.write_text("dim 2\nnodes 1\n1/3 1/3 1/3\n1\n")
+    else:
+        cubature.save_rule(stroud_t3_rule() if rule == "stroud"
+                           else cubature.builtin(rule, 2), path)
+    got, text = invoke(["verify-rule", str(path)])
+    assert (got, text.splitlines()[-1]) == (code, last)
+    assert len(text.splitlines()) == 5
 
 
 @pytest.mark.parametrize("text,message", [
@@ -461,20 +484,25 @@ def test_constant_division_by_zero_is_an_error(unit_segment, argv):
     assert text == "error: integrand non-finite on a batch point\n"
 
 
-# Each nests deeper than expr.MAX_NESTING; evaluation has no depth.
-TOO_DEEP = {"parentheses_250": "(" * 250 + "x1" + ")" * 250,
-            "minus_1000": "-" * 1000 + "x1",
-            "exp_400": "exp(" * 400 + "x1" + ")" * 400}
+# Nesting has no limit: the first two are x1, and the third overflows.
+DEEP = {"parentheses_250": "(" * 250 + "x1" + ")" * 250,
+        "minus_1000": "-" * 1000 + "x1",
+        "exp_400": "exp(" * 400 + "x1" + ")" * 400}
 
 
-@pytest.mark.parametrize("text", TOO_DEEP.values(), ids=TOO_DEEP)
-def test_deeply_nested_expression_is_a_parse_error(unit_segment, text):
-    argv = ["integrate", f"--expr={text}", "--simplex", unit_segment,
-            "--tol", "1e-3", "--K", "1"]
-    _check_documented_exit(argv)
-    code, out = invoke(argv)
-    assert code == 2
-    assert out.startswith("error: expression nested too deeply at ")
+@pytest.mark.parametrize("name", DEEP)
+def test_deeply_nested_expression_runs(unit_segment, name):
+    def argv(text):
+        return ["integrate", f"--expr={text}", "--simplex", unit_segment,
+                "--tol", "1e-3", "--K", "1"]
+
+    _check_documented_exit(argv(DEEP[name]))
+    got = invoke(argv(DEEP[name]))
+    if name == "exp_400":
+        assert got == (1, "error: integrand non-finite on a batch point\n")
+    else:
+        assert got == invoke(argv("x1"))
+        assert got[0] == 0
 
 
 def test_twenty_thousand_term_sum_integrates(unit_segment):

@@ -403,18 +403,17 @@ def _nested(levels):
             "-(" * half + "x1" + ")" * half]
 
 
-@pytest.mark.parametrize("levels", [expr.MAX_NESTING, expr.MAX_NESTING + 2])
+@pytest.mark.parametrize("levels", [200, 5000])
 def test_parse_depth_does_not_depend_on_the_callers_stack(levels):
-    # MAX_NESTING levels parse and more are refused, at the top of the
-    # stack and 500 frames down alike.
+    # Nesting has no limit: the same tape at the top of the stack and 500
+    # frames down, and its program runs as the tape interpreter does.
+    points = np.array([[0.25], [-1.5], [2.0]])
     for text in _nested(levels):
-        top = _parse_down(0, text)
-        assert _parse_down(500, text) == top
-        if levels <= expr.MAX_NESTING:
-            assert isinstance(top, expr.Tape)
-        else:
-            assert top[0] is ParseError
-            assert top[1].startswith("expression nested too deeply at ")
+        tape = _parse_down(0, text)
+        assert isinstance(tape, expr.Tape)
+        assert _parse_down(500, text) == tape
+        for arith in (expr.Floats(points), expr.Jets(points)):
+            assert_same_bits(tape.program(arith), run_tape(tape, arith))
 
 
 @pytest.mark.parametrize("text,reference", [
@@ -437,8 +436,8 @@ def test_nesting_100_deep_parses_and_evaluates(text, reference):
 
 
 def test_a_stored_value_is_read_before_its_local_is_reused():
-    # Each 40-term sum nests past the limit and is stored at depth 1; the
-    # first one is read before the second one is stored there.
+    # The first 40-term sum is built in s1 and added into s0 before the
+    # second one is built in s1.
     text = ("x1 + (" + "+".join(["x1"] * 40) + ") + ("
             + "+".join(["x2"] * 40) + ")")
     points = np.array([[1.0, 1000.0], [2.0, -3.0]])
@@ -447,22 +446,59 @@ def test_a_stored_value_is_read_before_its_local_is_reused():
     assert tape(points).tolist() == [41.0 + 40000.0, 82.0 - 120.0]
 
 
-@pytest.mark.parametrize("text", ["+".join(["x1"] * 200),
-                                  "exp(" * 100 + "x1" + ")" * 100],
-                         ids=["sum_200", "exp_100"])
-def test_program_holds_only_a_few_arrays(text):
-    # 100,000 points: one array of values is 800 kB. Each intermediate is
-    # dropped once read, as the tape interpreter dropped it.
+_OPERAND = r"(?:[sx]\d+|c\[\d+\]\[2\])"
+_STATEMENT = re.compile(
+    rf"    s\d+ = a\.(\w+)\(({_OPERAND}(?:, {_OPERAND})*)?\)")
+
+
+@pytest.mark.parametrize("source", ["trees", "sum_20000"])
+def test_program_is_one_statement_per_instruction(source):
+    # After the variable reads, each instruction is one flat statement
+    # whose operands are locals or constants, never a call.
+    if source == "trees":
+        rng = np.random.default_rng(31)
+        tapes = []
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            tapes.append(expr.parse(tree_text(rand_tree(rng, n, 5)), n))
+    else:
+        tapes = [expr.parse("+".join(["x1"] * 20000), 1)]
+        assert len(tapes[0].ops) == 39999
+    for tape in tapes:
+        lines = expr._source(expr._skeleton(tape.ops)).splitlines()
+        used = len({c for op, _, c in tape.ops if op == "var"})
+        body, last = lines[1 + used:-1], lines[-1]
+        opcodes = [op for op, _, _ in tape.ops if op != "var"]
+        assert len(body) == len(opcodes)
+        for line, op in zip(body, opcodes):
+            match = _STATEMENT.fullmatch(line)
+            assert match and match[1] == op, line
+        assert re.fullmatch(r"    return [sx]\d+", last)
+
+
+# 100,000 points: one array of values is 800 kB, and a jet of one
+# variable holds three arrays of that size.
+@pytest.mark.parametrize("text,arith,arrays", [
+    pytest.param("+".join(["x1"] * 200), expr.Floats, 6, id="sum_200"),
+    pytest.param("exp(" * 100 + "x1" + ")" * 100, expr.Floats, 6,
+                 id="exp_100"),
+    pytest.param("exp(" * 100 + "x1" + ")" * 100, expr.Jets, 12,
+                 id="exp_100_jets"),
+    pytest.param("x1*(" * 100 + "x1" + ")" * 100, expr.Floats, 6,
+                 id="product_100")])
+def test_program_holds_only_a_few_arrays(text, arith, arrays):
+    # Each intermediate is dropped once the stack grows over it again, so
+    # a deep nest holds no more than its few live values.
     points = np.random.default_rng(17).uniform(-1.0, 0.0, size=(100_000, 1))
     program = expr.parse(text, 1).program  # compiled before tracing
     tracemalloc.start()
     try:
         with np.errstate(all="ignore"):
-            program(expr.Floats(points))
+            program(arith(points))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * points.nbytes
+    assert peak < arrays * points.nbytes
 
 
 def test_tape_pickles_after_evaluation():
