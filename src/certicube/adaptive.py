@@ -25,9 +25,19 @@ edges, so its true volume differs slightly, which the radius does not
 yet cover. Leaves are a coordinate-major batch (see geometry) and carry
 their squared edge lengths e2, made once per cell: e2 gives its second
 moment (geometry.cell_stats) and its split's longest edge. Sums use
-math.fsum, exactly rounded in any order. Per-cell K is the larger
-magnitude of the new cells' field.lattice_spectrum; the loop knows no
-lattice and no Hessian, so a field without a hessian needs k_override.
+math.fsum, exactly rounded in any order.
+
+Per-cell K is centered. The midpoint bound holds for f - q_A, with
+q_A(x) = (x - pbar)^T A (x - pbar) / 2 for any symmetric A, and then K
+needs to bound only ||D^2 f - A||. So each new cell takes A = D^2 f at
+its barycenter and K = the larger magnitude of its
+field.lattice_spectrum centered there, which shrinks with the cell. A
+midpoint leaf keeps A, and its estimate gains the integral of q_A,
+tr(A M_S) / 2 (geometry.second_moment_matrices), once, when the run
+ends; a positive degree-2-exact rule integrates q_A exactly and keeps
+its estimate. k_override and global K keep A = 0 and take no Hessian at
+the barycenter. The loop knows no lattice, so a field without a hessian
+needs k_override.
 """
 
 from __future__ import annotations
@@ -81,6 +91,8 @@ class AdaptiveConfig:
 class RunDiagnostics:
     """What a run did; the leaf arrays are the run's own, in creation
     order: vertices (m, n+1, n), estimates, radii, K and depths (m,).
+    In per-cell mode a leaf's K bounds ||D^2 f - A||, A the Hessian at
+    its barycenter.
     stop says why the run ended: "tolerance", "max_cells" or
     "max_depth"."""
 
@@ -122,36 +134,54 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     global_k = cfg.k_override
     if global_k is None and cfg.k_mode == "global":
         global_k = field_mod.d2f_sup_norm(f, s)
+    # Per-cell K is centered on the Hessian A at each cell's barycenter;
+    # the midpoint leaves keep A for their estimate.
+    center = (None if global_k is not None else
+              cubature_mod.builtin("barycenter", s.dimension).nodes[0])
+    keep_hess = center is not None and factor < 1
     max_band = max(1, POINTS_PER_ROUND // (2 * len(rule.weights)))
     chunk = max(1, POINTS_PER_ROUND // len(rule.weights))
 
     def _cells(W, depth):
-        """(radius, K, e2) of each cell of W at its tree depth."""
+        """(radius, K, e2, A) of each cell of W at its tree depth; A is
+        None unless the leaves keep it."""
         # Inherited, not measured: see the module docstring.
         vol = np.ldexp(root_vol, -depth)
         e2 = geometry.edge_lengths_sq(W)
+        hess = None
         if global_k is not None:
             k_cell = np.full(len(vol), global_k, dtype=float)
         else:
-            lo, hi = field_mod.lattice_spectrum(f, W, K_RESOLUTION)
+            lo, hi, hess = field_mod.lattice_spectrum(f, W, K_RESOLUTION,
+                                                      center)
             k_cell = np.maximum(-lo, hi)
         return (cell_radii(factor, k_cell, geometry.cell_stats(e2, vol)),
-                k_cell, e2)
+                k_cell, e2, hess if keep_hess else None)
 
     root_vol = geometry.volume(s)  # the run's one determinant
     W, depth = s.batch()[0], np.zeros(1, dtype=int)
-    rad, k_cell, e2 = _cells(W, depth)
+    rad, k_cell, e2, hess = _cells(W, depth)
     running = rad[0]
     rounds = discarded = 0
     shrink = grow = 1.0  # children/parents radius; 1 predicts nothing
+
+    def estimates(cells, vol):
+        est = cubature_mod.estimate(rule, f, W[..., cells], vol)
+        if hess is None:
+            return est
+        # q_A(x) = (x - pbar)^T A (x - pbar) / 2 is 0 at the midpoint
+        # rule's node, so the rule misses all of its integral,
+        # tr(A M_S) / 2.
+        m_s = geometry.second_moment_matrices(W[..., cells], vol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return est + 0.5 * (hess[..., cells] * m_s).sum(axis=(0, 1))
 
     def finish(stop, radius=None):
         # The leaves' estimates, in creation order, POINTS_PER_ROUND rule
         # nodes at a time.
         vol = np.ldexp(root_vol, -depth)
         est = np.concatenate([
-            cubature_mod.estimate(rule, f, W[..., i:i + chunk],
-                                  vol[i:i + chunk])
+            estimates(slice(i, i + chunk), vol[i:i + chunk])
             for i in range(0, len(vol), chunk)])
         if diagnostics is not None:
             diagnostics.stop = stop
@@ -190,8 +220,9 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             cut = np.count_nonzero(left > cfg.tolerance) + 1
             band, b_rad = band[:cut], b_rad[:cut]
         c_depth = np.repeat(depth[band] + 1, 2)
-        children = geometry.split(W[..., band], e2[..., band])
-        c_rad, c_k, c_e2 = _cells(children, c_depth)
+        children = geometry.split(W.take(band, axis=-1),
+                                  e2.take(band, axis=-1))
+        c_rad, c_k, c_e2, c_hess = _cells(children, c_depth)
         pair_sum = c_rad[0::2] + c_rad[1::2]
         pair_max = np.maximum(c_rad[0::2], c_rad[1::2])
         # totals[k]: the heap's running total before its k-th pop.
@@ -218,10 +249,11 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             grow = min(1.0, (pair_max[:take] / b_rad[:take]).max())
         keep = np.ones(len(rad), dtype=bool)
         keep[band[:take]] = False
-        new = (children, c_e2, c_rad, c_k, c_depth)
-        W, e2, rad, k_cell, depth = (
-            np.concatenate((old[..., keep], add[..., :2 * take]), axis=-1)
-            for old, add in zip((W, e2, rad, k_cell, depth), new))
+        new = (children, c_e2, c_rad, c_k, c_depth, c_hess)
+        W, e2, rad, k_cell, depth, hess = (
+            None if old is None else np.concatenate(
+                (old.compress(keep, axis=-1), add[..., :2 * take]), axis=-1)
+            for old, add in zip((W, e2, rad, k_cell, depth, hess), new))
         running = totals[take]
         rounds += 1
         discarded += len(band) - take

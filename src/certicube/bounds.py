@@ -15,7 +15,11 @@ All radii are conditional on the supplied curvature constant K >= the
 sup operator norm of the second differential over the simplex;
 K_certified records whether K was an analytic constant or a lattice
 estimate. A lattice estimate reads the field's own hessian, so a field
-without one needs its K given.
+without one needs its K given. The same radii hold for f - q_A, with
+q_A(x) = (x - pbar)^T A (x - pbar) / 2, when K bounds ||D^2 f - A||:
+the adaptive loop's per-cell K is that bound for A = D^2 f(pbar), and
+its midpoint estimates add the integral of q_A. The one-shot
+certificates here take A = 0.
 """
 
 from __future__ import annotations
@@ -133,7 +137,8 @@ def certificate(rule):
 def cell_radii(factor, gauge, m2):
     """Radius of each cell of a batch, given its second moment m2
     (geometry.cell_stats, or a Simplex's kept second_moment) and its
-    curvature constant K: factor * K * m2. InvariantViolation if a radius
+    curvature constant K (a bound on ||D^2 f - A|| for a centered cell):
+    factor * K * m2. InvariantViolation if a radius
     is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         rad = factor * gauge * m2

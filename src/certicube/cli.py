@@ -180,7 +180,9 @@ def _cmd_integrate(args, out):
             fh.write(f"K_max {_fmt(diag.k_max)}\n")
             fh.write(f"K_min {_fmt(diag.k_min)}\n")
             fh.write(f"stop {diag.stop}\n")
-            source = "override" if result.K_certified else "lattice"
+            source = ("override" if result.K_certified else
+                      "lattice" if args.k_mode == "global" else
+                      "centered-lattice")
             fh.write(f"K_source {source}\n")
             fh.write(f"rounds {diag.rounds}\n")
             fh.write(f"discarded_splits {diag.discarded_splits}\n")

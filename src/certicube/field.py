@@ -10,7 +10,10 @@ Hessians come only from the field's own hessian: a field without one
 needs its K from the caller. lattice_spectrum samples the lowest and
 highest Hessian eigenvalue of each simplex on a barycentric lattice: K
 is the larger magnitude of the two, and the convexity screen reads the
-lowest. A sample is not certified; a caller with a known constant
+lowest. Given a center, it samples D^2 f - A instead, A the Hessian at
+that point of each cell, and returns A too: per-cell K is centered at
+the barycenter, and A enters a per-cell midpoint estimate as well as
+its radius. A sample is not certified; a caller with a known constant
 passes it as K instead.
 """
 
@@ -101,27 +104,50 @@ def hessian_at(f, u):
     return QuadraticForm(hessians(f, np.asarray(u, dtype=float)[None])[0])
 
 
-def lattice_spectrum(f, W, resolution):
+def lattice_spectrum(f, W, resolution, center=None):
     """(lowest, highest) Hessian eigenvalue, each (m,), on the barycentric
     lattice of mesh 1/resolution of each cell of the batch W (see
     geometry): the one Hessian sampler, so not certified. Each hessians
     call, and the lattice built for it, covers about POINTS_PER_CALL
-    Hessian entries."""
+    Hessian entries.
+
+    With center, barycentric weights (n+1,), the point of each cell at
+    those weights joins its lattice, and the sampled spectrum is that of
+    D^2 f(x) - A, where A is the Hessian at the cell's center: returns
+    (lowest, highest, A), A (n, n, m). The center is sampled in the same
+    hessians call as the first points of its cell's lattice.
+    """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    n = len(W) - 1
+    n, m = W.shape[1:]
     weights = geometry.lattice_weights(n, resolution)
+    if center is not None:
+        weights = np.vstack((center, weights))
+        hess = np.empty((n, n, m))
     step = max(1, POINTS_PER_CALL // (n * n))
     per_call = max(1, step // len(weights))
-    lo, hi = np.empty((2, W.shape[-1]))
-    for i in range(0, W.shape[-1], per_call):
-        points = geometry.points(weights, W[..., i:i + per_call])
-        spectra = [extreme_eigenvalues(hessians(f, points[j:j + step]))
-                   for j in range(0, len(points), step)]
+    lo, hi = np.empty((2, m))
+    for i in range(0, m, per_call):
+        cells = slice(i, i + per_call)
+        points = geometry.points(weights, W[..., cells])
+        c = len(points) // len(weights)  # cells in this chunk
+        spectra = []
+        for j in range(0, len(points), step):
+            H = hessians(f, points[j:j + step])
+            if center is not None:
+                # Rows run by weight, then cell, and a call holds whole
+                # weight rows, so the center rows lead the first call.
+                if j == 0:
+                    hess[..., cells] = H[:c].transpose(1, 2, 0)
+                with np.errstate(over="ignore"):  # inf: cell_radii raises
+                    H = (H.reshape(-1, c, n, n)
+                         - hess[..., cells].transpose(2, 0, 1)
+                         ).reshape(-1, n, n)
+            spectra.append(extreme_eigenvalues(H))
         low, high = (np.concatenate(side).reshape(len(weights), -1)
                      for side in zip(*spectra))
-        lo[i:i + per_call], hi[i:i + per_call] = low.min(0), high.max(0)
-    return lo, hi
+        lo[cells], hi[cells] = low.min(0), high.max(0)
+    return (lo, hi) if center is None else (lo, hi, hess)
 
 
 def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION):

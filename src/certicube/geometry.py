@@ -3,7 +3,8 @@
 A batch of m cells is coordinate-major, W (n+1, n, m) (vertex,
 coordinate, cell), so kernels work on length-m planes. Only this module
 reads its vertex and coordinate axes and the edge axis of its squared
-edge lengths e2 (cell_stats reduces e2 to second moments); others index
+edge lengths e2 (cell_stats reduces e2 to second moments, and
+second_moment_matrices W to second-moment matrices); others index
 a batch and its e2 only along the last (cell) axis, and take a
 simplex's one-cell batch from Simplex.batch.
 """
@@ -144,6 +145,17 @@ def cell_stats(e2, vol):
     k = (1 + math.isqrt(1 + 8 * len(e2))) // 2  # n+1 vertices, E = k(k-1)/2
     with np.errstate(over="ignore", invalid="ignore"):
         return vol * functools.reduce(np.add, e2) / (k * k * (k + 1))
+
+
+def second_moment_matrices(W, vol):
+    """int_S (x - pbar)(x - pbar)^T dx of each cell of W (n+1, n, m), as
+    (n, n, m): vol * sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)),
+    vol times the covariance of cell_stats, so its trace is cell_stats's
+    moment. Exactly symmetric; inf where it overflows."""
+    k = len(W)
+    d = W - W.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("ajm,alm->jlm", d, d) * (vol / (k * (k + 1)))
 
 
 def split(W, e2):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from certicube import bounds, cubature, geometry, moments, qform
+from certicube import bounds, cubature, geometry, moments
 from certicube import adaptive as adaptive_mod
 from certicube import field as field_mod
 from certicube.adaptive import (AdaptiveConfig, RunDiagnostics,
@@ -16,7 +16,7 @@ from certicube.errors import (BudgetExhausted, CerticubeError,
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
-from util import (heap_integrate, mc_integral, polynomial_field,
+from util import (centered_k, heap_integrate, mc_integral, polynomial_field,
                   quadratic_terms, rand_simplex, refine_steps,
                   stroud_t3_rule, vertices_plus_barycenter_rule)
 
@@ -352,10 +352,9 @@ def test_batched_k_matches_hessian_at(n):
     diag = RunDiagnostics()
     refine_steps(f, s, AdaptiveConfig(tolerance=1.0), 12, diagnostics=diag)
     assert len(diag.k_cells) == 13
+    # Per-cell K is centered: the largest norm of D^2 f - D^2 f(pbar).
     for v, k_local in zip(diag.vertices, diag.k_cells):
-        expected = max(
-            qform.operator_norm(field_mod.hessian_at(f, p))
-            for p in geometry.lattice_points(geometry.Simplex(v), 4))
+        expected = centered_k(f, geometry.Simplex(v), 4)[1]
         assert k_local == pytest.approx(expected, rel=1e-6)
 
 
@@ -385,7 +384,7 @@ def test_partition_does_not_depend_on_round_size(monkeypatch, points):
     rng = np.random.default_rng(9)
     s = rand_simplex(rng, 2)
     f = _exp_field(rng.uniform(-2.0, 2.0, size=2), "tape")
-    cfg = AdaptiveConfig(tolerance=1e-4)
+    cfg = AdaptiveConfig(tolerance=1e-6)
     base = RunDiagnostics()
     expected = integrate_adaptive(f, s, cfg, diagnostics=base)
     monkeypatch.setattr(adaptive_mod, "POINTS_PER_ROUND", points)
@@ -397,18 +396,18 @@ def test_partition_does_not_depend_on_round_size(monkeypatch, points):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_leaves_inherit_exact_volumes(monkeypatch, n):
-    # f = 1, so a leaf's estimate is its volume: |det E| of the root
-    # halved once per level. K peaks at the vertex at the origin, which
-    # drives one corner past depth 15 while coordinates stay relative.
+    # f = 1 + 1e-30 * sqrt(1e-12 + |x|^2) rounds to 1 everywhere, and its
+    # quadratic term to nothing beside the volume, so a leaf's estimate
+    # is its volume: |det E| of the root halved once per level. Its own
+    # Hessian peaks at the vertex at the origin, which drives one corner
+    # past depth 15 while coordinates stay relative.
     rng = np.random.default_rng(80 + n)
     monkeypatch.setattr(adaptive_mod, "K_RESOLUTION", 1)
+    norm = " + ".join(f"x{i + 1}^2" for i in range(n))
+    one = field_mod.parse_expr(f"1 + 1e-30*sqrt(1e-12 + {norm})", n)
     for _ in range(3):
         vertices = rand_simplex(rng, n).vertices
         s = geometry.Simplex(vertices - vertices[0])
-        one = ScalarField(
-            dimension=n, evaluator=lambda x: np.ones(np.shape(x)[:-1]),
-            hessian=lambda u: np.eye(n) / (
-                1e-12 + np.sum(u * u, axis=1))[:, None, None])
         diag = RunDiagnostics()
         result = refine_steps(one, s, AdaptiveConfig(tolerance=1.0), 150,
                               diagnostics=diag)
@@ -484,7 +483,7 @@ def test_child_k_above_parent_k():
                                 diagnostics=diag)
     estimate, radius, cells, hist, stop = heap_integrate(bump, segment, 1e-3)
     assert (stop, result.cells, diag.depth_histogram) == ("tol", cells, hist)
-    assert result.cells == 19
+    assert result.cells == 15
     assert abs(result.estimate - estimate) <= result.radius + radius
 
 
@@ -511,9 +510,9 @@ def test_integrand_is_evaluated_once_per_leaf_node(n, rule, k_mode):
     # the final pass evaluates each leaf's rule nodes once.
     f, points = _counting_exp(n)
     s = rand_simplex(np.random.default_rng(n), n)
-    cfg = AdaptiveConfig(tolerance=1e-4, rule=rule,
-                         k_override=math.exp(n) if k_mode == "override"
-                         else None)
+    override = k_mode == "override"
+    cfg = AdaptiveConfig(tolerance=1e-4 if override else 1e-5, rule=rule,
+                         k_override=math.exp(n) if override else None)
     result = integrate_adaptive(f, s, cfg)
     nodes = 1 if rule is None else len(rule.weights)
     assert result.cells > 100
@@ -572,3 +571,66 @@ def test_only_leaf_nodes_must_be_finite(tol, fails):
     else:
         result = integrate_adaptive(f, UNIT_TRIANGLE, cfg)
         assert result.cells > 1 and result.estimate == 0.5
+
+
+@pytest.mark.parametrize("mode", ["override", "global", "per-cell-rule",
+                                  "per-cell"])
+def test_only_per_cell_runs_are_centered(monkeypatch, mode):
+    # Per-cell K samples each cell with its barycenter as the center, and
+    # only a midpoint run builds second-moment matrices, once per chunk
+    # of final leaves; --K and global K do neither.
+    centers, matrices = [], []
+    spectrum = field_mod.lattice_spectrum
+    moments_of = geometry.second_moment_matrices
+    monkeypatch.setattr(field_mod, "lattice_spectrum",
+                        lambda f, W, r, center=None: centers.append(center)
+                        or spectrum(f, W, r, center))
+    monkeypatch.setattr(geometry, "second_moment_matrices",
+                        lambda W, vol: matrices.append(vol.shape)
+                        or moments_of(W, vol))
+    cfg = AdaptiveConfig(
+        tolerance=1e-4, k_mode="global" if mode == "global" else "per-cell",
+        k_override=2 * math.e if mode == "override" else None,
+        rule=cubature.builtin("hh-mix-2d", 2) if mode == "per-cell-rule"
+        else None)
+    result = integrate_adaptive(EXP_SUM_2D, UNIT_TRIANGLE, cfg)
+    if mode == "override":
+        assert centers == []
+    elif mode == "global":
+        assert centers == [None]
+    else:
+        assert len(centers) > 1
+        assert all(np.array_equal(c, [1 / 3] * 3) for c in centers)
+    assert matrices == ([(result.cells,)] if mode == "per-cell" else [])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quadratic_ends_at_the_root_with_radius_zero(n):
+    # A quadratic's Hessian is A everywhere, so centered K is 0, and the
+    # midpoint estimate plus tr(A M_S) / 2 is its integral up to rounding,
+    # which the radius does not cover.
+    rng = np.random.default_rng(90 + n)
+    s = rand_simplex(rng, n)
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    phi = QuadraticForm(0.5 * (a + a.T))
+    b = rng.uniform(-1.0, 1.0, n)
+    f = polynomial_field(n, quadratic_terms(0.4, b, phi))
+    result = integrate_adaptive(f, s, AdaptiveConfig(tolerance=1e-12))
+    assert (result.cells, result.radius, result.K_used) == (1, 0.0, 0.0)
+    assert not result.K_certified
+    exact = moments.integrate_poly2((0.4, b, phi), s)
+    assert result.estimate == pytest.approx(exact, rel=1e-13, abs=1e-15)
+    # Without the quadratic term the estimate is the midpoint rule's.
+    midpoint = bounds.midpoint_bound(f, s, 0.0).estimate
+    assert abs(midpoint - exact) > 1e-6 * abs(exact)
+
+
+def test_centered_k_that_overflows_is_a_radius_error():
+    # |D^2 f| <= 1.5e308 on [-2, 1], but D^2 f(1) - D^2 f(-0.5) is about
+    # -2e308: centered K is inf, reported by the error alone.
+    f = field_mod.parse_expr("1.5e308*sin(x1)", 1)
+    segment = geometry.Simplex([[-2.0], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CerticubeError, match="non-finite cell radius"):
+            integrate_adaptive(f, segment, AdaptiveConfig(tolerance=1.0))

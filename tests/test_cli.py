@@ -386,10 +386,13 @@ def _report(tmp_path, argv):
 
 @pytest.mark.parametrize("extra,code,stop,source", [
     (["--K", "2"], 0, "tolerance", "override"),
-    ([], 0, "tolerance", "lattice"),
+    ([], 0, "tolerance", "centered-lattice"),
     (["--k-mode", "global"], 0, "tolerance", "lattice"),
     (["--K", "2", "--max-cells", "5"], 3, "max_cells", "override"),
-    (["--max-cells", "5"], 3, "max_cells", "lattice")])
+    (["--max-cells", "5"], 3, "max_cells", "centered-lattice"),
+    (["--k-mode", "per-cell"], 0, "tolerance", "centered-lattice"),
+    (["--K", "2", "--k-mode", "global"], 0, "tolerance", "override"),
+    (["--k-mode", "global", "--max-cells", "5"], 3, "max_cells", "lattice")])
 def test_integrate_report_says_why_it_stopped_and_where_k_came_from(
         unit2, tmp_path, extra, code, stop, source):
     argv = ["integrate", "--expr", "exp(x1+x2)", "--simplex", unit2,
@@ -401,6 +404,22 @@ def test_integrate_report_says_why_it_stopped_and_where_k_came_from(
     assert keys.index("K_source") == keys.index("stop") + 1
     assert (report["stop"], report["K_source"]) == (stop, source)
     assert keys[-2:] == ["rounds", "discarded_splits"]
+
+
+def test_readme_names_exactly_the_report_keys(unit2, tmp_path):
+    # README's --report paragraph lists one "- `key`: ..." item per key
+    # line, in order; the report must write exactly those.
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    paragraph = text[text.index("`--report` writes"):]
+    paragraph = paragraph[:paragraph.index("\n\n", paragraph.index("\n- "))]
+    documented = re.findall(r"^- `(\w+)`:", paragraph, flags=re.M)
+    assert "then a `depth histogram`" in paragraph
+    _, report = _report(tmp_path, ["integrate", "--expr", "exp(x1+x2)",
+                                   "--simplex", unit2, "--tol", "1e-3"])
+    assert documented == list(report)
 
 
 @pytest.fixture

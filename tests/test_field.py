@@ -136,6 +136,40 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
             assert max(sizes) <= max(1, points_per_call // (n * n))
 
 
+@pytest.mark.parametrize("points_per_call", [1, 9 * 7, 9 * 40, 2 ** 20])
+def test_centered_spectrum_is_that_of_the_hessian_less_the_center(
+        monkeypatch, points_per_call):
+    # The center joins each cell's lattice in the same hessians calls; A
+    # is the Hessian there, and the spectrum is that of D^2 f - A at the
+    # center and the lattice, whatever the chunking: up to the rounding of
+    # the points, which the matrix product may round differently for
+    # another number of cells.
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(30 + n)
+        simplices = [rand_simplex(rng, n) for _ in range(5)]
+        V = np.concatenate([s.batch()[0] for s in simplices], axis=-1)
+        center = cubature.builtin("barycenter", n).nodes[0]
+        for f in lattice_fields(n):
+            sizes = []
+            batch = field.hessians
+            with monkeypatch.context() as patch:
+                patch.setattr(field, "POINTS_PER_CALL", points_per_call)
+                patch.setattr(field, "hessians",
+                              lambda f, p: sizes.append(len(p)) or batch(f, p))
+                lo, hi, hess = field.lattice_spectrum(f, V, 4, center)
+            lattice = len(geometry.lattice_weights(n, 4))
+            assert sum(sizes) == 5 * (lattice + 1)
+            assert hess.shape == (n, n, 5)
+            weights = np.vstack((center, geometry.lattice_weights(n, 4)))
+            every = field.hessians(f, geometry.points(weights, V))
+            for k in range(5):
+                H = every.reshape(len(weights), 5, n, n)[:, k]
+                assert hess[..., k] == pytest.approx(H[0], rel=1e-12)
+                low, high = qform.extreme_eigenvalues(H - H[0])
+                assert (lo[k], hi[k]) == pytest.approx(
+                    (low.min(), high.max()), rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lattice_k_is_the_largest_operator_norm_on_the_lattice(n):
     # Bit for bit: the loop and the reference heap take K by one kernel,

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,53 @@ def test_batch_kernels_match_reference_formulas(n):
                        for _ in range(n)] for _ in range(n + 1)])
     assert list(geometry.edge_lengths_sq(exact)) == list(
         edge_lengths_sq_reference(exact))
+
+
+def _flattened(rng, n, thickness, direction=None):
+    """Random simplex squashed along a unit direction to the given
+    relative thickness: near-degenerate, still in [-1, 1]^n."""
+    v = rand_simplex(rng, n).vertices
+    d = rng.standard_normal(n) if direction is None else direction
+    d = d / np.linalg.norm(d)
+    return v - (1 - thickness) * np.outer(v @ d, d)
+
+
+# Bound fixed from the arithmetic, before any run, in units of
+# u vol R^2 (u the unit roundoff, R the largest coordinate magnitude):
+# the mean, the differences, the products, the sum over the n+1 vertices
+# and the scaling by vol/((n+1)(n+2)) err by at most about 8 of them an
+# entry; the bound doubles that.
+MOMENT_ULPS = 16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_second_moment_matrices_match_exact_fractions(n):
+    # vol * sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)), in Fractions
+    # from the float vertices and the float volume, entry by entry; its
+    # trace is cell_stats's second moment.
+    rng = np.random.default_rng(200 + n)
+    cells = [rand_simplex(rng, n).vertices for _ in range(20)]
+    cells += [_flattened(rng, n, t) for t in (1e-4, 1e-9, 1e-13)]
+    cells += [_flattened(rng, n, 1e-9, np.eye(n)[0])]
+    W = np.stack(cells, axis=-1)
+    vol = np.array([abs(np.linalg.det(c[1:] - c[0])) for c in cells]) \
+        / math.factorial(n)
+    M = geometry.second_moment_matrices(W, vol)
+    assert M.shape == (n, n, len(cells))
+    assert np.array_equal(M, M.swapaxes(0, 1))
+    moment = geometry.cell_stats(geometry.edge_lengths_sq(W), vol)
+    u = np.finfo(float).eps / 2
+    for k, c in enumerate(cells):
+        v = [[Fraction(x) for x in row] for row in c]
+        pbar = [sum(row[j] for row in v) / (n + 1) for j in range(n)]
+        scale = Fraction(vol[k]) / ((n + 1) * (n + 2))
+        bound = MOMENT_ULPS * u * vol[k] * np.abs(c).max() ** 2
+        for j in range(n):
+            for l in range(n):
+                exact = scale * sum((row[j] - pbar[j]) * (row[l] - pbar[l])
+                                    for row in v)
+                assert abs(Fraction(M[j, l, k]) - exact) <= bound, (k, j, l)
+        assert abs(np.trace(M[..., k]) - moment[k]) <= 2 * n * bound
 
 
 def test_lattice_weights_match_reference():

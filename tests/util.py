@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from certicube import field, geometry, moments, qform
+from certicube import cubature, field, geometry, moments, qform
 from certicube.adaptive import integrate_adaptive
 from certicube.errors import BudgetExhausted
 from certicube.field import ScalarField
@@ -168,25 +168,52 @@ def refine_steps(f, s, cfg, steps, diagnostics=None):
     raise AssertionError("capped run should exhaust its budget")
 
 
+def barycenter(simplex):
+    """The midpoint rule's node on simplex, as integrate_adaptive maps it."""
+    return geometry.points(cubature.builtin("barycenter", simplex.dimension)
+                           .nodes, simplex.batch()[0])[0]
+
+
+def centered_k(f, simplex, resolution):
+    """(A, K) of one simplex, a point at a time: A the Hessian at its
+    barycenter, and K the largest operator norm of D^2 f - A at the
+    barycenter and on the lattice of mesh 1/resolution."""
+    pbar = barycenter(simplex)
+    a = field.hessian_at(f, pbar).coeffs
+    k = max(qform.operator_norm(QuadraticForm(field.hessian_at(f, p).coeffs
+                                              - a))
+            for p in [pbar, *geometry.lattice_points(simplex, resolution)])
+    return a, k
+
+
 def heap_integrate(f, s, tol, rule=None, K=None, k_resolution=4,
                    max_cells=10 ** 6, max_depth=60):
     """Reference greedy refinement, one max-heap pop per bisection.
 
     Pops the largest radius (the oldest cell on ties) and stops in the
-    same order of checks as integrate_adaptive. Returns (estimate,
-    radius, cells, depth histogram, stop) with stop one of "tol",
-    "max_depth" or "max_cells".
+    same order of checks as integrate_adaptive. Without K, each cell is
+    centered, one cell at a time: A is the Hessian at its barycenter
+    pbar, K is the largest operator norm of D^2 f - A at pbar and on its
+    lattice, and a midpoint estimate adds the integral of
+    q_A(x) = (x - pbar)^T A (x - pbar) / 2 (moments.integrate_poly2).
+    Returns (estimate, radius, cells, depth histogram, stop) with stop
+    one of "tol", "max_depth" or "max_cells".
     """
     def make(simplex, depth):
         vol = geometry.volume(simplex)
+        pbar = barycenter(simplex)
         if rule is None:
-            est = vol * field.evaluate(f, simplex.vertices.mean(axis=0))
+            est = vol * field.evaluate(f, pbar)
         else:
             values = field.evaluate_batch(f, rule.nodes @ simplex.vertices)
             est = vol * math.fsum(rule.weights * values)
-        k = K if K is not None else max(
-            qform.operator_norm(field.hessian_at(f, p))
-            for p in geometry.lattice_points(simplex, k_resolution))
+        k = K
+        if K is None:
+            a, k = centered_k(f, simplex, k_resolution)
+            if rule is None:
+                est += moments.integrate_poly2(
+                    (0.5 * pbar @ a @ pbar, -a @ pbar, QuadraticForm(0.5 * a)),
+                    simplex)
         rad = (0.5 if rule is None else 1.0) * k * \
             moments.central_second_moment(simplex)
         return simplex, depth, est, rad
