@@ -35,9 +35,9 @@ field.lattice_spectrum centered there, which shrinks with the cell. A
 midpoint leaf keeps A, and its estimate gains the integral of q_A,
 tr(A M_S) / 2 (geometry.second_moment_matrices), once, when the run
 ends; a positive degree-2-exact rule integrates q_A exactly and keeps
-its estimate. k_override and global K keep A = 0 and take no Hessian at
-the barycenter. The loop knows no lattice, so a field without a hessian
-needs k_override.
+its estimate. A run settles its K source once, as k_source: "override"
+(k_override, certified), "lattice" (one global d2f_sup_norm) or
+"centered-lattice" (per cell, at K_RESOLUTION); only the last centers.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ class RunDiagnostics:
     In per-cell mode a leaf's K bounds ||D^2 f - A||, A the Hessian at
     its barycenter.
     stop says why the run ended: "tolerance", "max_cells" or
-    "max_depth"."""
+    "max_depth"; k_source where K came from (see the module docstring)."""
 
     stop: Optional[str] = None
+    k_source: Optional[str] = None
     rounds: int = 0
     discarded_splits: int = 0
     vertices: Optional[np.ndarray] = None
@@ -129,16 +130,16 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     rule, factor = certificate(
         cubature_mod.builtin("barycenter", s.dimension) if cfg.rule is None
         else cfg.rule)
+    cubature_mod.check_dimension(rule, s.dimension)  # before any K
 
-    k_certified = cfg.k_override is not None
-    global_k = cfg.k_override
-    if global_k is None and cfg.k_mode == "global":
-        global_k = field_mod.d2f_sup_norm(f, s)
-    # Per-cell K is centered on the Hessian A at each cell's barycenter;
-    # the midpoint leaves keep A for their estimate.
-    center = (None if global_k is not None else
-              cubature_mod.builtin("barycenter", s.dimension).nodes[0])
-    keep_hess = center is not None and factor < 1
+    if cfg.k_override is not None:
+        k_source, global_k = "override", cfg.k_override
+    elif cfg.k_mode == "global":
+        k_source, global_k = "lattice", field_mod.d2f_sup_norm(f, s)
+    else:
+        k_source, global_k = "centered-lattice", None
+    centered = k_source == "centered-lattice"
+    keep_hess = centered and factor < 1
     max_band = max(1, POINTS_PER_ROUND // (2 * len(rule.weights)))
     chunk = max(1, POINTS_PER_ROUND // len(rule.weights))
 
@@ -148,13 +149,12 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         # Inherited, not measured: see the module docstring.
         vol = np.ldexp(root_vol, -depth)
         e2 = geometry.edge_lengths_sq(W)
-        hess = None
-        if global_k is not None:
-            k_cell = np.full(len(vol), global_k, dtype=float)
-        else:
+        if centered:
             lo, hi, hess = field_mod.lattice_spectrum(f, W, K_RESOLUTION,
-                                                      center)
+                                                      centered=True)
             k_cell = np.maximum(-lo, hi)
+        else:
+            k_cell, hess = np.full(len(vol), global_k, dtype=float), None
         return (cell_radii(factor, k_cell, geometry.cell_stats(e2, vol)),
                 k_cell, e2, hess if keep_hess else None)
 
@@ -185,6 +185,7 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             for i in range(0, len(vol), chunk)])
         if diagnostics is not None:
             diagnostics.stop = stop
+            diagnostics.k_source = k_source
             diagnostics.rounds = rounds
             diagnostics.discarded_splits = discarded
             (diagnostics.vertices, diagnostics.estimates, diagnostics.radii,
@@ -194,7 +195,8 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             radius = exact_sum(rad)
         return CertifiedResult(estimate=exact_sum(est), radius=radius,
                                K_used=float(k_cell.max()),
-                               K_certified=k_certified, cells=len(rad))
+                               K_certified=k_source == "override",
+                               cells=len(rad))
 
     while True:
         if running <= cfg.tolerance:

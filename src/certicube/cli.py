@@ -180,10 +180,7 @@ def _cmd_integrate(args, out):
             fh.write(f"K_max {_fmt(diag.k_max)}\n")
             fh.write(f"K_min {_fmt(diag.k_min)}\n")
             fh.write(f"stop {diag.stop}\n")
-            source = ("override" if result.K_certified else
-                      "lattice" if args.k_mode == "global" else
-                      "centered-lattice")
-            fh.write(f"K_source {source}\n")
+            fh.write(f"K_source {diag.k_source}\n")
             fh.write(f"rounds {diag.rounds}\n")
             fh.write(f"discarded_splits {diag.discarded_splits}\n")
             fh.write("depth histogram\n")

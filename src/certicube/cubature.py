@@ -176,13 +176,18 @@ def _verify(rule):
     )
 
 
+def check_dimension(rule, n):
+    """DimensionMismatch unless the rule is for n-simplices."""
+    if rule.dimension != n:
+        raise DimensionMismatch(
+            f"rule dimension {rule.dimension} vs simplex {n}")
+
+
 def estimate(rule, f, W, vol):
     """vol * sum of weight * f(node) on each cell of the batch W, with one
     evaluate_batch call over every node of every cell; may overflow to
     inf, which a CertifiedResult then rejects."""
-    if rule.dimension != len(W) - 1:
-        raise DimensionMismatch(
-            f"rule dimension {rule.dimension} vs simplex {len(W) - 1}")
+    check_dimension(rule, len(W) - 1)
     values = field_mod.evaluate_batch(f, geometry.points(rule.nodes, W))
     with np.errstate(over="ignore", invalid="ignore"):
         return vol * (rule.weights @ values.reshape(len(rule.weights), -1))

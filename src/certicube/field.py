@@ -10,11 +10,10 @@ Hessians come only from the field's own hessian: a field without one
 needs its K from the caller. lattice_spectrum samples the lowest and
 highest Hessian eigenvalue of each simplex on a barycentric lattice: K
 is the larger magnitude of the two, and the convexity screen reads the
-lowest. Given a center, it samples D^2 f - A instead, A the Hessian at
-that point of each cell, and returns A too: per-cell K is centered at
-the barycenter, and A enters a per-cell midpoint estimate as well as
-its radius. A sample is not certified; a caller with a known constant
-passes it as K instead.
+lowest. Centered, it samples D^2 f - A instead, A the Hessian at each
+cell's barycenter, and returns A: per-cell K is centered, and A enters
+a per-cell midpoint estimate as well as its radius. A sample is not
+certified; a caller with a known constant passes it as K instead.
 """
 
 from __future__ import annotations
@@ -104,25 +103,23 @@ def hessian_at(f, u):
     return QuadraticForm(hessians(f, np.asarray(u, dtype=float)[None])[0])
 
 
-def lattice_spectrum(f, W, resolution, center=None):
-    """(lowest, highest) Hessian eigenvalue, each (m,), on the barycentric
-    lattice of mesh 1/resolution of each cell of the batch W (see
-    geometry): the one Hessian sampler, so not certified. Each hessians
-    call, and the lattice built for it, covers about POINTS_PER_CALL
-    Hessian entries.
-
-    With center, barycentric weights (n+1,), the point of each cell at
-    those weights joins its lattice, and the sampled spectrum is that of
-    D^2 f(x) - A, where A is the Hessian at the cell's center: returns
-    (lowest, highest, A), A (n, n, m). The center is sampled in the same
-    hessians call as the first points of its cell's lattice.
+def lattice_spectrum(f, W, resolution, centered=False):
+    """(lowest, highest, A): the lowest and highest Hessian eigenvalue,
+    each (m,), on the barycentric lattice of mesh 1/resolution of each
+    cell of the batch W (see geometry): the one Hessian sampler, so not
+    certified. Each hessians call, and the lattice built for it, covers
+    about POINTS_PER_CALL Hessian entries. A is None unless centered:
+    then each cell's barycenter leads its lattice in the same hessians
+    call, A (n, n, m) is the Hessian there, and the spectrum is that of
+    D^2 f(x) - A.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     n, m = W.shape[1:]
     weights = geometry.lattice_weights(n, resolution)
-    if center is not None:
-        weights = np.vstack((center, weights))
+    hess = None
+    if centered:
+        weights = np.vstack((np.full(n + 1, 1 / (n + 1)), weights))
         hess = np.empty((n, n, m))
     step = max(1, POINTS_PER_CALL // (n * n))
     per_call = max(1, step // len(weights))
@@ -134,9 +131,9 @@ def lattice_spectrum(f, W, resolution, center=None):
         spectra = []
         for j in range(0, len(points), step):
             H = hessians(f, points[j:j + step])
-            if center is not None:
+            if centered:
                 # Rows run by weight, then cell, and a call holds whole
-                # weight rows, so the center rows lead the first call.
+                # weight rows, so the barycenter rows lead the first call.
                 if j == 0:
                     hess[..., cells] = H[:c].transpose(1, 2, 0)
                 with np.errstate(over="ignore"):  # inf: cell_radii raises
@@ -147,13 +144,13 @@ def lattice_spectrum(f, W, resolution, center=None):
         low, high = (np.concatenate(side).reshape(len(weights), -1)
                      for side in zip(*spectra))
         lo[cells], hi[cells] = low.min(0), high.max(0)
-    return (lo, hi) if center is None else (lo, hi, hess)
+    return lo, hi, hess
 
 
 def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION):
     """Estimate sup over the simplex of the Hessian operator norm, the
     larger magnitude of its lattice_spectrum, so not certified."""
-    lo, hi = lattice_spectrum(f, s.batch()[0], resolution)
+    lo, hi, _ = lattice_spectrum(f, s.batch()[0], resolution)
     return float(np.maximum(-lo, hi)[0])
 
 

@@ -41,12 +41,9 @@ def evaluate(phi, x):
 def extreme_eigenvalues(H):
     """(lowest, highest) eigenvalue (m,) of each matrix of the stack H
     (m, n, n), read from its lower triangle as eigvalsh does: the one
-    spectral kernel. A closed form for n <= 2, halved before adding so
-    finite entries do not overflow; eigvalsh for n >= 3."""
-    n = H.shape[-1]
-    if n == 1:
-        return H[..., 0, 0], H[..., 0, 0]
-    if n > 2:
+    spectral kernel. A closed form for n == 2, halved before adding so
+    finite entries do not overflow; eigvalsh otherwise."""
+    if H.shape[-1] != 2:
         eig = np.linalg.eigvalsh(H)
         return eig[..., 0], eig[..., -1]
     a, d = 0.5 * H[..., 0, 0], 0.5 * H[..., 1, 1]

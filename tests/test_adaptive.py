@@ -11,8 +11,8 @@ from certicube import field as field_mod
 from certicube.adaptive import (AdaptiveConfig, RunDiagnostics,
                                 integrate_adaptive)
 from certicube.errors import (BudgetExhausted, CerticubeError,
-                              EvaluationFailure, NegativeGauge,
-                              RuleNotApplicable)
+                              DimensionMismatch, EvaluationFailure,
+                              NegativeGauge, RuleNotApplicable)
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
@@ -583,8 +583,9 @@ def test_only_per_cell_runs_are_centered(monkeypatch, mode):
     spectrum = field_mod.lattice_spectrum
     moments_of = geometry.second_moment_matrices
     monkeypatch.setattr(field_mod, "lattice_spectrum",
-                        lambda f, W, r, center=None: centers.append(center)
-                        or spectrum(f, W, r, center))
+                        lambda f, W, r, centered=False:
+                        centers.append(centered)
+                        or spectrum(f, W, r, centered))
     monkeypatch.setattr(geometry, "second_moment_matrices",
                         lambda W, vol: matrices.append(vol.shape)
                         or moments_of(W, vol))
@@ -597,11 +598,30 @@ def test_only_per_cell_runs_are_centered(monkeypatch, mode):
     if mode == "override":
         assert centers == []
     elif mode == "global":
-        assert centers == [None]
+        assert centers == [False]
     else:
         assert len(centers) > 1
-        assert all(np.array_equal(c, [1 / 3] * 3) for c in centers)
+        assert all(c is True for c in centers)
     assert matrices == ([(result.cells,)] if mode == "per-cell" else [])
+
+
+@pytest.mark.parametrize("k_mode", ["per-cell", "global"])
+def test_rule_of_another_dimension_fails_before_any_split(monkeypatch,
+                                                          k_mode):
+    # The rule's dimension is checked before the root cell is built: no K
+    # is sampled and no cell is split.
+    calls = []
+    split, spectrum = geometry.split, field_mod.lattice_spectrum
+    monkeypatch.setattr(geometry, "split", lambda W, e2: calls.append(
+        "split") or split(W, e2))
+    monkeypatch.setattr(field_mod, "lattice_spectrum", lambda *a, **k:
+                        calls.append("K") or spectrum(*a, **k))
+    cfg = AdaptiveConfig(tolerance=1e-8, rule=stroud_t3_rule(),
+                         k_mode=k_mode)
+    with pytest.raises(DimensionMismatch,
+                       match=r"^rule dimension 3 vs simplex 2$"):
+        integrate_adaptive(EXP_SUM_2D, UNIT_TRIANGLE, cfg)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

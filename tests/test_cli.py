@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import certicube
-from certicube import cubature
+from certicube import adaptive, cubature, field, geometry
 from certicube.cli import run
 from certicube.errors import ParseError
 
@@ -404,6 +404,34 @@ def test_integrate_report_says_why_it_stopped_and_where_k_came_from(
     assert keys.index("K_source") == keys.index("stop") + 1
     assert (report["stop"], report["K_source"]) == (stop, source)
     assert keys[-2:] == ["rounds", "discarded_splits"]
+
+
+@pytest.mark.parametrize("k,k_mode,source", [
+    (2.0, "per-cell", "override"),
+    (2.0, "global", "override"),
+    (None, "global", "lattice"),
+    (None, "per-cell", "centered-lattice")])
+def test_report_k_source_is_the_one_the_run_settled(unit2, tmp_path, k,
+                                                    k_mode, source):
+    # The report prints RunDiagnostics.k_source of the same run through
+    # the API, and only an override is certified.
+    argv = ["integrate", "--expr", "exp(x1+x2)", "--simplex", unit2,
+            "--tol", "1e-4"] + (["--K", str(k)] if k is not None else [])
+    if k_mode != "per-cell":
+        argv += ["--k-mode", k_mode]
+    report = tmp_path / "run.report"
+    code, text = invoke(argv + ["--report", str(report)])
+    diag = adaptive.RunDiagnostics()
+    result = adaptive.integrate_adaptive(
+        field.parse_expr("exp(x1+x2)", 2), geometry.load_simplex(unit2),
+        adaptive.AdaptiveConfig(tolerance=1e-4, k_mode=k_mode, k_override=k),
+        diagnostics=diag)
+    assert code == 0
+    assert f"K_source {diag.k_source}\n" in report.read_text()
+    assert diag.k_source == source
+    assert result.K_certified == (source == "override")
+    certified = "yes" if result.K_certified else "no"
+    assert f"(certified: {certified})\n" in text
 
 
 def test_readme_names_exactly_the_report_keys(unit2, tmp_path):

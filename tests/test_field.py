@@ -120,7 +120,8 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
         simplices = [rand_simplex(rng, n) for _ in range(5)]
         V = np.concatenate([s.batch()[0] for s in simplices], axis=-1)
         for f in lattice_fields(n):
-            lo, hi = field.lattice_spectrum(f, V, 4)
+            lo, hi, hess = field.lattice_spectrum(f, V, 4)
+            assert hess is None
             expected = [lattice_extremes(f, s, 4) for s in simplices]
             assert list(zip(lo, hi)) == expected
             sizes = []
@@ -130,7 +131,8 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
                 patch.setattr(field, "hessians",
                               lambda f, p: sizes.append(len(p)) or batch(f, p))
                 chunked = field.lattice_spectrum(f, V, 4)
-            assert np.array_equal(chunked, (lo, hi))
+            assert np.array_equal(chunked[:2], (lo, hi))
+            assert chunked[2] is None
             lattice = len(geometry.lattice_weights(n, 4))
             assert sum(sizes) == 5 * lattice
             assert max(sizes) <= max(1, points_per_call // (n * n))
@@ -139,10 +141,10 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
 @pytest.mark.parametrize("points_per_call", [1, 9 * 7, 9 * 40, 2 ** 20])
 def test_centered_spectrum_is_that_of_the_hessian_less_the_center(
         monkeypatch, points_per_call):
-    # The center joins each cell's lattice in the same hessians calls; A
-    # is the Hessian there, and the spectrum is that of D^2 f - A at the
-    # center and the lattice, whatever the chunking: up to the rounding of
-    # the points, which the matrix product may round differently for
+    # The barycenter joins each cell's lattice in the same hessians calls;
+    # A is the Hessian there, and the spectrum is that of D^2 f - A at the
+    # barycenter and the lattice, whatever the chunking: up to the rounding
+    # of the points, which the matrix product may round differently for
     # another number of cells.
     for n in (1, 2, 3):
         rng = np.random.default_rng(30 + n)
@@ -156,7 +158,8 @@ def test_centered_spectrum_is_that_of_the_hessian_less_the_center(
                 patch.setattr(field, "POINTS_PER_CALL", points_per_call)
                 patch.setattr(field, "hessians",
                               lambda f, p: sizes.append(len(p)) or batch(f, p))
-                lo, hi, hess = field.lattice_spectrum(f, V, 4, center)
+                lo, hi, hess = field.lattice_spectrum(f, V, 4,
+                                                      centered=True)
             lattice = len(geometry.lattice_weights(n, 4))
             assert sum(sizes) == 5 * (lattice + 1)
             assert hess.shape == (n, n, 5)
@@ -178,8 +181,8 @@ def test_lattice_k_is_the_largest_operator_norm_on_the_lattice(n):
     for f in lattice_fields(n):
         for _ in range(10):
             s = rand_simplex(rng, n)
-            lo, hi = field.lattice_spectrum(f, s.batch()[0], 4)
-            assert (lo[0], hi[0]) == lattice_extremes(f, s, 4)
+            lo, hi, hess = field.lattice_spectrum(f, s.batch()[0], 4)
+            assert (lo[0], hi[0], hess) == (*lattice_extremes(f, s, 4), None)
             expected = max(qform.operator_norm(field.hessian_at(f, p))
                            for p in geometry.lattice_points(s, 4))
             assert field.d2f_sup_norm(f, s, 4) == expected
