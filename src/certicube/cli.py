@@ -141,9 +141,11 @@ def _cmd_sandwich(args, out):
 def _cmd_bound(args, out):
     simplex = geometry.load_simplex(args.simplex)
     f = field_mod.parse_expr(args.expr, simplex.dimension)
-    # Certificate first: a refused rule must not pay for a K lattice.
+    # Certificate and dimension first: a rule refused for either must not
+    # pay for a K lattice.
     rule, factor = bounds_mod.certificate(
         _load_rule_arg(args.rule, simplex.dimension))
+    cubature_mod.check_dimension(rule, simplex.dimension)
     certified = args.K is not None
     gauge = args.K if certified else field_mod.d2f_sup_norm(f, simplex)
     result = bounds_mod.rule_bound(rule, f, simplex, gauge,

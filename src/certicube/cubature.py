@@ -183,14 +183,15 @@ def check_dimension(rule, n):
             f"rule dimension {rule.dimension} vs simplex {n}")
 
 
+@np.errstate(all="ignore")  # the values and the result are checked
 def estimate(rule, f, W, vol):
     """vol * sum of weight * f(node) on each cell of the batch W, with one
-    evaluate_batch call over every node of every cell; may overflow to
-    inf, which a CertifiedResult then rejects."""
+    field.checked_values call over every node of every cell, under one
+    np.errstate with the weighted sum (as field.evaluate_batch enters
+    it); may overflow to inf, which a CertifiedResult then rejects."""
     check_dimension(rule, len(W) - 1)
-    values = field_mod.evaluate_batch(f, geometry.points(rule.nodes, W))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return vol * (rule.weights @ values.reshape(len(rule.weights), -1))
+    values = field_mod.checked_values(f, geometry.points(rule.nodes, W))
+    return vol * (rule.weights @ values.reshape(len(rule.weights), -1))
 
 
 def apply_rule(rule, f, s):

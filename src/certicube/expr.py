@@ -10,11 +10,19 @@ Grammar:
 Functions: exp, sin, cos, log, sqrt. Parentheses, calls and unary
 minuses nest to any depth, wherever parse is called: the parser does
 not recurse. Its single pass emits a Tape: one instruction (opcode,
-argument slots, constant) per slot, in evaluation order. A
-sub-expression without a variable is folded into a constant as it is
-parsed, by the float arithmetic, so it has the bits evaluation would
-give it; a power with a constant exponent becomes "powc", which carries
-the exponent.
+argument slots, operand) per slot, in evaluation order, and the float
+constants. A sub-expression without a variable is folded into a
+constant as it is parsed, by the float arithmetic, so it has the bits
+evaluation would give it; a power with a constant exponent becomes
+"powc", which carries the exponent.
+
+The instructions make the tape's skeleton: an operand is a variable's
+index, or for "const" and "powc" the index of the instruction's float
+constant, so every tape of one shape has the same skeleton, whatever
+its constants. Equal skeletons are shared through a bounded cache, and
+a tape holds its skeleton, a tuple of its constants and its text: a
+quadratic in four variables (15 constants) takes about 1.7 KB under
+tracemalloc, 440 bytes of it text.
 
 A tape runs as one straight-line Python function, tape.program, that
 reads each variable it uses once and then makes one statement, a call
@@ -28,13 +36,12 @@ of an evaluation stack. Each value is stored in the local named by its
 depth among the stack's values that are not variable reads, so a dead
 value is overwritten once the stack grows over it again, and a deep
 nest costs what a flat chain of as many instructions costs. The
-function's source depends only on the tape's skeleton, its instructions
-without their float constants, so it is compiled once per skeleton
-(about 10-20 us an instruction) and cached. A tape binds that function to
-its instructions on first evaluation, and the function reads the float
-constants from them, never from text. A tape keeps the text it was
-parsed from, and str(tape) returns it; equality compares the
-instructions only, so parse(str(tape), n) == tape.
+function's source depends only on the skeleton, so it is compiled once
+per skeleton (about 10-20 us an instruction) and cached; a tape binds
+it to its constants on first evaluation, and the function reads
+constant k as c[k], never from text. A tape keeps the text it was
+parsed from, and str(tape) returns it; equality compares the skeleton
+and the constants only, so parse(str(tape), n) == tape.
 """
 
 from __future__ import annotations
@@ -64,16 +71,19 @@ _TOKEN_RE = re.compile(r"""
 
 @dataclass(frozen=True)
 class Tape:
-    """A parsed expression. ``ops`` holds one (opcode, argument slots,
-    constant) instruction per slot; the last slot is the result.
-    ``text`` is the source, which str() returns; equality ignores it.
+    """A parsed expression. ``skeleton`` holds one (opcode, argument
+    slots, operand) instruction per slot, the last slot the result; the
+    operand is a variable's index, the index in ``constants`` of a
+    "const" or "powc" instruction's float, or None. ``text`` is the
+    source, which str() returns; equality ignores it.
 
     Calling a tape evaluates its program in floats, one value (m,) per
     row of points (m, n); ``hessians`` runs it in jets. The program is
     built on first use and is not part of the pickled state.
     """
 
-    ops: tuple
+    skeleton: tuple
+    constants: tuple = ()
     text: str = field(default="", compare=False)
 
     def __call__(self, points):
@@ -89,50 +99,58 @@ class Tape:
         return np.zeros(shape) if hess is None \
             else np.broadcast_to(hess, shape)
 
+    @property
+    def ops(self):
+        """(opcode, argument slots, constant) per slot: the skeleton
+        with each float operand in place of its index."""
+        c = self.constants
+        return tuple((op, args, c[k] if op in ("const", "powc") else k)
+                     for op, args, k in self.skeleton)
+
     @functools.cached_property
     def program(self):
         """program(arith), the value of the last slot in an arithmetic:
-        the compiled code of the tape's skeleton, bound to ``ops``, from
-        which it reads the float constants."""
-        return types.MethodType(_compiled(_skeleton(self.ops)), self.ops)
+        the compiled code of the skeleton, bound to the constants."""
+        return types.MethodType(_compiled(self.skeleton), self.constants)
 
     def __getstate__(self):  # a generated function does not pickle
-        return {"ops": self.ops, "text": self.text}
+        return {"skeleton": self.skeleton, "constants": self.constants,
+                "text": self.text}
 
     def __str__(self):
         return self.text
 
 
-def _skeleton(ops):
-    """The instructions with each float constant replaced by True; a
-    variable's index stays, as an integer."""
-    return tuple((op, args, True if isinstance(c, float) else c)
-                 for op, args, c in ops)
-
-
 def _source(skeleton):
     """The text of ``program(c, a)``: ``x<i> = a.var(<i>)`` for each
     variable i the tape uses, then ``s<d> = a.<opcode>(<operands>)`` for
-    each other instruction, d its result's depth on the stack, with the
-    float constant of slot j read as ``c[j][2]``."""
-    variables = sorted({c for op, _, c in skeleton if op == "var"})
+    each other instruction, d its result's depth on the stack, with
+    float constant k read as ``c[k]``."""
+    variables = sorted({i for op, _, i in skeleton if op == "var"})
     lines = [f"    x{i:d} = a.var({i:d})" for i in variables]
     names, depth = [], 0
-    for slot, (op, args, const) in enumerate(skeleton):
+    for op, args, operand in skeleton:
         if op not in OPCODES:
             raise ValueError(f"unknown opcode {op!r}")
         if op == "var":
-            names.append(f"x{const:d}")
+            names.append(f"x{operand:d}")
             continue
         operands = [names[i] for i in args]
         depth -= sum(name[0] == "s" for name in operands)
-        if const is not None:
-            operands.append(f"c[{slot}][2]")
+        if operand is not None:
+            operands.append(f"c[{operand:d}]")
         names.append(f"s{depth}")
         lines.append(f"    s{depth} = a.{op}({', '.join(operands)})")
         depth += 1
     return "\n".join(["def program(c, a):", *lines,
                       f"    return {names[-1]}\n"])
+
+
+@functools.lru_cache(maxsize=64)
+def _shared(skeleton):
+    """The cached skeleton equal to this one, so that the tapes of one
+    shape hold one skeleton: the cache is bounded, like _compiled's."""
+    return skeleton
 
 
 @functools.lru_cache(maxsize=64)
@@ -153,9 +171,7 @@ class Floats:
     def __init__(self, points):
         self.points = points
 
-    @staticmethod
-    def const(c):
-        return c
+    const = staticmethod(float)  # a float itself, with no Python frame
 
     def var(self, i):
         return self.points[..., i]
@@ -331,23 +347,29 @@ class _Compiler:
 
     def __init__(self, n):
         self.n = n
-        self.ops = []
+        self.skeleton = []
+        self.constants = []
         self.operands = []
         self.pending = []  # (opcode, precedence); '(' or a function: 0
 
-    def emit(self, op, args=(), const=None):
-        self.ops.append((op, args, const))
-        return len(self.ops) - 1
+    def emit(self, op, args=(), operand=None):
+        self.skeleton.append((op, args, operand))
+        return len(self.skeleton) - 1
+
+    def emit_float(self, op, args, value):
+        """Emit an instruction whose operand is the float value."""
+        self.constants.append(value)
+        return self.emit(op, args, len(self.constants) - 1)
 
     def slot(self, operand):
-        return self.emit("const", const=operand) \
+        return self.emit_float("const", (), operand) \
             if isinstance(operand, float) else operand
 
     def apply(self, op, *operands):
         if int not in map(type, operands):  # no slot: fold
             return float(getattr(Floats, op)(*operands))
         if op == "pow" and isinstance(operands[1], float):
-            return self.emit("powc", (operands[0],), operands[1])
+            return self.emit_float("powc", (operands[0],), operands[1])
         return self.emit(op, tuple(map(self.slot, operands)))
 
     def reduce(self, precedence):
@@ -415,7 +437,7 @@ class _Compiler:
             index = int(match.group(1))
             if not 1 <= index <= self.n:
                 raise ArityError(f"variable {text} outside x1..x{self.n}")
-            return self.emit("var", const=index - 1)
+            return self.emit("var", operand=index - 1)
         if kind == "ident":
             raise ParseError(
                 f"unknown identifier {text!r} at {pos}", position=pos,
@@ -431,4 +453,5 @@ def parse(text, n):
     compiler = _Compiler(n)
     with np.errstate(all="ignore"):  # a folded 1/0 is inf, as evaluated
         compiler.slot(compiler.compile(_tokens(text)))
-    return Tape(tuple(compiler.ops), text)
+    return Tape(_shared(tuple(compiler.skeleton)), tuple(compiler.constants),
+                text)

@@ -180,10 +180,13 @@ def split(W, e2):
 
 def points(weights, W):
     """Physical points (q * m, n) of the barycentric weights (q, n+1) in
-    every cell of W (n+1, n, m), by weight row, then cell; each
-    coordinate's column is contiguous (a transposed view)."""
+    every cell of W (n+1, n, m), by weight row, then cell; for more than
+    one cell, each coordinate's column is contiguous (a transposed
+    view)."""
     q, (n, m) = len(weights), W.shape[1:]
     flat = weights @ W.reshape(len(W), -1)
+    if m == 1:  # already (q, n): a one-shot certificate skips the relayout
+        return flat
     return flat.reshape(q, n, m).swapaxes(0, 1).reshape(n, q * m).T
 
 

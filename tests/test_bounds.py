@@ -6,13 +6,13 @@ import pytest
 
 from certicube import bounds, cubature, field, geometry, moments, qform
 from certicube.errors import (ConvexityScreenFailed, DegenerateSimplex,
-                              InvariantViolation, NegativeGauge,
-                              RuleNotApplicable)
+                              EvaluationFailure, InvariantViolation,
+                              NegativeGauge, RuleNotApplicable)
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
 from util import (polynomial_field, quadratic_terms, rand_convex_quadratic,
-                  rand_simplex, vertices_plus_barycenter_rule)
+                  rand_simplex, stroud_t3_rule, vertices_plus_barycenter_rule)
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 NORM_SQ_2D = polynomial_field(2, {(2, 0): 1.0, (0, 2): 1.0})
@@ -331,3 +331,39 @@ def test_sandwich_reads_the_vertices_with_their_signs():
     seg = geometry.Simplex([[-0.0], [1.0]])
     result = bounds.hh_sandwich(field.parse_expr("exp(1/x1)", 1), seg)
     assert (result.lower, result.upper) == (math.exp(2.0), math.e / 2)
+
+
+# Each one-shot certificate on a unit simplex scaled by 10 (volume > 1),
+# as (its call given f and K, the simplex's dimension).
+ONE_SHOT = {
+    "midpoint": (lambda f, s, k: bounds.midpoint_bound(f, s, k), 2),
+    "rule-hh-mix-2d": (lambda f, s, k: bounds.rule_bound(
+        cubature.builtin("hh-mix-2d", 2), f, s, k), 2),
+    "rule-stroud-3d": (lambda f, s, k: bounds.rule_bound(
+        stroud_t3_rule(), f, s, k), 3),
+    "sandwich": (lambda f, s, k: bounds.hh_sandwich(f, s), 2),
+}
+# (integrand, K, error, message): f overflows at a node; f is finite but
+# its mean times the volume overflows; K times the second moment
+# overflows (the sandwich has no K).
+FAILURES = {
+    "node": ("exp(1e4*x1)", 1.0, EvaluationFailure, "non-finite on a batch"),
+    "volume": ("1e308", 1.0, InvariantViolation,
+               r"non-finite (estimate|lower) inf"),
+    "radius": ("x1", 1e308, InvariantViolation, "non-finite cell radius"),
+}
+
+
+@pytest.mark.parametrize("certificate,case", [
+    (certificate, case) for certificate in ONE_SHOT for case in FAILURES
+    if (certificate, case) != ("sandwich", "radius")])
+def test_one_shot_certificates_fail_with_their_error_and_no_warning(
+        certificate, case):
+    call, n = ONE_SHOT[certificate]
+    text, k, error, message = FAILURES[case]
+    s = geometry.Simplex(10.0 * np.vstack([np.zeros(n), np.eye(n)]))
+    f = field.parse_expr(text, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call(f, s, k)

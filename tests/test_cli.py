@@ -234,6 +234,23 @@ def test_bound_refuses_the_rule_before_sampling_k(unit2, monkeypatch):
     assert code == 1 and "exactness_degree=1" in text
 
 
+def test_bound_checks_the_rule_dimension_before_sampling_k(mix_rule, tmp_path,
+                                                           monkeypatch):
+    # A 2-D rule file on the unit 6-simplex: refused at once, before the
+    # resolution-20 lattice of K (230,230 points) is sampled.
+    samples = []
+    monkeypatch.setattr(certicube.field, "lattice_spectrum",
+                        lambda *args, **kwargs: samples.append(args))
+    path = tmp_path / "unit6.spx"
+    path.write_text("\n".join(" ".join("1" if j == i else "0"
+                                        for j in range(6))
+                               for i in range(-1, 6)) + "\n")
+    code, text = invoke(["bound", "--rule", mix_rule, "--expr", "exp(x1+x2)",
+                         "--simplex", str(path)])
+    assert (code, text) == (1, "error: rule dimension 2 vs simplex 6\n")
+    assert samples == []
+
+
 def test_integrate_exp(unit2, tmp_path):
     report = tmp_path / "run.report"
     code, text = invoke(["integrate", "--expr", "exp(x1+x2)",

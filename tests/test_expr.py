@@ -312,7 +312,7 @@ def test_tapes_of_one_skeleton_share_a_program_and_keep_their_constants():
     texts = ["2.5*x1 + x2*3 - x1^0.5 + 7",
              "-0.0*x1 + x2*(1/0) - x1^(0/0) + -(0/0)"]
     tapes = [expr.parse(text, 2) for text in texts]
-    assert expr._skeleton(tapes[0].ops) == expr._skeleton(tapes[1].ops)
+    assert tapes[0].skeleton is tapes[1].skeleton
     expr._compiled.cache_clear()
     programs = [tape.program for tape in tapes]
     info = expr._compiled.cache_info()
@@ -344,7 +344,7 @@ def test_generated_source_holds_no_constant_text():
     for _ in range(200):
         n = int(rng.integers(1, 4))
         tape = expr.parse(tree_text(rand_tree(rng, n, 5)), n)
-        source = expr._source(expr._skeleton(tape.ops))
+        source = expr._source(tape.skeleton)
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type in (tokenize.NAME, tokenize.NUMBER, tokenize.OP):
                 assert (token.string in names
@@ -361,7 +361,7 @@ def test_program_reads_each_variable_once():
         n = int(rng.integers(1, 4))
         tape = expr.parse(tree_text(rand_tree(rng, n, 5)), n)
         used = sorted({c for op, _, c in tape.ops if op == "var"})
-        lines = expr._source(expr._skeleton(tape.ops)).splitlines()
+        lines = expr._source(tape.skeleton).splitlines()
         reads = [f"    x{i} = a.var({i})" for i in used]
         assert lines[1:1 + len(used)] == reads
         assert sum(line.count("a.var(") for line in lines) == len(used)
@@ -442,11 +442,11 @@ def test_a_stored_value_is_read_before_its_local_is_reused():
             + "+".join(["x2"] * 40) + ")")
     points = np.array([[1.0, 1000.0], [2.0, -3.0]])
     tape = expr.parse(text, 2)
-    assert "s1 = " in expr._source(expr._skeleton(tape.ops))
+    assert "s1 = " in expr._source(tape.skeleton)
     assert tape(points).tolist() == [41.0 + 40000.0, 82.0 - 120.0]
 
 
-_OPERAND = r"(?:[sx]\d+|c\[\d+\]\[2\])"
+_OPERAND = r"(?:[sx]\d+|c\[\d+\])"
 _STATEMENT = re.compile(
     rf"    s\d+ = a\.(\w+)\(({_OPERAND}(?:, {_OPERAND})*)?\)")
 
@@ -465,7 +465,7 @@ def test_program_is_one_statement_per_instruction(source):
         tapes = [expr.parse("+".join(["x1"] * 20000), 1)]
         assert len(tapes[0].ops) == 39999
     for tape in tapes:
-        lines = expr._source(expr._skeleton(tape.ops)).splitlines()
+        lines = expr._source(tape.skeleton).splitlines()
         used = len({c for op, _, c in tape.ops if op == "var"})
         body, last = lines[1 + used:-1], lines[-1]
         opcodes = [op for op, _, _ in tape.ops if op != "var"]
@@ -512,3 +512,29 @@ def test_tape_pickles_after_evaluation():
     after = tape_copy(points), f_copy.evaluator(points), f_copy.hessian(points)
     for got, want in zip(after, before):
         assert_same_bits(got, want)
+
+
+def _battery_quadratic(rng, n):
+    """c + b.x + x^T A x, written as the oneshot-bounds battery writes it."""
+    terms = [repr(rng.standard_normal())]
+    terms += [f"{rng.standard_normal()!r}*x{i + 1}" for i in range(n)]
+    terms += [f"{rng.standard_normal()!r}*x{i + 1}*x{j + 1}"
+              for i in range(n) for j in range(i, n)]
+    return " + ".join(terms)
+
+
+def test_tapes_of_one_shape_share_their_skeleton_and_stay_small():
+    # 200 4-D quadratics hold one skeleton, and each tape, its text
+    # included, stays under 2 KB.
+    rng = np.random.default_rng(37)
+    expr.parse(_battery_quadratic(rng, 4), 4)  # caches the skeleton
+    tracemalloc.start()
+    try:
+        tapes = [expr.parse(_battery_quadratic(rng, 4), 4)
+                 for _ in range(200)]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(tape.skeleton is tapes[0].skeleton for tape in tapes)
+    assert len({tape.constants for tape in tapes}) == 200
+    assert size < 200 * 2048

@@ -219,6 +219,23 @@ def test_convexify_sin_on_segment():
             assert h.coeffs[0, 0] >= -1e-8
 
 
+def test_nested_evaluation_restores_numpy_error_state():
+    # A convexified field's evaluator calls evaluate_batch inside
+    # evaluate_batch; a failure raised from inside both must leave
+    # numpy's error handling as it was.
+    f = field.parse_expr("exp(1e4*x1)", 1)
+    plus, _ = field.convexify(f, 1.0)
+    before = np.geterr()
+    assert field.evaluate(plus, [0.0]) == 1.0
+    with pytest.raises(EvaluationFailure):
+        field.evaluate_batch(plus, np.array([[0.0], [1.0]]))
+    assert np.geterr() == before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            np.exp(np.array([1e4]))
+
+
 def test_convexify_negative_gauge():
     for gauge in (-1.0, np.nan, np.inf):
         with pytest.raises(NegativeGauge):
