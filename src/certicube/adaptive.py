@@ -32,12 +32,12 @@ q_A(x) = (x - pbar)^T A (x - pbar) / 2 for any symmetric A, and then K
 needs to bound only ||D^2 f - A||. So each new cell takes A = D^2 f at
 its barycenter and K = the larger magnitude of its
 field.lattice_spectrum centered there, which shrinks with the cell. A
-midpoint leaf keeps A, and its estimate gains the integral of q_A,
-tr(A M_S) / 2 (geometry.second_moment_matrices), once, when the run
-ends; a positive degree-2-exact rule integrates q_A exactly and keeps
-its estimate. A run settles its K source once, as k_source: "override"
-(k_override, certified), "lattice" (one global d2f_sup_norm) or
-"centered-lattice" (per cell, at K_RESOLUTION); only the last centers.
+midpoint leaf keeps A (n, n, m), and its estimate gains the integral of
+q_A (geometry.quadratic_integrals / 2) when the run ends; a positive
+degree-2-exact rule integrates q_A exactly and keeps its estimate. A
+run settles its K source once, as k_source: "override" (k_override,
+certified), "lattice" (one global d2f_sup_norm) or "centered-lattice"
+(per cell, at K_RESOLUTION); only the last centers.
 """
 
 from __future__ import annotations
@@ -54,10 +54,13 @@ from .bounds import CertifiedResult, cell_radii, certificate, exact_sum
 from .cubature import CubatureRule
 from .errors import BudgetExhausted
 
-# POINTS_PER_ROUND changes no bit of a result; it bounds memory. A round
-# splits at most as many leaves as have POINTS_PER_ROUND rule nodes, and
-# the final estimate pass evaluates the leaves' rule nodes
-# POINTS_PER_ROUND at a time; lattice_spectrum bounds its own.
+# POINTS_PER_ROUND bounds memory. A round splits at most as many leaves
+# as have POINTS_PER_ROUND rule nodes, and the final estimate pass
+# evaluates the leaves' rule nodes POINTS_PER_ROUND at a time;
+# lattice_spectrum bounds its own. The greedy prefix does not depend on
+# the band's size, but geometry.points rounds a cell's points differently
+# in batches of different sizes, so POINTS_PER_ROUND can move a cell's
+# sampled K or a final estimate in its last bit.
 POINTS_PER_ROUND = 2 ** 20
 # Per-cell K is sampled by field.lattice_spectrum at this resolution.
 K_RESOLUTION = 4
@@ -165,24 +168,17 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     rounds = discarded = 0
     shrink = grow = 1.0  # children/parents radius; 1 predicts nothing
 
-    def estimates(cells, vol):
-        est = cubature_mod.estimate(rule, f, W[..., cells], vol)
-        if hess is None:
-            return est
-        # q_A(x) = (x - pbar)^T A (x - pbar) / 2 is 0 at the midpoint
-        # rule's node, so the rule misses all of its integral,
-        # tr(A M_S) / 2.
-        m_s = geometry.second_moment_matrices(W[..., cells], vol)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return est + 0.5 * (hess[..., cells] * m_s).sum(axis=(0, 1))
-
     def finish(stop, radius=None):
-        # The leaves' estimates, in creation order, POINTS_PER_ROUND rule
-        # nodes at a time.
+        # The leaves' estimates, POINTS_PER_ROUND rule nodes at a time.
         vol = np.ldexp(root_vol, -depth)
         est = np.concatenate([
-            estimates(slice(i, i + chunk), vol[i:i + chunk])
+            cubature_mod.estimate(rule, f, W[..., i:i + chunk],
+                                  vol[i:i + chunk])
             for i in range(0, len(vol), chunk)])
+        if hess is not None:
+            # q_A is 0 at the midpoint rule's node: the rule misses it all.
+            with np.errstate(over="ignore", invalid="ignore"):
+                est += 0.5 * geometry.quadratic_integrals(hess, W, vol)
         if diagnostics is not None:
             diagnostics.stop = stop
             diagnostics.k_source = k_source

@@ -165,15 +165,14 @@ def _cmd_integrate(args, out):
         tolerance=args.tol, max_cells=args.max_cells, rule=rule,
         k_mode=args.k_mode, k_override=args.K)
     diag = adaptive_mod.RunDiagnostics()
-    code = EXIT_OK
+    exhausted = None
     try:
         result = adaptive_mod.integrate_adaptive(f, simplex, cfg,
                                                  diagnostics=diag)
     except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=out)
-        result = exc.result
-        code = EXIT_BUDGET
-    _print_certified(result, out)
+        exhausted, result = exc, exc.result
+    # The report first: a report that cannot be written fails the run
+    # before it prints a result.
     if args.report is not None:
         with open(args.report, "w") as fh:
             fh.write(f"cells {result.cells}\n")
@@ -188,7 +187,10 @@ def _cmd_integrate(args, out):
             fh.write("depth histogram\n")
             for depth, count in sorted(diag.depth_histogram.items()):
                 fh.write(f"  {depth} {count}\n")
-    return code
+    if exhausted is not None:
+        print(f"budget exhausted: {exhausted}", file=out)
+    _print_certified(result, out)
+    return EXIT_OK if exhausted is None else EXIT_BUDGET
 
 
 _COMMANDS = {

@@ -248,6 +248,10 @@ def load_rule(path):
             raise ParseError(f"expected one weight, found {len(values)}",
                              line=lineno)
         weights_exact.append(values[0])
+    if cursor < len(lines):
+        lineno, text = lines[cursor]
+        raise ParseError(f"unexpected line {lineno} after the last weight: "
+                         f"{text!r}", line=lineno)
 
     # The constructor checks the nodes and the weight sum; it leaves
     # weight signs to verify(), but a rule file must not have negatives.

@@ -26,7 +26,8 @@ class UnsupportedDegree(CerticubeError):
 
 
 class UnsupportedDimension(CerticubeError):
-    """Dimension too large for exact 64-bit factorials."""
+    """Dimension too large for exact 64-bit factorials, or for a sampled
+    lattice to fit in memory."""
 
 
 class UnknownRule(CerticubeError):

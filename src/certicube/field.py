@@ -11,8 +11,8 @@ needs its K from the caller. lattice_spectrum samples the lowest and
 highest Hessian eigenvalue of each simplex on a barycentric lattice: K
 is the larger magnitude of the two, and the convexity screen reads the
 lowest. Centered, it samples D^2 f - A instead, A the Hessian at each
-cell's barycenter, and returns A: per-cell K is centered, and A enters
-a per-cell midpoint estimate as well as its radius. A sample is not
+cell's barycenter, and returns A (n, n, m): per-cell K is centered, and
+A enters a per-cell midpoint estimate as well as its radius. A sample is not
 certified; a caller with a known constant passes it as K instead.
 """
 
@@ -122,8 +122,8 @@ def lattice_spectrum(f, W, resolution, centered=False):
     certified. Each hessians call, and the lattice built for it, covers
     about POINTS_PER_CALL Hessian entries. A is None unless centered:
     then each cell's barycenter leads its lattice in the same hessians
-    call, A (n, n, m) is the Hessian there, and the spectrum is that of
-    D^2 f(x) - A.
+    call, A (n, n, m) is a cell-last view of the Hessians there, and the
+    spectrum is that of D^2 f(x) - A.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -132,7 +132,7 @@ def lattice_spectrum(f, W, resolution, centered=False):
     hess = None
     if centered:
         weights = np.vstack((np.full(n + 1, 1 / (n + 1)), weights))
-        hess = np.empty((n, n, m))
+        hess = np.empty((m, n, n))
     step = max(1, POINTS_PER_CALL // (n * n))
     per_call = max(1, step // len(weights))
     lo, hi = np.empty((2, m))
@@ -147,16 +147,15 @@ def lattice_spectrum(f, W, resolution, centered=False):
                 # Rows run by weight, then cell, and a call holds whole
                 # weight rows, so the barycenter rows lead the first call.
                 if j == 0:
-                    hess[..., cells] = H[:c].transpose(1, 2, 0)
+                    hess[cells] = H[:c]
                 with np.errstate(over="ignore"):  # inf: cell_radii raises
-                    H = (H.reshape(-1, c, n, n)
-                         - hess[..., cells].transpose(2, 0, 1)
-                         ).reshape(-1, n, n)
+                    H = H.reshape(-1, c, n, n) - hess[cells]
+                H = H.reshape(-1, n, n)
             spectra.append(extreme_eigenvalues(H))
         low, high = (np.concatenate(side).reshape(len(weights), -1)
                      for side in zip(*spectra))
         lo[cells], hi[cells] = low.min(0), high.max(0)
-    return lo, hi, hess
+    return lo, hi, None if hess is None else hess.transpose(1, 2, 0)
 
 
 def d2f_sup_norm(f, s, resolution=DEFAULT_LATTICE_RESOLUTION):

@@ -2,11 +2,11 @@
 
 A batch of m cells is coordinate-major, W (n+1, n, m) (vertex,
 coordinate, cell), so kernels work on length-m planes. Only this module
-reads its vertex and coordinate axes and the edge axis of its squared
-edge lengths e2 (cell_stats reduces e2 to second moments, and
-second_moment_matrices W to second-moment matrices); others index
-a batch and its e2 only along the last (cell) axis, and take a
-simplex's one-cell batch from Simplex.batch.
+reads its vertex and coordinate axes, the edge axis of its squared edge
+lengths e2 (cell_stats reduces it) and the matrix axes of an A (n, n, m)
+(quadratic_integrals reduces them); others index a batch, its e2 and A
+only along the last (cell) axis, and take a simplex's one-cell batch
+from Simplex.batch.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSimplex, DimensionMismatch, ParseError
+from .errors import (DegenerateSimplex, DimensionMismatch, ParseError,
+                     UnsupportedDimension)
 
 # Scale-aware degeneracy threshold on |det E|: eps * (max edge length)^n.
 EPS_GEOM = 1e-13
@@ -147,15 +148,16 @@ def cell_stats(e2, vol):
         return vol * functools.reduce(np.add, e2) / (k * k * (k + 1))
 
 
-def second_moment_matrices(W, vol):
-    """int_S (x - pbar)(x - pbar)^T dx of each cell of W (n+1, n, m), as
-    (n, n, m): vol * sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)),
-    vol times the covariance of cell_stats, so its trace is cell_stats's
-    moment. Exactly symmetric; inf where it overflows."""
-    k = len(W)
+def quadratic_integrals(A, W, vol):
+    """int_S (x - pbar)^T A (x - pbar) dx = tr(A M_S) of each cell of W
+    (n+1, n, m), as (m,), for a symmetric A (n, n, m), or (n, n) for all:
+    M_S = vol * sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)), whose
+    trace is cell_stats's moment. inf or NaN where it overflows."""
+    k, n = W.shape[:2]
     d = W - W.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("ajm,alm->jlm", d, d) * (vol / (k * (k + 1)))
+        m_s = np.einsum("ajm,alm->jlm", d, d) * (vol / (k * (k + 1)))
+        return (np.reshape(A, (n, n, -1)) * m_s).sum(axis=(0, 1))
 
 
 def split(W, e2):
@@ -202,7 +204,8 @@ def lattice_weights(n, resolution):
     """Barycentric weights (m, n+1), in lexicographic order, of the
     mesh-1/resolution lattice on an n-simplex, vertices and faces
     included. Read-only: the last few lattices are kept, because
-    per-cell K asks for the same one every round."""
+    per-cell K asks for the same one every round. UnsupportedDimension,
+    naming its size, if the lattice cannot be allocated."""
     # Stars and bars: the integer parts of a weight, which sum to
     # resolution, are the gaps between n bars in resolution + n slots.
     # combinations lists the bar positions, and so the parts, in
@@ -211,10 +214,16 @@ def lattice_weights(n, resolution):
     part = np.min_scalar_type(-1 - slots)
     bars = itertools.chain.from_iterable(
         itertools.combinations(range(slots), n))
-    fence = np.empty((math.comb(slots, n), n + 2), dtype=part)
-    fence[:, 0], fence[:, -1] = -1, slots
-    fence[:, 1:-1] = np.fromiter(bars, dtype=part).reshape(-1, n)
-    weights = (np.diff(fence) - 1) / resolution
+    count = math.comb(slots, n)
+    try:  # ValueError: more bytes than an array index can address
+        fence = np.empty((count, n + 2), dtype=part)
+        fence[:, 0], fence[:, -1] = -1, slots
+        fence[:, 1:-1] = np.fromiter(bars, dtype=part).reshape(-1, n)
+        weights = (np.diff(fence) - 1) / resolution
+    except (MemoryError, ValueError):
+        raise UnsupportedDimension(
+            f"the sampled lattice has {count} points at resolution "
+            f"{resolution} on the {n}-simplex: too many to hold in memory")
     weights.setflags(write=False)
     return weights
 

@@ -3,11 +3,11 @@
 All values come from the factorial formula
 int_{S1} x^alpha dx = (prod alpha_i!) / (n + |alpha|)!
 evaluated exactly in integers, plus two second-order closed forms on a
-physical simplex S. A point uniform on S has mean pbar and covariance
-Cov = sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)), so the integral
-of a quadratic q over S is vol (q(pbar) + tr(A Cov)) (integrate_poly2),
-and int_S ||x - pbar||^2 = vol tr(Cov), which geometry.cell_stats
-computes for a batch from each cell's squared edge lengths.
+physical simplex S, both computed in geometry: the integral of a
+quadratic q(x) = c + b.x + x^T A x over S is vol q(pbar) plus
+int_S (x - pbar)^T A (x - pbar) (integrate_poly2, from
+geometry.quadratic_integrals with A (n, n)), and int_S ||x - pbar||^2,
+the case A = I, is geometry.cell_stats, from the squared edge lengths.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def integrate_poly2(q, s):
     """Exact integral over s of q(x) = c + b.x + x^T A x, degree <= 2.
 
     ``q`` is a (constant, linear vector or None, QuadraticForm or None)
-    triple. vol (q(pbar) + tr(A Cov)) with the vertex covariance of the
-    module docstring; no numerical quadrature is involved.
+    triple. vol q(pbar) plus geometry.quadratic_integrals of A, as the
+    module docstring says; no numerical quadrature is involved.
     """
     c, b, phi = q
     n = s.dimension
@@ -127,7 +127,6 @@ def integrate_poly2(q, s):
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
     a = np.zeros((n, n)) if phi is None else phi.coeffs
     pbar = s.vertices.mean(axis=0)
-    d = s.vertices - pbar
-    spread = np.sum((d @ a) * d) / ((n + 1) * (n + 2))
-    return geometry.volume(s) * (float(c) + b @ pbar + pbar @ a @ pbar
-                                 + spread)
+    vol = geometry.volume(s)
+    return (vol * (float(c) + b @ pbar + pbar @ a @ pbar)
+            + geometry.quadratic_integrals(a, s.batch()[0], vol)[0])

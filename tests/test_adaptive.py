@@ -12,7 +12,8 @@ from certicube.adaptive import (AdaptiveConfig, RunDiagnostics,
                                 integrate_adaptive)
 from certicube.errors import (BudgetExhausted, CerticubeError,
                               DimensionMismatch, EvaluationFailure,
-                              NegativeGauge, RuleNotApplicable)
+                              InvariantViolation, NegativeGauge,
+                              RuleNotApplicable)
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
@@ -577,18 +578,18 @@ def test_only_leaf_nodes_must_be_finite(tol, fails):
                                   "per-cell"])
 def test_only_per_cell_runs_are_centered(monkeypatch, mode):
     # Per-cell K samples each cell with its barycenter as the center, and
-    # only a midpoint run builds second-moment matrices, once per chunk
-    # of final leaves; --K and global K do neither.
-    centers, matrices = [], []
+    # only a midpoint run integrates q_A, in one kernel call over all
+    # final leaves; --K and global K do neither.
+    centers, kernel_calls = [], []
     spectrum = field_mod.lattice_spectrum
-    moments_of = geometry.second_moment_matrices
+    integrals = geometry.quadratic_integrals
     monkeypatch.setattr(field_mod, "lattice_spectrum",
                         lambda f, W, r, centered=False:
                         centers.append(centered)
                         or spectrum(f, W, r, centered))
-    monkeypatch.setattr(geometry, "second_moment_matrices",
-                        lambda W, vol: matrices.append(vol.shape)
-                        or moments_of(W, vol))
+    monkeypatch.setattr(geometry, "quadratic_integrals",
+                        lambda A, W, vol: kernel_calls.append(vol.shape)
+                        or integrals(A, W, vol))
     cfg = AdaptiveConfig(
         tolerance=1e-4, k_mode="global" if mode == "global" else "per-cell",
         k_override=2 * math.e if mode == "override" else None,
@@ -602,7 +603,7 @@ def test_only_per_cell_runs_are_centered(monkeypatch, mode):
     else:
         assert len(centers) > 1
         assert all(c is True for c in centers)
-    assert matrices == ([(result.cells,)] if mode == "per-cell" else [])
+    assert kernel_calls == ([(result.cells,)] if mode == "per-cell" else [])
 
 
 @pytest.mark.parametrize("k_mode", ["per-cell", "global"])
@@ -643,6 +644,22 @@ def test_quadratic_ends_at_the_root_with_radius_zero(n):
     # Without the quadratic term the estimate is the midpoint rule's.
     midpoint = bounds.midpoint_bound(f, s, 0.0).estimate
     assert abs(midpoint - exact) > 1e-6 * abs(exact)
+
+
+@pytest.mark.parametrize("expr,L", [("1e300*x1^2", 1e5),
+                                    ("3.2e307 + 2e307*x1^2", 1.0)])
+def test_centered_correction_that_overflows_is_an_estimate_error(expr, L):
+    # The barycenter is the origin and centered K is 0, so the run stops
+    # at the root. The first correction, tr(A M_S) / 2, is about 2e320;
+    # the second, 4.5e307, is finite, and adding it to the rule's 1.44e308
+    # overflows.
+    triangle = geometry.Simplex([[-L, -L], [2 * L, -L], [-L, 2 * L]])
+    f = field_mod.parse_expr(expr, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation,
+                           match="non-finite estimate inf"):
+            integrate_adaptive(f, triangle, AdaptiveConfig(tolerance=1.0))
 
 
 def test_centered_k_that_overflows_is_a_radius_error():

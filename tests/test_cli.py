@@ -120,6 +120,37 @@ def test_verify_rule_malformed_line(tmp_path, text, message, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("command", ["verify-rule", "bound"])
+def test_rule_file_with_lines_after_its_weights_is_a_parse_error(
+        tmp_path, unit2, command):
+    # A complete midpoint rule, then two lines that nothing reads.
+    path = tmp_path / "trailing.rule"
+    path.write_text("dim 2\nnodes 1\n1/3 1/3 1/3\n1\n0.5\n7 7 7\n")
+    argv = (["verify-rule", str(path)] if command == "verify-rule" else
+            ["bound", "--rule", str(path), "--expr", "x1^2",
+             "--simplex", unit2, "--K", "2"])
+    assert invoke(argv) == (
+        2, "error: unexpected line 5 after the last weight: '0.5'\n")
+    with pytest.raises(ParseError) as err:
+        cubature.load_rule(path)
+    assert err.value.line == 5
+
+
+def test_lattice_too_large_for_memory_exits_1(tmp_path):
+    # The screen's resolution-10 lattice on the unit 150-simplex has
+    # C(160, 10) points; it is refused before any determinant is taken.
+    n = 150
+    path = tmp_path / "unit150.spx"
+    path.write_text("\n".join(" ".join("1" if j == i else "0"
+                                        for j in range(n))
+                               for i in range(-1, n)) + "\n")
+    code, text = invoke(["sandwich", "--screen", "--expr", "x1^2",
+                         "--simplex", str(path)])
+    assert (code, text) == (
+        1, f"error: the sampled lattice has {math.comb(160, 10)} points at "
+           "resolution 10 on the 150-simplex: too many to hold in memory\n")
+
+
 @pytest.mark.parametrize("expr,simplex,message", [
     ("x1 $ 2", "0 0\n1 0\n0 1\n", "unexpected character '$' at 3"),
     ("foo(x1)", "0 0\n1 0\n0 1\n", "unknown identifier 'foo' at 0"),
@@ -363,6 +394,37 @@ def test_rule_header_not_positive_is_a_parse_error(tmp_path, text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("command", ["verify-rule", "bound"])
+def test_rule_file_with_lines_after_its_weights_is_a_parse_error(
+        tmp_path, unit2, command):
+    # A complete midpoint rule, then two lines that nothing reads.
+    path = tmp_path / "trailing.rule"
+    path.write_text("dim 2\nnodes 1\n1/3 1/3 1/3\n1\n0.5\n7 7 7\n")
+    argv = (["verify-rule", str(path)] if command == "verify-rule" else
+            ["bound", "--rule", str(path), "--expr", "x1^2",
+             "--simplex", unit2, "--K", "2"])
+    assert invoke(argv) == (
+        2, "error: unexpected line 5 after the last weight: '0.5'\n")
+    with pytest.raises(ParseError) as err:
+        cubature.load_rule(path)
+    assert err.value.line == 5
+
+
+def test_lattice_too_large_for_memory_exits_1(tmp_path):
+    # The screen's resolution-10 lattice on the unit 150-simplex has
+    # C(160, 10) points; it is refused before any determinant is taken.
+    n = 150
+    path = tmp_path / "unit150.spx"
+    path.write_text("\n".join(" ".join("1" if j == i else "0"
+                                        for j in range(n))
+                               for i in range(-1, n)) + "\n")
+    code, text = invoke(["sandwich", "--screen", "--expr", "x1^2",
+                         "--simplex", str(path)])
+    assert (code, text) == (
+        1, f"error: the sampled lattice has {math.comb(160, 10)} points at "
+           "resolution 10 on the 150-simplex: too many to hold in memory\n")
+
+
 @pytest.mark.parametrize("command,k", [("integrate", "-1"),
                                        ("integrate", "nan"),
                                        ("integrate", "inf"),
@@ -376,6 +438,18 @@ def test_bad_k_is_rejected(unit2, command, k):
     assert code == 1
     assert text.startswith("error:")
     assert "certified" not in text
+
+
+@pytest.mark.parametrize("extra", [[], ["--max-cells", "2"]],
+                         ids=["tolerance", "budget"])
+def test_integrate_report_that_cannot_be_written_prints_no_result(
+        unit2, tmp_path, extra):
+    report = tmp_path / "missing" / "run.report"
+    code, text = invoke(["integrate", "--expr", "exp(x1+x2)",
+                         "--simplex", unit2, "--tol", "1e-4",
+                         "--report", str(report)] + extra)
+    assert (code, text) == (
+        2, f"error: [Errno 2] No such file or directory: '{report}'\n")
 
 
 def test_integrate_report_lines(unit2, tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from certicube import cubature, geometry
-from certicube.errors import DegenerateSimplex, DimensionMismatch, ParseError
+from certicube.errors import (DegenerateSimplex, DimensionMismatch, ParseError,
+                              UnsupportedDimension)
 
 from util import (edge_lengths_sq_reference, lattice_weights_reference,
                   points_reference, rand_simplex, split_reference)
@@ -137,19 +138,23 @@ def _flattened(rng, n, thickness, direction=None):
     return v - (1 - thickness) * np.outer(v @ d, d)
 
 
-# Bound fixed from the arithmetic, before any run, in units of
-# u vol R^2 (u the unit roundoff, R the largest coordinate magnitude):
-# the mean, the differences, the products, the sum over the n+1 vertices
-# and the scaling by vol/((n+1)(n+2)) err by at most about 8 of them an
-# entry; the bound doubles that.
+# Bounds fixed from the arithmetic, before any run, in units of
+# u vol R^2 (u the unit roundoff, R the largest coordinate magnitude).
+# An entry of M_S: the mean, the differences, the products, the sum over
+# the n+1 vertices and the scaling by vol/((n+1)(n+2)) err by at most
+# about 8 of them; the bound doubles that.
 MOMENT_ULPS = 16
+# tr(A M_S) then errs by at most MOMENT_ULPS sum|A_jl|, plus the n^2
+# products and their sum, at most n^2 u sum|A_jl M_jl| with
+# |M_jl| <= 4/3 vol R^2; the bound takes 2 n^2 for the second part.
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_second_moment_matrices_match_exact_fractions(n):
-    # vol * sum_i (v_i - pbar)(v_i - pbar)^T / ((n+1)(n+2)), in Fractions
-    # from the float vertices and the float volume, entry by entry; its
-    # trace is cell_stats's second moment.
+def test_quadratic_integrals_match_exact_fractions(n):
+    # tr(A M_S), M_S = vol * sum_i (v_i - pbar)(v_i - pbar)^T
+    # / ((n+1)(n+2)), in Fractions from the float vertices, the float
+    # volume and a random symmetric A per cell; A = I gives cell_stats's
+    # second moment.
     rng = np.random.default_rng(200 + n)
     cells = [rand_simplex(rng, n).vertices for _ in range(20)]
     cells += [_flattened(rng, n, t) for t in (1e-4, 1e-9, 1e-13)]
@@ -157,22 +162,24 @@ def test_second_moment_matrices_match_exact_fractions(n):
     W = np.stack(cells, axis=-1)
     vol = np.array([abs(np.linalg.det(c[1:] - c[0])) for c in cells]) \
         / math.factorial(n)
-    M = geometry.second_moment_matrices(W, vol)
-    assert M.shape == (n, n, len(cells))
-    assert np.array_equal(M, M.swapaxes(0, 1))
+    A = rng.uniform(-2, 2, size=(n, n, len(cells)))
+    A = A + A.swapaxes(0, 1)
+    q = geometry.quadratic_integrals(A, W, vol)
+    assert q.shape == (len(cells),)
+    q_identity = geometry.quadratic_integrals(np.eye(n), W, vol)
     moment = geometry.cell_stats(geometry.edge_lengths_sq(W), vol)
     u = np.finfo(float).eps / 2
     for k, c in enumerate(cells):
         v = [[Fraction(x) for x in row] for row in c]
         pbar = [sum(row[j] for row in v) / (n + 1) for j in range(n)]
         scale = Fraction(vol[k]) / ((n + 1) * (n + 2))
-        bound = MOMENT_ULPS * u * vol[k] * np.abs(c).max() ** 2
-        for j in range(n):
-            for l in range(n):
-                exact = scale * sum((row[j] - pbar[j]) * (row[l] - pbar[l])
-                                    for row in v)
-                assert abs(Fraction(M[j, l, k]) - exact) <= bound, (k, j, l)
-        assert abs(np.trace(M[..., k]) - moment[k]) <= 2 * n * bound
+        exact = scale * sum(
+            Fraction(A[j, l, k]) * (row[j] - pbar[j]) * (row[l] - pbar[l])
+            for row in v for j in range(n) for l in range(n))
+        unit = u * vol[k] * np.abs(c).max() ** 2
+        bound = (MOMENT_ULPS + 2 * n * n) * unit * np.abs(A[..., k]).sum()
+        assert abs(Fraction(q[k]) - exact) <= bound, k
+        assert abs(q_identity[k] - moment[k]) <= 2 * n * MOMENT_ULPS * unit
 
 
 def test_lattice_weights_match_reference():
@@ -180,6 +187,14 @@ def test_lattice_weights_match_reference():
     for n, r in cases + [(n, 20) for n in range(1, 4)] + [(2, 256)]:
         assert _same_bits(geometry.lattice_weights(n, r),
                           lattice_weights_reference(n, r)), (n, r)
+
+
+def test_lattice_too_large_to_allocate_is_an_error():
+    # C(310, 10) points of 302 entries: more bytes than an index holds.
+    with pytest.raises(UnsupportedDimension,
+                       match=f"has {math.comb(310, 10)} points at "
+                             "resolution 10 on the 300-simplex"):
+        geometry.lattice_weights(300, 10)
 
 
 def test_bisect_segment():
