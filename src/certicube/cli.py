@@ -217,7 +217,9 @@ def run(argv, out=None):
     try:
         return _COMMANDS[args.command](args, out)
     except (ParseError, ArityError, OSError, UnknownRule, ValueError) as exc:
-        print(f"error: {exc}", file=out)
+        line = getattr(exc, "line", None)  # set by a file's ParseError
+        print(f"error: {exc}" if line is None else f"error: line {line}: {exc}",
+              file=out)
         return EXIT_PARSE
     except CerticubeError as exc:
         print(f"error: {exc}", file=out)

@@ -215,7 +215,7 @@ def load_rule(path):
         nonlocal cursor
         if cursor >= len(lines):
             raise ParseError(f"unexpected end of file, expected {what}",
-                             line=lines[-1][0] if lines else 1)
+                             line=lines[-1][0] if lines else None)
         item = lines[cursor]
         cursor += 1
         return item
@@ -250,8 +250,8 @@ def load_rule(path):
         weights_exact.append(values[0])
     if cursor < len(lines):
         lineno, text = lines[cursor]
-        raise ParseError(f"unexpected line {lineno} after the last weight: "
-                         f"{text!r}", line=lineno)
+        raise ParseError(f"unexpected line after the last weight: {text!r}",
+                         line=lineno)
 
     # The constructor checks the nodes and the weight sum; it leaves
     # weight signs to verify(), but a rule file must not have negatives.

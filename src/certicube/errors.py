@@ -57,7 +57,8 @@ class ParseError(CerticubeError):
     """Malformed expression or rule/simplex file.
 
     ``position`` is a character offset (expressions) or ``line`` a
-    1-based line number (files); ``expected`` lists acceptable tokens.
+    1-based line number (files; None for a file with no line to blame,
+    an empty one); ``expected`` lists acceptable tokens.
     """
 
     def __init__(self, message, position=None, line=None, expected=()):

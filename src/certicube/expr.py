@@ -28,11 +28,16 @@ A tape runs as one straight-line Python function, tape.program, that
 reads each variable it uses once and then makes one statement, a call
 to an arithmetic's method, per other instruction; an arithmetic is an
 object with one method per opcode. Floats evaluates at a batch (m, n)
-of points. Jets carries second-order forward-mode jets (value,
-gradient, Hessian) through the tape, exact up to rounding (Griewank &
-Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13). The tape
-is a postorder tree, so an instruction's arguments are the top entries
-of an evaluation stack. Each value is stored in the local named by its
+of points, one numpy array per value. Scalars evaluates at one point
+(1, n) in np.float64 scalars, with the bits Floats gives that point
+and without its cost of about 0.25 us an instruction for a one-element
+array; calling a tape runs Scalars at one point (a midpoint
+certificate's barycenter) and Floats at any other batch. Jets carries
+second-order forward-mode jets (value, gradient, Hessian) through the
+tape, exact up to rounding (Griewank & Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008, ch. 13). The tape is a postorder
+tree, so an instruction's arguments are the top entries of an
+evaluation stack. Each value is stored in the local named by its
 depth among the stack's values that are not variable reads, so a dead
 value is overwritten once the stack grows over it again, and a deep
 nest costs what a flat chain of as many instructions costs. The
@@ -47,6 +52,7 @@ and the constants only, so parse(str(tape), n) == tape.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 import types
 from dataclasses import dataclass, field
@@ -77,9 +83,9 @@ class Tape:
     "const" or "powc" instruction's float, or None. ``text`` is the
     source, which str() returns; equality ignores it.
 
-    Calling a tape evaluates its program in floats, one value (m,) per
-    row of points (m, n); ``hessians`` runs it in jets. The program is
-    built on first use and is not part of the pickled state.
+    Calling a tape evaluates its program, one value (m,) per row of
+    points (m, n); ``hessians`` runs it in jets. The program is built
+    on first use and is not part of the pickled state.
     """
 
     skeleton: tuple
@@ -87,6 +93,12 @@ class Tape:
     text: str = field(default="", compare=False)
 
     def __call__(self, points):
+        """The value (m,) at each row of points (m, n). The program runs
+        in Scalars at one point (1, n), which costs no array per
+        instruction, and in Floats at any other batch; a value has the
+        same bits either way."""
+        if points.shape[:-1] == (1,):
+            return np.array([self.program(Scalars(points))], dtype=float)
         value = self.program(Floats(points))  # a float if the tape is constant
         return (np.full(points.shape[:-1], value)
                 if isinstance(value, float) else value)
@@ -182,6 +194,57 @@ class Floats:
     mul = staticmethod(np.multiply)
     div = staticmethod(np.divide)
     pow = powc = staticmethod(np.power)
+    exp = staticmethod(np.exp)
+    sin = staticmethod(np.sin)
+    cos = staticmethod(np.cos)
+    log = staticmethod(np.log)
+    sqrt = staticmethod(np.sqrt)
+
+
+# Scalars' operations whose plain scalar form can give other bits than
+# Floats' arrays: see the class docstring.
+
+def _add(a, b):
+    return b + a
+
+
+def _mul(a, b):
+    return b * a
+
+
+def _pow(a, b):
+    return np.power(a, np.array([b]))[0]
+
+
+class Scalars:
+    """A slot holds an np.float64 (or a float, if constant) at one point
+    (1, n): numpy's scalar arithmetic, which rounds as its arrays do and
+    follows np.errstate, so 1/0 is inf, never ZeroDivisionError. Every
+    value has the bits Floats gives it at that point. Two operations
+    need care for that. Of two NaNs, a scalar a + b or a * b keeps b's
+    where an array keeps a's, so add and mul take their operands the
+    other way round. np.power at a scalar exponent of -1, 0, 0.5, 1 or
+    2 takes a short cut (sqrt(-0.) is -0., pow(-0., 0.5) is 0.), which
+    Floats' array of one variable exponent does not, so pow passes the
+    exponent as an array too; powc's float exponent is a scalar in both."""
+
+    __slots__ = ("point",)
+
+    def __init__(self, points):
+        self.point = points[0]
+
+    const = staticmethod(float)
+
+    def var(self, i):
+        return self.point[i]  # an np.float64
+
+    neg = staticmethod(operator.neg)
+    add = staticmethod(_add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(_mul)
+    div = staticmethod(operator.truediv)
+    pow = staticmethod(_pow)
+    powc = staticmethod(np.power)
     exp = staticmethod(np.exp)
     sin = staticmethod(np.sin)
     cos = staticmethod(np.cos)

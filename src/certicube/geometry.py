@@ -244,16 +244,20 @@ def read_lines(path):
 
 def load_simplex(path):
     """One vertex per line, whitespace-separated decimals."""
-    rows = []
-    for lineno, text in read_lines(path):
+    lines, rows = read_lines(path), []
+    for lineno, text in lines:
         try:
             rows.append([float(tok) for tok in text.split()])
         except ValueError as exc:
             raise ParseError(f"bad vertex line: {exc}", line=lineno)
     if not rows:
-        raise ParseError("empty simplex file", line=1)
+        raise ParseError("empty simplex file")
     n = len(rows[0])
-    if any(len(r) != n for r in rows) or len(rows) != n + 1:
-        raise ParseError(
-            f"expected {n + 1} vertices of {n} coordinates", line=len(rows))
+    # The first line of another length or past vertex n + 1, else the
+    # last line of a file that ends early.
+    wrong = [lineno for k, ((lineno, _), row) in enumerate(zip(lines, rows))
+             if len(row) != n or k > n]
+    if wrong or len(rows) != n + 1:
+        raise ParseError(f"expected {n + 1} vertices of {n} coordinates",
+                         line=wrong[0] if wrong else lines[-1][0])
     return Simplex(np.array(rows))

@@ -343,11 +343,13 @@ ONE_SHOT = {
         stroud_t3_rule(), f, s, k), 3),
     "sandwich": (lambda f, s, k: bounds.hh_sandwich(f, s), 2),
 }
-# (integrand, K, error, message): f overflows at a node; f is finite but
-# its mean times the volume overflows; K times the second moment
-# overflows (the sandwich has no K).
+# (integrand, K, error, message): f overflows at a node; f divides by
+# zero at every point, the midpoint's one point in numpy scalars; f is
+# finite but its mean times the volume overflows; K times the second
+# moment overflows (the sandwich has no K).
 FAILURES = {
     "node": ("exp(1e4*x1)", 1.0, EvaluationFailure, "non-finite on a batch"),
+    "pole": ("1/(x1-x1)", 1.0, EvaluationFailure, "non-finite on a batch"),
     "volume": ("1e308", 1.0, InvariantViolation,
                r"non-finite (estimate|lower) inf"),
     "radius": ("x1", 1e308, InvariantViolation, "non-finite cell radius"),

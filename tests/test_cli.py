@@ -114,41 +114,11 @@ def test_verify_rule_structural_defect(tmp_path, text, message):
 def test_verify_rule_malformed_line(tmp_path, text, message, line):
     path = tmp_path / "malformed.rule"
     path.write_text(text)
-    assert invoke(["verify-rule", str(path)]) == (2, f"error: {message}\n")
+    assert invoke(["verify-rule", str(path)]) == (
+        2, f"error: line {line}: {message}\n")
     with pytest.raises(ParseError) as err:
         cubature.load_rule(path)
     assert err.value.line == line
-
-
-@pytest.mark.parametrize("command", ["verify-rule", "bound"])
-def test_rule_file_with_lines_after_its_weights_is_a_parse_error(
-        tmp_path, unit2, command):
-    # A complete midpoint rule, then two lines that nothing reads.
-    path = tmp_path / "trailing.rule"
-    path.write_text("dim 2\nnodes 1\n1/3 1/3 1/3\n1\n0.5\n7 7 7\n")
-    argv = (["verify-rule", str(path)] if command == "verify-rule" else
-            ["bound", "--rule", str(path), "--expr", "x1^2",
-             "--simplex", unit2, "--K", "2"])
-    assert invoke(argv) == (
-        2, "error: unexpected line 5 after the last weight: '0.5'\n")
-    with pytest.raises(ParseError) as err:
-        cubature.load_rule(path)
-    assert err.value.line == 5
-
-
-def test_lattice_too_large_for_memory_exits_1(tmp_path):
-    # The screen's resolution-10 lattice on the unit 150-simplex has
-    # C(160, 10) points; it is refused before any determinant is taken.
-    n = 150
-    path = tmp_path / "unit150.spx"
-    path.write_text("\n".join(" ".join("1" if j == i else "0"
-                                        for j in range(n))
-                               for i in range(-1, n)) + "\n")
-    code, text = invoke(["sandwich", "--screen", "--expr", "x1^2",
-                         "--simplex", str(path)])
-    assert (code, text) == (
-        1, f"error: the sampled lattice has {math.comb(160, 10)} points at "
-           "resolution 10 on the 150-simplex: too many to hold in memory\n")
 
 
 @pytest.mark.parametrize("expr,simplex,message", [
@@ -163,6 +133,34 @@ def test_malformed_input_is_a_parse_error(tmp_path, expr, simplex, message):
     path.write_text(simplex)
     argv = ["sandwich", "--expr", expr, "--simplex", str(path)]
     assert invoke(argv) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind,text,line,message", [
+    ("rule", "dim 2\n# one node\nnodes 1\n\n0.5 0.5\n1\n", 5,
+     "node 0 has 2 coordinates, expected 3"),
+    ("simplex", "0 0\n1 0\n", 2, "expected 3 vertices of 2 coordinates"),
+    ("simplex", "# triangle\n0 0\n\n1 0 0\n0 1\n", 4,
+     "expected 3 vertices of 2 coordinates"),
+    ("simplex", "0 0\n1 0\n0 1\n# one more\n1 1\n", 5,
+     "expected 3 vertices of 2 coordinates"),
+    ("simplex", "0 0\n\n1 zero\n0 1\n", 3,
+     "bad vertex line: could not convert string to float: 'zero'")],
+    ids=["rule node", "simplex short", "simplex row", "simplex extra",
+         "simplex number"])
+def test_file_parse_error_names_its_line(tmp_path, unit2, kind, text, line,
+                                         message):
+    # The line is the file's own, comments and blank lines counted.
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    if kind == "rule":
+        argv = ["bound", "--rule", str(path), "--expr", "x1^2",
+                "--simplex", unit2, "--K", "2"]
+    else:
+        argv = ["sandwich", "--expr", "x1^2", "--simplex", str(path)]
+    assert invoke(argv) == (2, f"error: line {line}: {message}\n")
+    with pytest.raises(ParseError) as err:
+        (cubature.load_rule if kind == "rule" else geometry.load_simplex)(path)
+    assert err.value.line == line
 
 
 def test_verify_rule_missing_file():
@@ -404,7 +402,7 @@ def test_rule_file_with_lines_after_its_weights_is_a_parse_error(
             ["bound", "--rule", str(path), "--expr", "x1^2",
              "--simplex", unit2, "--K", "2"])
     assert invoke(argv) == (
-        2, "error: unexpected line 5 after the last weight: '0.5'\n")
+        2, "error: line 5: unexpected line after the last weight: '0.5'\n")
     with pytest.raises(ParseError) as err:
         cubature.load_rule(path)
     assert err.value.line == 5

@@ -180,6 +180,55 @@ def test_float_tape_matches_the_tree_walk_bit_for_bit():
     assert checked >= 350
 
 
+# Values the one-point path must carry as Floats does: signed zeros,
+# infinities, NaNs of either sign, and the exponents at which np.power
+# takes a short cut for a scalar exponent.
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, -1.0, 0.5, 1.0, 2.0)
+
+
+def _assert_one_point_is_floats(tape, point):
+    """tape(point) at one point (1, n) runs in Scalars, with the bits
+    that Floats gives the point."""
+    assert type(tape.program(expr.Scalars(point))) in (float, np.float64)
+    want = np.asarray(tape.program(expr.Floats(point)), dtype=float)
+    assert_same_bits(tape(point), want.reshape(1))
+
+
+def test_one_point_runs_in_scalars_with_the_bits_of_floats():
+    rng = np.random.default_rng(41)
+    with np.errstate(all="ignore"):
+        for _ in range(400):
+            n = int(rng.integers(1, 4))
+            tape = expr.parse(tree_text(rand_tree(rng, n, 4)), n)
+            points = np.where(rng.random((8, n)) < 0.5,
+                              rng.choice(SPECIAL, (8, n)),
+                              rng.uniform(-2.0, 2.0, (8, n)))
+            for k in range(len(points)):
+                _assert_one_point_is_floats(tape, points[k:k + 1])
+        # Every pair of special values through the operations whose
+        # scalar and array forms can differ: NaN against NaN in add and
+        # mul, and a variable exponent.
+        for text in ("x1 + x2", "x1*x2", "x1 - x2", "x1/x2", "x1^x2",
+                     "2^x1", "(0*x1)^x2", "-x1 + -x2"):
+            tape = expr.parse(text, 2)
+            for a in SPECIAL:
+                for b in SPECIAL:
+                    _assert_one_point_is_floats(tape, np.array([[a, b]]))
+
+
+def test_one_point_path_makes_no_array_per_instruction(monkeypatch):
+    # Floats is not reached at one point, and the result is still a
+    # (1,) float64 array, for a constant tape too.
+    tapes = [(expr.parse(text, 2), want) for text, want in [
+        ("2^0.5", 2.0 ** 0.5), ("x2", -3.0), ("x1*x2 + 1", 0.25 * -3.0 + 1)]]
+    monkeypatch.setattr(expr, "Floats", None)
+    point = np.array([[0.25, -3.0]])
+    for tape, want in tapes:
+        got = tape(point)
+        assert (got.shape, got.dtype) == ((1,), np.float64)
+        assert got[0] == want
+
+
 def assert_same_bits(got, want):
     """got is want bit for bit: a float or an array, or for jets a
     (value, gradient, Hessian) with None where want has None."""
