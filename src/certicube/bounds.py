@@ -14,10 +14,8 @@ round and estimates only its final leaves.
 A one-shot certificate enters np.errstate once, in cubature.estimate
 (hh_sandwich: field.evaluate_batch), around the evaluation and the
 weighted sum; its radius is a product of Python floats, which cannot
-warn, checked with math.isfinite. On the oneshot-bounds battery's
-quadratics in one to four variables (2-vCPU x86-64), a midpoint
-certificate takes about 17 to 33 us and a sandwich 13 to 30 us: the
-tape's run, 3.6 to 20 us, and a fixed 13 (midpoint) or 10 (sandwich).
+warn, checked with math.isfinite. The README gives what a one-shot
+certificate costs, and how much of it is the tape's run.
 
 All radii are conditional on the supplied curvature constant K >= the
 sup operator norm of the second differential over the simplex;

@@ -28,13 +28,13 @@ A tape runs as one straight-line Python function, tape.program, that
 reads each variable it uses once and then makes one statement, a call
 to an arithmetic's method, per other instruction; an arithmetic is an
 object with one method per opcode. Floats evaluates at a batch (m, n)
-of points, one numpy array per value. Scalars evaluates at one point
-(1, n) in np.float64 scalars, with the bits Floats gives that point
-and without its cost of about 0.25 us an instruction for a one-element
-array; calling a tape runs Scalars at one point (a midpoint
-certificate's barycenter) and Floats at any other batch. Jets carries
-second-order forward-mode jets (value, gradient, Hessian) through the
-tape, exact up to rounding (Griewank & Walther, Evaluating
+of points: a value is an array (m,), or at one point (1, n) an
+np.float64, so a one-point call (a midpoint certificate's barycenter)
+makes no array per instruction. Numpy rounds its scalars as its arrays,
+so a point's value has the same bits in either form, NaN payloads
+aside (a NaN never reaches an output: field raises on it). Jets
+carries second-order forward-mode jets (value, gradient, Hessian)
+through the tape, exact up to rounding (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008, ch. 13). The tape is a postorder
 tree, so an instruction's arguments are the top entries of an
 evaluation stack. Each value is stored in the local named by its
@@ -93,15 +93,15 @@ class Tape:
     text: str = field(default="", compare=False)
 
     def __call__(self, points):
-        """The value (m,) at each row of points (m, n). The program runs
-        in Scalars at one point (1, n), which costs no array per
-        instruction, and in Floats at any other batch; a value has the
-        same bits either way."""
-        if points.shape[:-1] == (1,):
-            return np.array([self.program(Scalars(points))], dtype=float)
-        value = self.program(Floats(points))  # a float if the tape is constant
-        return (np.full(points.shape[:-1], value)
-                if isinstance(value, float) else value)
+        """The value (m,) at each row of points (m, n): the program in
+        Floats, whose value is an array, or a scalar at one point or for
+        a constant tape."""
+        value = self.program(Floats(points))
+        if isinstance(value, np.ndarray):
+            return value
+        if len(points) == 1:  # np.array takes half np.full's time
+            return np.array([value], dtype=float)
+        return np.full(len(points), value)
 
     def hessians(self, points):
         """Hessian (m, n, n) at each row of points (m, n), exact up to
@@ -175,73 +175,33 @@ def _compiled(skeleton):
     return namespace["program"]
 
 
-class Floats:
-    """A slot holds a float, or an array of one value per point."""
+def _pow(a, b):
+    """a^b with b a variable: np.power at a scalar exponent of -1, 0,
+    0.5, 1 or 2 takes a short cut (pow(-0., 0.5) is -0., not 0.), so the
+    exponent goes in as an array at one point too, as at a batch."""
+    return np.power(a, np.array([b]))[0]
 
-    __slots__ = ("points",)
+
+class Floats:
+    """A slot holds a float if constant, else an array (m,) of one value
+    per point of a batch (m, n), or at one point (1, n) an np.float64.
+    Numpy's scalars round as its arrays do and follow np.errstate, so
+    1/0 is inf, never ZeroDivisionError."""
+
+    __slots__ = ("columns",)
 
     def __init__(self, points):
-        self.points = points
+        self.columns = points[0] if len(points) == 1 else points.T
 
     const = staticmethod(float)  # a float itself, with no Python frame
 
     def var(self, i):
-        return self.points[..., i]
-
-    neg = staticmethod(np.negative)
-    add = staticmethod(np.add)
-    sub = staticmethod(np.subtract)
-    mul = staticmethod(np.multiply)
-    div = staticmethod(np.divide)
-    pow = powc = staticmethod(np.power)
-    exp = staticmethod(np.exp)
-    sin = staticmethod(np.sin)
-    cos = staticmethod(np.cos)
-    log = staticmethod(np.log)
-    sqrt = staticmethod(np.sqrt)
-
-
-# Scalars' operations whose plain scalar form can give other bits than
-# Floats' arrays: see the class docstring.
-
-def _add(a, b):
-    return b + a
-
-
-def _mul(a, b):
-    return b * a
-
-
-def _pow(a, b):
-    return np.power(a, np.array([b]))[0]
-
-
-class Scalars:
-    """A slot holds an np.float64 (or a float, if constant) at one point
-    (1, n): numpy's scalar arithmetic, which rounds as its arrays do and
-    follows np.errstate, so 1/0 is inf, never ZeroDivisionError. Every
-    value has the bits Floats gives it at that point. Two operations
-    need care for that. Of two NaNs, a scalar a + b or a * b keeps b's
-    where an array keeps a's, so add and mul take their operands the
-    other way round. np.power at a scalar exponent of -1, 0, 0.5, 1 or
-    2 takes a short cut (sqrt(-0.) is -0., pow(-0., 0.5) is 0.), which
-    Floats' array of one variable exponent does not, so pow passes the
-    exponent as an array too; powc's float exponent is a scalar in both."""
-
-    __slots__ = ("point",)
-
-    def __init__(self, points):
-        self.point = points[0]
-
-    const = staticmethod(float)
-
-    def var(self, i):
-        return self.point[i]  # an np.float64
+        return self.columns[i]
 
     neg = staticmethod(operator.neg)
-    add = staticmethod(_add)
+    add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
-    mul = staticmethod(_mul)
+    mul = staticmethod(operator.mul)
     div = staticmethod(operator.truediv)
     pow = staticmethod(_pow)
     powc = staticmethod(np.power)
@@ -430,7 +390,9 @@ class _Compiler:
 
     def apply(self, op, *operands):
         if int not in map(type, operands):  # no slot: fold
-            return float(getattr(Floats, op)(*operands))
+            # A constant exponent is a scalar, as in powc.
+            fold = getattr(Floats, "powc" if op == "pow" else op)
+            return float(fold(*map(np.float64, operands)))
         if op == "pow" and isinstance(operands[1], float):
             return self.emit_float("powc", (operands[0],), operands[1])
         return self.emit(op, tuple(map(self.slot, operands)))

@@ -133,28 +133,30 @@ def lattice_spectrum(f, W, resolution, centered=False):
     if centered:
         weights = np.vstack((np.full(n + 1, 1 / (n + 1)), weights))
         hess = np.empty((m, n, n))
+    # A call holds whole lattices of several cells, or, for a lattice
+    # larger than one call, step weight rows of one cell.
     step = max(1, POINTS_PER_CALL // (n * n))
+    rows = min(step, len(weights))
     per_call = max(1, step // len(weights))
-    lo, hi = np.empty((2, m))
+    lo, hi = np.full(m, np.inf), np.full(m, -np.inf)
     for i in range(0, m, per_call):
         cells = slice(i, i + per_call)
-        points = geometry.points(weights, W[..., cells])
-        c = len(points) // len(weights)  # cells in this chunk
-        spectra = []
-        for j in range(0, len(points), step):
-            H = hessians(f, points[j:j + step])
+        block = W[..., cells]
+        c = block.shape[-1]
+        for j in range(0, len(weights), rows):
+            H = hessians(f, geometry.points(weights[j:j + rows], block))
             if centered:
-                # Rows run by weight, then cell, and a call holds whole
-                # weight rows, so the barycenter rows lead the first call.
+                # Rows run by weight, then cell, so the barycenter rows
+                # lead the first call of each chunk of cells.
                 if j == 0:
                     hess[cells] = H[:c]
                 with np.errstate(over="ignore"):  # inf: cell_radii raises
                     H = H.reshape(-1, c, n, n) - hess[cells]
                 H = H.reshape(-1, n, n)
-            spectra.append(extreme_eigenvalues(H))
-        low, high = (np.concatenate(side).reshape(len(weights), -1)
-                     for side in zip(*spectra))
-        lo[cells], hi[cells] = low.min(0), high.max(0)
+            low, high = (side.reshape(-1, c)
+                         for side in extreme_eigenvalues(H))
+            lo[cells] = np.minimum(lo[cells], low.min(0))
+            hi[cells] = np.maximum(hi[cells], high.max(0))
     return lo, hi, None if hess is None else hess.transpose(1, 2, 0)
 
 

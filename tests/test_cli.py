@@ -121,6 +121,19 @@ def test_verify_rule_malformed_line(tmp_path, text, message, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text,message", [
+    ("dim 1\nnodes 2\n0.5 0.5\n1 0\n1/2\n",
+     "line 5: unexpected end of file, expected weight 1"),
+    ("", "unexpected end of file, expected dim header"),
+    ("# only a comment\n", "unexpected end of file, expected dim header")],
+    ids=["after_weight_0", "empty", "comment_only"])
+def test_verify_rule_truncated_file(tmp_path, text, message):
+    # A file that ends early names its last line, if it has one.
+    path = tmp_path / "truncated.rule"
+    path.write_text(text)
+    assert invoke(["verify-rule", str(path)]) == (2, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("expr,simplex,message", [
     ("x1 $ 2", "0 0\n1 0\n0 1\n", "unexpected character '$' at 3"),
     ("foo(x1)", "0 0\n1 0\n0 1\n", "unknown identifier 'foo' at 0"),
@@ -880,6 +893,12 @@ def test_numpy_is_the_only_runtime_dependency():
               "('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest') "
               "if m in sys.modules))")
     assert fresh_python(script).strip() == "[]"
+
+
+def test_console_entry_point_exits_with_the_code_of_run():
+    done = fresh_run("-m", "certicube.cli", "moments", "--dim", "2")
+    assert (done.returncode, done.stdout) == invoke(["moments", "--dim", "2"])
+    assert fresh_run("-m", "certicube.cli", "bound").returncode == 2
 
 
 def test_package_import_graph_is_acyclic():

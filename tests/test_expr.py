@@ -180,21 +180,28 @@ def test_float_tape_matches_the_tree_walk_bit_for_bit():
     assert checked >= 350
 
 
-# Values the one-point path must carry as Floats does: signed zeros,
+# Values a point must carry alone as in a batch: signed zeros,
 # infinities, NaNs of either sign, and the exponents at which np.power
 # takes a short cut for a scalar exponent.
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, -1.0, 0.5, 1.0, 2.0)
 
 
-def _assert_one_point_is_floats(tape, point):
-    """tape(point) at one point (1, n) runs in Scalars, with the bits
-    that Floats gives the point."""
-    assert type(tape.program(expr.Scalars(point))) in (float, np.float64)
-    want = np.asarray(tape.program(expr.Floats(point)), dtype=float)
-    assert_same_bits(tape(point), want.reshape(1))
+def _assert_one_point_is_a_batch_row(tape, points, k):
+    """tape at row k of points, alone as one point (1, n), has the bits
+    that the row gets in batches of 2 and 7 rows of points, or is NaN
+    where it is NaN (a NaN's sign and payload may differ)."""
+    one = tape(points[k:k + 1])
+    assert (one.shape, one.dtype) == ((1,), np.float64)
+    seven = [(k + j) % len(points) for j in range(-3, 4)]
+    for rows, row in (([k - 1, k], 1), (seven, 3)):
+        want = tape(points[rows])[row]
+        if np.isnan(want):
+            assert np.isnan(one[0])
+        else:
+            assert_same_bits(one[0], want)
 
 
-def test_one_point_runs_in_scalars_with_the_bits_of_floats():
+def test_one_point_has_the_bits_of_a_batch_row():
     rng = np.random.default_rng(41)
     with np.errstate(all="ignore"):
         for _ in range(400):
@@ -204,29 +211,58 @@ def test_one_point_runs_in_scalars_with_the_bits_of_floats():
                               rng.choice(SPECIAL, (8, n)),
                               rng.uniform(-2.0, 2.0, (8, n)))
             for k in range(len(points)):
-                _assert_one_point_is_floats(tape, points[k:k + 1])
+                _assert_one_point_is_a_batch_row(tape, points, k)
         # Every pair of special values through the operations whose
         # scalar and array forms can differ: NaN against NaN in add and
         # mul, and a variable exponent.
+        pairs = np.array([(a, b) for a in SPECIAL for b in SPECIAL])
         for text in ("x1 + x2", "x1*x2", "x1 - x2", "x1/x2", "x1^x2",
                      "2^x1", "(0*x1)^x2", "-x1 + -x2"):
             tape = expr.parse(text, 2)
-            for a in SPECIAL:
-                for b in SPECIAL:
-                    _assert_one_point_is_floats(tape, np.array([[a, b]]))
+            for k in range(len(pairs)):
+                _assert_one_point_is_a_batch_row(tape, pairs, k)
 
 
-def test_one_point_path_makes_no_array_per_instruction(monkeypatch):
-    # Floats is not reached at one point, and the result is still a
-    # (1,) float64 array, for a constant tape too.
-    tapes = [(expr.parse(text, 2), want) for text, want in [
-        ("2^0.5", 2.0 ** 0.5), ("x2", -3.0), ("x1*x2 + 1", 0.25 * -3.0 + 1)]]
-    monkeypatch.setattr(expr, "Floats", None)
+class Types:
+    """An arithmetic that runs another and records the type of each value
+    it makes."""
+
+    def __init__(self, arith):
+        self.arith, self.types = arith, []
+
+    def __getattr__(self, op):
+        method = getattr(self.arith, op)
+
+        def record(*args):
+            value = method(*args)
+            self.types.append(type(value))
+            return value
+        return record
+
+
+def test_one_point_path_makes_no_array_per_instruction():
+    # Every value at one point is a scalar, for every opcode, and the
+    # result is still a (1,) float64 array, for a constant tape too.
     point = np.array([[0.25, -3.0]])
-    for tape, want in tapes:
-        got = tape(point)
+    for text, want in [
+            ("2^0.5", 2.0 ** 0.5), ("x2", -3.0),
+            ("x1*x2 + 1", 0.25 * -3.0 + 1),
+            ("-x1/x2 - x1^x2 + x2^3", None),
+            ("exp(x1) + sin(x2)*cos(x1) + log(x1)*sqrt(x1)", None)]:
+        tape = expr.parse(text, 2)
+        arith = Types(expr.Floats(point))
+        with np.errstate(all="ignore"):
+            value = tape.program(arith)
+            got = tape(point)
+        # One call per variable read (each variable once) and per other
+        # instruction.
+        reads = {i for op, _, i in tape.ops if op == "var"}
+        assert len(arith.types) == len(reads) + sum(
+            op != "var" for op, _, _ in tape.ops)
+        assert set(arith.types) <= {float, np.float64}
         assert (got.shape, got.dtype) == ((1,), np.float64)
-        assert got[0] == want
+        assert_same_bits(got[0], np.float64(value))
+        assert want is None or got[0] == want
 
 
 def assert_same_bits(got, want):

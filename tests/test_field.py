@@ -124,18 +124,23 @@ def test_lattice_k_does_not_depend_on_chunking(monkeypatch, points_per_call):
             assert hess is None
             expected = [lattice_extremes(f, s, 4) for s in simplices]
             assert list(zip(lo, hi)) == expected
-            sizes = []
-            batch = field.hessians
+            sizes, built = [], []
+            batch, build = field.hessians, geometry.points
             with monkeypatch.context() as patch:
                 patch.setattr(field, "POINTS_PER_CALL", points_per_call)
                 patch.setattr(field, "hessians",
                               lambda f, p: sizes.append(len(p)) or batch(f, p))
+                patch.setattr(geometry, "points", lambda w, W: built.append(
+                    len(w) * W.shape[-1]) or build(w, W))
                 chunked = field.lattice_spectrum(f, V, 4)
             assert np.array_equal(chunked[:2], (lo, hi))
             assert chunked[2] is None
             lattice = len(geometry.lattice_weights(n, 4))
-            assert sum(sizes) == 5 * lattice
-            assert max(sizes) <= max(1, points_per_call // (n * n))
+            assert sum(sizes) == sum(built) == 5 * lattice
+            # Neither a call nor the points built for it exceed the
+            # chunk, even where one cell's lattice is larger.
+            chunk = max(1, points_per_call // (n * n))
+            assert max(sizes) <= chunk and max(built) <= chunk
 
 
 @pytest.mark.parametrize("points_per_call", [1, 9 * 7, 9 * 40, 2 ** 20])
