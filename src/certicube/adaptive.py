@@ -16,10 +16,13 @@ running total reaches the tolerance, at max_depth and at max_cells; the
 other children are discarded. grow is the largest child/parent radius
 ratio among the last round's kept splits, capped at 1: a leaf below
 grow * max is likely outgrown by a child of the largest leaf, which
-would end the prefix before it. A round is also cut short where the
-tolerance is predicted to fall, from the radius shrink of the last
-round's splits; a cut that falls short only leaves work for the next
-round. The run computes one determinant, the root's, and a leaf at
+would end the prefix before it. The band serves runs whose largest
+leaves have children above many smaller leaves, such as per-cell K on
+a peaked integrand or on 3-D cells: without it, a round builds splits
+of those smaller leaves that the prefix discards. A round is also cut
+short where the tolerance is predicted to fall, from the radius shrink
+of the last round's splits; a cut that falls short only leaves work for
+the next round. The run computes one determinant, the root's, and a leaf at
 depth d inherits 2^-d of it; a float cell's rounded midpoints leave its
 edges, so its true volume differs slightly, which the radius does not
 yet cover. Leaves are a coordinate-major batch (see geometry) and carry

@@ -35,9 +35,13 @@ so a point's value has the same bits in either form, NaN payloads
 aside (a NaN never reaches an output: field raises on it). Jets
 carries second-order forward-mode jets (value, gradient, Hessian)
 through the tape, exact up to rounding (Griewank & Walther, Evaluating
-Derivatives, 2nd ed., SIAM 2008, ch. 13). The tape is a postorder
-tree, so an instruction's arguments are the top entries of an
-evaluation stack. Each value is stored in the local named by its
+Derivatives, 2nd ed., SIAM 2008, ch. 13). Both run over any value type
+of points that numpy's operators and the opcodes' ufuncs (np.exp, sin,
+cos, log, sqrt, power) accept, through __array_ufunc__ if not floats,
+and that has shape, T, len, swapaxes and indexing (x[0], x[:, i],
+x[..., None]): the tests run them over mpmath.iv intervals. The tape
+is a postorder tree, so an instruction's arguments are the top entries
+of an evaluation stack. Each value is stored in the local named by its
 depth among the stack's values that are not variable reads, so a dead
 value is overwritten once the stack grows over it again, and a deep
 nest costs what a flat chain of as many instructions costs. The
@@ -177,9 +181,12 @@ def _compiled(skeleton):
 
 def _pow(a, b):
     """a^b with b a variable: np.power at a scalar exponent of -1, 0,
-    0.5, 1 or 2 takes a short cut (pow(-0., 0.5) is -0., not 0.), so the
-    exponent goes in as an array at one point too, as at a batch."""
-    return np.power(a, np.array([b]))[0]
+    0.5, 1 or 2 takes a short cut (pow(-0., 0.5) is -0., not 0.), so an
+    np.float64 exponent, a variable's at one point, goes in as an array,
+    as at a batch."""
+    if type(b) is np.float64:
+        return np.power(a, np.array([b]))[0]
+    return np.power(a, b)
 
 
 class Floats:
@@ -241,9 +248,18 @@ def _chain(a, f0, f1, f2):
     """Jet of phi(a), given phi, phi' and phi'' at the value of a (None
     for an exact zero)."""
     _, g, h = a
-    curvature = None if g is None else _hess(
+    curvature = None if g is None or f2 is None else _hess(
         f2, g[..., :, None] * g[..., None, :])
     return f0, _grad(f1, g), _plus(_hess(f1, h), curvature)
+
+
+def _unary(phi, derivatives):
+    """The jet rule of phi, as a static method: derivatives(u, phi(u))
+    gives phi'(u) and phi''(u) (None for an exact zero)."""
+    def rule(a):
+        value = phi(a[0])
+        return _chain(a, value, *derivatives(a[0], value))
+    return staticmethod(rule)
 
 
 class Jets:
@@ -264,9 +280,14 @@ class Jets:
     def var(self, i):
         return self.points[:, i], self.eye[i], None
 
-    @staticmethod
-    def neg(a):
-        return _chain(a, -a[0], np.float64(-1.0), None)
+    neg = _unary(operator.neg, lambda u, v: (np.float64(-1.0), None))
+    exp = _unary(np.exp, lambda u, e: (e, e))
+    sin = _unary(np.sin, lambda u, s: (np.cos(u), -s))
+    cos = _unary(np.cos, lambda u, c: (-np.sin(u), -c))
+    log = _unary(np.log, lambda u, v: (r := 1.0 / u, -r * r))
+    sqrt = _unary(np.sqrt, lambda u, r: (d := 0.5 / r, -0.5 * d / u))
+    _reciprocal = _unary(lambda u: 1.0 / u,
+                         lambda u, r: (-r * r, 2.0 * r * r * r))
 
     @staticmethod
     def add(a, b):
@@ -282,8 +303,7 @@ class Jets:
                 _plus(_plus(_hess(u, hv), _hess(v, hu)), _sym_outer(du, dv)))
 
     def div(self, a, b):
-        r = 1.0 / b[0]
-        return self.mul(a, _chain(b, r, -r * r, 2.0 * r * r * r))
+        return self.mul(a, self._reciprocal(b))
 
     @staticmethod
     def powc(a, c):
@@ -297,32 +317,6 @@ class Jets:
 
     def pow(self, a, b):
         return self.exp(self.mul(b, self.log(a)))
-
-    @staticmethod
-    def exp(a):
-        e = np.exp(a[0])
-        return _chain(a, e, e, e)
-
-    @staticmethod
-    def sin(a):
-        s, c = np.sin(a[0]), np.cos(a[0])
-        return _chain(a, s, c, -s)
-
-    @staticmethod
-    def cos(a):
-        s, c = np.sin(a[0]), np.cos(a[0])
-        return _chain(a, c, -s, -c)
-
-    @staticmethod
-    def log(a):
-        r = 1.0 / a[0]
-        return _chain(a, np.log(a[0]), r, -r * r)
-
-    @staticmethod
-    def sqrt(a):
-        r = np.sqrt(a[0])
-        d = 0.5 / r
-        return _chain(a, r, d, -0.5 * d / a[0])
 
 
 def _tokens(text):

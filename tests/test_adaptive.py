@@ -474,6 +474,17 @@ def test_3d_rounds_do_not_over_split():
     assert diag.discarded_splits <= 0.02 * result.cells
 
 
+def test_per_cell_rounds_do_not_over_split():
+    # Per-cell K on a peaked integrand: 2 of these 3,874 splits are
+    # discarded. With every leaf in the band, 1,236 were.
+    diag = RunDiagnostics()
+    result = integrate_adaptive(
+        field_mod.parse_expr("exp(-30*((x1-0.2)^2+(x2-0.2)^2))", 2),
+        UNIT_TRIANGLE, AdaptiveConfig(tolerance=1e-5), diagnostics=diag)
+    assert result.radius <= 1e-5
+    assert diag.discarded_splits <= 0.01 * result.cells
+
+
 def test_child_k_above_parent_k():
     # The 5-point lattice of the root misses the bump, so children find
     # a larger K than their parent and outgrow it.

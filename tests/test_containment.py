@@ -5,8 +5,18 @@ two tolerances per dimension. Each integrand is written twice: as the
 text the package parses and as a numpy function for the reference,
 which is scipy's quad in 1-D and a collapsed-coordinate Gauss-Legendre
 product (scipy's nodes) in 2-D and 3-D, both independent of the package.
-Per-cell K is a lattice sample, so this checks the sampled radius on
-integrands whose curvature a lattice sees, not a certificate.
+Per-cell K is a lattice sample, so those rows check the sampled radius
+on integrands whose curvature a lattice sees, not a certificate.
+
+The certified rows take K from the tape's Hessian run in mpmath.iv
+intervals (tests/util.Intervals) over the simplex's bounding box: the
+upper end of the Frobenius norm of that enclosure, which bounds the
+operator norm. The rational family is left out: its natural interval
+extension overestimates the Hessian (K = 3.6e3 in 2-D, where the cell
+budget runs out, and inf in 3-D), which a mean-value form would cure
+(ROADMAP item 10). The quadratic family is left out until the radius
+covers rounding (ROADMAP item 4): its estimate misses by rounding alone.
+The same enclosure is a ceiling that the sampled K must not exceed.
 """
 
 import math
@@ -15,10 +25,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from certicube import field, geometry
+from certicube import expr, field, geometry
 from certicube.adaptive import AdaptiveConfig, integrate_adaptive
+from certicube.geometry import Simplex
 
-from util import rand_simplex
+from util import Intervals, frobenius_ceiling, rand_simplex
 
 SEED = 20
 # Tolerances per dimension, in units of the simplex's volume.
@@ -131,3 +142,61 @@ def test_per_cell_interval_contains_the_reference(n, family):
             # is to the reference's own accuracy.
             assert abs(result.estimate - reference) <= \
                 result.radius + ref_err, (text, tol)
+
+
+# Certified rows: K is a rigorous bound, from the tape's Hessian run in
+# outward-rounded intervals over the simplex's bounding box.
+CERTIFIED = ("exp", "sin", "cos", "x1x2exp", "sqrt")
+CERTIFIED_ROWS = [(n, family) for n in (1, 2, 3) for family in CERTIFIED
+                  if (n, family) != (1, "x1x2exp")]
+
+
+def _hessian_enclosure(f, vertices):
+    """The interval Hessian plane of f's tape over the bounding box of
+    the vertices (n+1, n): Intervals, floats or None (zero)."""
+    box = Intervals.box(vertices.min(0)[None], vertices.max(0)[None])
+    return f.evaluator.program(expr.Jets(box))[2]
+
+
+@pytest.mark.parametrize("n, family", CERTIFIED_ROWS)
+def test_certified_interval_contains_the_reference(n, family):
+    # The first simplex of the per-cell row, at the first tolerance.
+    rng = np.random.default_rng([SEED, n, FAMILIES.index(family)])
+    text, fn = _integrand(family, rng, n)
+    s = rand_simplex(rng, n)
+    f = field.parse_expr(text, n)
+    K = frobenius_ceiling(_hessian_enclosure(f, s.vertices))
+    assert math.isfinite(K)
+    reference, ref_err = _reference(fn, s.vertices)
+    tol = TOLERANCES[n][0] * geometry.volume(s)
+    result = integrate_adaptive(f, s, AdaptiveConfig(tolerance=tol,
+                                                     k_override=K))
+    assert result.K_certified and result.radius <= tol
+    assert abs(result.estimate - reference) <= result.radius + ref_err, text
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_k_never_exceeds_the_interval_ceiling(n):
+    # Uncentered, the sampled K of each cell is at most the Frobenius
+    # ceiling of the Hessian enclosure on the cell's bounding box;
+    # centered, at most that of the enclosure less the returned A. The
+    # slack covers the rounding of the sampled Hessians and of A.
+    rng = np.random.default_rng([SEED, n])
+    eps = np.finfo(float).eps
+    for family in FAMILIES:
+        text, _ = _integrand(family, rng, n)
+        f = field.parse_expr(text, n)
+        # Cells inside [-1, 1]^n, where the sqrt family is real.
+        cells = [rand_simplex(rng, n).vertices * 0.25
+                 + rng.uniform(-0.7, 0.7, n) for _ in range(4)]
+        W = np.concatenate([Simplex(v).batch()[0] for v in cells], axis=-1)
+        lo, hi, _ = field.lattice_spectrum(f, W, 6)
+        c_lo, c_hi, A = field.lattice_spectrum(f, W, 6, centered=True)
+        for k, vertices in enumerate(cells):
+            enclosure = _hessian_enclosure(f, vertices)
+            ceiling = frobenius_ceiling(enclosure)
+            assert max(-lo[k], hi[k]) <= ceiling * (1 + 8 * eps), text
+            a = A[..., k]
+            ceiling = frobenius_ceiling(enclosure, a)
+            slack = 8 * eps * (ceiling + np.sqrt(np.sum(a * a)))
+            assert max(-c_lo[k], c_hi[k]) <= ceiling + slack, text

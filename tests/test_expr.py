@@ -1,6 +1,7 @@
 """The expression tape: float evaluation against a reference tree walk,
 the compiled program against the tape interpreter in floats and jets,
-jet Hessians against sympy (test-only), and powers at 0."""
+jet Hessians against sympy (test-only), powers at 0, and the unchanged
+program over a test-only interval value type (tests/util.Intervals)."""
 
 import io
 import operator
@@ -18,7 +19,7 @@ import sympy
 from certicube import expr, field
 from certicube.errors import InvariantViolation, ParseError
 
-from util import rand_polynomial_field, run_tape
+from util import Intervals, rand_polynomial_field, run_tape
 
 FUNCTION_NAMES = ("exp", "sin", "cos", "log", "sqrt")
 EXPONENTS = (0.0, 1.0, 2.0, 3.0, 0.5, -1.0, 2.5)
@@ -623,3 +624,110 @@ def test_tapes_of_one_shape_share_their_skeleton_and_stay_small():
     assert all(tape.skeleton is tapes[0].skeleton for tape in tapes)
     assert len({tape.constants for tape in tapes}) == 200
     assert size < 200 * 2048
+
+
+# Tapes for the interval value type: together they use every opcode,
+# pow with a variable exponent and powc included, and stay real on
+# positive boxes. x1^x2 and 2^x1 are Floats' variable-exponent cases.
+INTERVAL_TEXTS = (
+    "x1^x2", "2^x1",
+    "exp(x1*x2) - sin(x1)/(2 + cos(x2)) + log(x1)*sqrt(x2) - x1^2.5 + -x2",
+    "(x1 + 2*x2)^-1*x2^0.5 - x1^3 + x1^(0.25*(2 + sin(x2)))")
+
+
+def _interval_tapes():
+    """(text, n, sympy expression) of the fixed texts and of 12 random
+    positive trees with a variable and at least six instructions."""
+    xs = sympy.symbols("x1:3")
+    cases = [(text, 2, sympy.sympify(text.replace("^", "**"), rational=True,
+                                     locals=dict(zip(("x1", "x2"), xs))))
+             for text in INTERVAL_TEXTS]
+    rng = np.random.default_rng(43)
+    while len(cases) < len(INTERVAL_TEXTS) + 12:
+        n = int(rng.integers(1, 4))
+        tree = rand_positive_tree(rng, n, 4)
+        text = tree_text(tree)
+        if not re.search(r"x\d", text) or len(expr.parse(text, n).ops) < 6:
+            continue
+        cases.append((text, n,
+                      tree_sympy(tree, sympy.symbols(f"x1:{n + 1}"))))
+    return cases
+
+
+INTERVAL_TAPES = _interval_tapes()
+INTERVAL_IDS = ["x1^x2", "2^x1", "functions", "powers"] + [
+    f"tree{k}" for k in range(len(INTERVAL_TAPES) - len(INTERVAL_TEXTS))]
+
+
+def _run_intervals(tape, box):
+    """The tape over a box (m, n) of Intervals: its value in Floats and
+    in Jets (m,), and its Hessian in Jets (m, n, n), each Intervals. A
+    value is 0-d at one point, and a Hessian plane floats or None (an
+    exact zero), so each is broadcast to full shape."""
+    m, n = box.shape
+    value = tape.program(expr.Floats(box))
+    jet_value, _, hess = tape.program(expr.Jets(box))
+    assert isinstance(value, Intervals) and isinstance(jet_value, Intervals)
+    zeros = Intervals.box(np.zeros((m, n, n)), np.zeros((m, n, n)))
+    return (value + zeros[:, 0, 0], jet_value + zeros[:, 0, 0],
+            zeros + (0.0 if hess is None else hess))
+
+
+def test_interval_tapes_use_every_opcode():
+    used = {op for text, n, _ in INTERVAL_TAPES
+            for op, _, _ in expr.parse(text, n).ops}
+    assert used == set(expr.OPCODES)
+
+
+@pytest.mark.parametrize("text, n, sympy_expr", INTERVAL_TAPES,
+                         ids=INTERVAL_IDS)
+def test_point_box_contains_the_40_digit_value_and_hessian(
+        text, n, sympy_expr):
+    # Point boxes at one point and at a batch of four: the unchanged
+    # Floats and Jets, run over intervals, enclose the value and the
+    # Hessian that sympy gives at 40 digits.
+    xs = sympy.symbols(f"x1:{n + 1}")
+    value = sympy.lambdify(xs, sympy_expr, "mpmath")
+    hessian = sympy.lambdify(xs, sympy.hessian(sympy_expr, xs), "mpmath")
+    points = np.random.default_rng(47).uniform(0.25, 2.0, size=(4, n))
+    tape = expr.parse(text, n)
+    for rows in (points[:1], points):
+        got, jet_value, hess = _run_intervals(tape,
+                                              Intervals.box(rows, rows))
+        for k, p in enumerate(rows):
+            with mpmath.workdps(40):
+                args = [mpmath.mpf(float(v)) for v in p]
+                want, want_hess = value(*args), hessian(*args)
+                assert want in got.data[k] and want in jet_value.data[k]
+                for i in range(n):
+                    for j in range(n):
+                        assert want_hess[i, j] in hess.data[k, i, j], \
+                            (text, p, i, j)
+
+
+def _within(x, lo, hi, rel):
+    """Every float of x lies in [lo, hi], widened by rel * |x|."""
+    slack = rel * np.abs(x)
+    return bool(np.all((lo - slack <= x) & (x <= hi + slack)))
+
+
+@pytest.mark.parametrize("text, n, sympy_expr", INTERVAL_TAPES,
+                         ids=INTERVAL_IDS)
+def test_random_box_contains_every_sampled_value_and_hessian(
+        text, n, sympy_expr):
+    # Boxes in [0.25, 2]^n, one at a time and three in a batch; 20 float
+    # points in each, their values and Hessians in float jets.
+    rng = np.random.default_rng(53)
+    tape = expr.parse(text, n)
+    lo = rng.uniform(0.25, 1.5, size=(3, n))
+    hi = lo + rng.uniform(0.0, 0.5, size=(3, n))
+    for rows in (slice(0, 1), slice(0, 3)):
+        got, jet_value, hess = _run_intervals(
+            tape, Intervals.box(lo[rows], hi[rows]))
+        bounds = [x.bounds() for x in (got, jet_value, hess)]
+        for k in range(len(lo[rows])):
+            samples = rng.uniform(lo[k], hi[k], size=(20, n))
+            values = tape(samples)
+            for (low, high), x in zip(bounds, (values, values,
+                                               tape.hessians(samples))):
+                assert _within(x, low[k], high[k], 1e-12), text

@@ -4,8 +4,10 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
 from certicube import cubature, field, geometry, moments, qform
@@ -319,3 +321,85 @@ def run_tape(tape, arith):
         else:  # const, var
             slots[k] = fn(const)
     return slots[-1]
+
+
+_IV_UFUNCS = {
+    np.add: operator.add, np.subtract: operator.sub,
+    np.multiply: operator.mul, np.true_divide: operator.truediv,
+    np.negative: operator.neg, np.power: operator.pow,
+    np.exp: mpmath.iv.exp, np.sin: mpmath.iv.sin, np.cos: mpmath.iv.cos,
+    np.log: mpmath.iv.log, np.sqrt: mpmath.iv.sqrt}
+_IV_FROM_FLOAT = np.frompyfunc(mpmath.iv.mpf, 1, 1)
+
+
+def _objects(value):
+    """value as an object array; a lone interval becomes a 0-d array."""
+    if isinstance(value, np.ndarray):
+        return value
+    array = np.empty((), dtype=object)
+    array[()] = value
+    return array
+
+
+class Intervals(np.lib.mixins.NDArrayOperatorsMixin):
+    """A value type for tape programs: an object array of mpmath.iv
+    intervals, rounded outward at mpmath.iv's precision (53 bits).
+
+    It provides what expr.Floats and expr.Jets use of a value: numpy's
+    operators and the ufuncs of the opcodes (through __array_ufunc__,
+    with float operands read exactly), indexing ([..., None], [:, i]),
+    swapaxes, shape, T and len. So tape.program(Floats(box)) and
+    tape.program(Jets(box)) run unchanged and enclose every value and
+    every derivative over the box of points (m, n)."""
+
+    def __init__(self, data):
+        self.data = _objects(data)
+
+    @classmethod
+    def box(cls, lo, hi):
+        """The intervals [lo, hi] of two float arrays of one shape."""
+        return cls(np.frompyfunc(lambda a, b: mpmath.iv.mpf([a, b]), 2, 1)(
+            np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def T(self):
+        return Intervals(self.data.T)
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, key):
+        return Intervals(self.data[key])
+
+    def swapaxes(self, axis1, axis2):
+        return Intervals(self.data.swapaxes(axis1, axis2))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs or ufunc not in _IV_UFUNCS:
+            return NotImplemented
+        args = [x.data if isinstance(x, Intervals)
+                else _IV_FROM_FLOAT(np.asarray(x, dtype=float))
+                for x in inputs]
+        return Intervals(np.frompyfunc(_IV_UFUNCS[ufunc], len(args), 1)(
+            *args))
+
+    def bounds(self):
+        """(lo, hi): the float arrays of the interval ends."""
+        ends = np.frompyfunc(lambda x: (float(x.a), float(x.b)), 1, 2)
+        return tuple(np.asarray(end, dtype=float) for end in ends(self.data))
+
+
+def frobenius_ceiling(hessian, shift=0.0):
+    """The upper end, in mpmath.iv, of sqrt(sum max(|lo|, |hi|)^2) over
+    the entries of hessian - shift: hessian an interval plane of one box
+    (Intervals or floats, any shape), shift a float array. It bounds the
+    Frobenius norm of every matrix in the enclosure, so the operator
+    norm too."""
+    total = mpmath.iv.mpf(0)
+    for entry in (Intervals.box(0.0, 0.0) + hessian - shift).data.flat:
+        total += abs(entry).b ** 2
+    return float(mpmath.iv.sqrt(total).b)
