@@ -26,9 +26,13 @@ the next round. The run computes one determinant, the root's, and a leaf at
 depth d inherits 2^-d of it; a float cell's rounded midpoints leave its
 edges, so its true volume differs slightly, which the radius does not
 yet cover. Leaves are a coordinate-major batch (see geometry) and carry
-their squared edge lengths e2, made once per cell: e2 gives its second
-moment (geometry.cell_stats) and its split's longest edge. Sums use
-math.fsum, exactly rounded in any order.
+only what a later round or the final estimate reads: radius, depth, cut
+edge, and a per-cell K and A where the run has them. A new cell's
+squared edge lengths give its second moment (geometry.cell_stats) and
+the first longest edge its split cuts (geometry.longest_edges), and are
+then dropped. A global or override K is one float, spread over the
+leaves only for the diagnostics. Totals are math.fsum over the array
+buffer (bounds.exact_sum), exactly rounded in any order.
 
 Per-cell K is centered. The midpoint bound holds for f - q_A, with
 q_A(x) = (x - pbar)^T A (x - pbar) / 2 for any symmetric A, and then K
@@ -98,7 +102,8 @@ class RunDiagnostics:
     """What a run did; the leaf arrays are the run's own, in creation
     order: vertices (m, n+1, n), estimates, radii, K and depths (m,).
     In per-cell mode a leaf's K bounds ||D^2 f - A||, A the Hessian at
-    its barycenter.
+    its barycenter; a global or override K, which the run keeps as one
+    float, is filled in for every leaf when the run ends.
     stop says why the run ended: "tolerance", "max_cells" or
     "max_depth"; k_source where K came from (see the module docstring)."""
 
@@ -150,8 +155,9 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     chunk = max(1, POINTS_PER_ROUND // len(rule.weights))
 
     def _cells(W, depth):
-        """(radius, K, e2, A) of each cell of W at its tree depth; A is
-        None unless the leaves keep it."""
+        """(radius, K, cut edge, A) of each cell of W at its tree depth;
+        K is None unless it is per cell, A None unless the leaves keep
+        it."""
         # Inherited, not measured: see the module docstring.
         vol = np.ldexp(root_vol, -depth)
         e2 = geometry.edge_lengths_sq(W)
@@ -160,14 +166,16 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                                                       centered=True)
             k_cell = np.maximum(-lo, hi)
         else:
-            k_cell, hess = np.full(len(vol), global_k, dtype=float), None
-        return (cell_radii(factor, k_cell, geometry.cell_stats(e2, vol)),
-                k_cell, e2, hess if keep_hess else None)
+            k_cell, hess = None, None
+        rad = cell_radii(factor, global_k if k_cell is None else k_cell,
+                         geometry.cell_stats(e2, vol))
+        return (rad, k_cell, geometry.longest_edges(e2),
+                hess if keep_hess else None)
 
     root_vol = geometry.volume(s)  # the run's one determinant
     # int32: np.ldexp takes about a ninth of the time of int64 exponents.
     W, depth = s.batch()[0], np.zeros(1, dtype=np.int32)
-    rad, k_cell, e2, hess = _cells(W, depth)
+    rad, k_cell, longest, hess = _cells(W, depth)
     running = rad[0]
     rounds = discarded = 0
     shrink = grow = 1.0  # children/parents radius; 1 predicts nothing
@@ -183,6 +191,8 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             # q_A is 0 at the midpoint rule's node: the rule misses it all.
             with np.errstate(over="ignore", invalid="ignore"):
                 est += 0.5 * geometry.quadratic_integrals(hess, W, vol)
+        k_all = (np.full(len(rad), global_k, dtype=float) if k_cell is None
+                 else k_cell)
         if diagnostics is not None:
             diagnostics.stop = stop
             diagnostics.k_source = k_source
@@ -190,11 +200,11 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             diagnostics.discarded_splits = discarded
             (diagnostics.vertices, diagnostics.estimates, diagnostics.radii,
              diagnostics.k_cells, diagnostics.depths) = (
-                geometry.unpack(W), est, rad, k_cell, depth)
+                geometry.unpack(W), est, rad, k_all, depth)
         if radius is None:
             radius = exact_sum(rad)
         return CertifiedResult(estimate=exact_sum(est), radius=radius,
-                               K_used=float(k_cell.max()),
+                               K_used=float(k_all.max()),
                                K_certified=k_source == "override",
                                cells=len(rad))
 
@@ -223,8 +233,8 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
             band, b_rad = band[:cut], b_rad[:cut]
         c_depth = np.repeat(depth[band] + 1, 2)
         children = geometry.split(W.take(band, axis=-1),
-                                  e2.take(band, axis=-1))
-        c_rad, c_k, c_e2, c_hess = _cells(children, c_depth)
+                                  longest.take(band))
+        c_rad, c_k, c_longest, c_hess = _cells(children, c_depth)
         pair_sum = c_rad[0::2] + c_rad[1::2]
         pair_max = np.maximum(c_rad[0::2], c_rad[1::2])
         # totals[k]: the heap's running total before its k-th pop.
@@ -249,17 +259,18 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         # A child's K can exceed its parent's: capped, a band is never empty.
         if b_rad[take - 1] > 0:
             grow = min(1.0, (pair_max[:take] / b_rad[:take]).max())
-        new = (children, c_e2, c_rad, c_k, c_depth, c_hess)
+        new = (children, c_longest, c_rad, c_k, c_depth, c_hess)
         if take == len(rad):  # every leaf split: its children are the leaves
-            W, e2, rad, k_cell, depth, hess = new
+            W, longest, rad, k_cell, depth, hess = new
         else:
             keep = np.ones(len(rad), dtype=bool)
             keep[band[:take]] = False
-            W, e2, rad, k_cell, depth, hess = (
+            W, longest, rad, k_cell, depth, hess = (
                 None if old is None else np.concatenate(
                     (old.compress(keep, axis=-1), add[..., :2 * take]),
                     axis=-1)
-                for old, add in zip((W, e2, rad, k_cell, depth, hess), new))
+                for old, add in zip((W, longest, rad, k_cell, depth, hess),
+                                    new))
         running = totals[take]
         rounds += 1
         discarded += len(band) - take

@@ -94,10 +94,11 @@ class SandwichResult:
 
 
 def exact_sum(values):
-    """Exactly rounded sum of an array; NaN if it overflows or meets
-    inf - inf, which CertifiedResult and SandwichResult then reject."""
+    """Exactly rounded sum of a 1-D float array, read from its buffer
+    (no list); NaN if it overflows or meets inf - inf, which
+    CertifiedResult and SandwichResult then reject."""
     try:
-        return math.fsum(values.tolist())
+        return math.fsum(memoryview(values))
     except (OverflowError, ValueError):
         return math.nan
 

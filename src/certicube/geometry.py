@@ -3,10 +3,10 @@
 A batch of m cells is coordinate-major, W (n+1, n, m) (vertex,
 coordinate, cell), so kernels work on length-m planes. Only this module
 reads its vertex and coordinate axes, the edge axis of its squared edge
-lengths e2 (cell_stats reduces it) and the matrix axes of an A (n, n, m)
-(quadratic_integrals reduces them); others index a batch, its e2 and A
-only along the last (cell) axis, and take a simplex's one-cell batch
-from Simplex.batch.
+lengths e2 (cell_stats and longest_edges reduce it) and the matrix axes
+of an A (n, n, m) (quadratic_integrals reduces them); others index a
+batch, its e2, its cut edges (m,) and A only along the last (cell) axis,
+and take a simplex's one-cell batch from Simplex.batch.
 """
 
 from __future__ import annotations
@@ -160,17 +160,24 @@ def quadratic_integrals(A, W, vol):
         return (np.reshape(A, (n, n, -1)) * m_s).sum(axis=(0, 1))
 
 
-def split(W, e2):
-    """Halves of each cell in W (n+1, n, m), cut at the midpoint of its
-    first longest edge by e2 (E, m): (n+1, n, 2m), cell k's left half at
-    2k and its right half at 2k+1, both in the cell's vertex order."""
-    k, n, m = W.shape
-    edge_i, edge_j = _edge_pairs(k)
-    # The first longest edge, a row at a time (argmax on axis 0 is slow).
-    longest, best = np.zeros(m, dtype=np.intp), e2[0]
+def longest_edges(e2):
+    """Index of the first longest edge of each cell, by its squared edge
+    lengths e2 (E, ...), in the smallest integer type that holds E - 1."""
+    longest = np.zeros(e2.shape[1:], dtype=np.min_scalar_type(len(e2) - 1))
+    # A row at a time (argmax on axis 0 is slow).
+    best = e2[0]
     for edge in range(1, len(e2)):
         longest[e2[edge] > best] = edge
         best = np.maximum(best, e2[edge])
+    return longest
+
+
+def split(W, longest):
+    """Halves of each cell in W (n+1, n, m), cut at the midpoint of edge
+    longest (m,) (longest_edges): (n+1, n, 2m), cell k's left half at 2k
+    and its right half at 2k+1, both in the cell's vertex order."""
+    k, n, m = W.shape
+    edge_i, edge_j = _edge_pairs(k)
     # Flat offsets o of the cut edge's ends; the children hold 2o, 2o + 1.
     planes = np.arange(0, n * m, m)[:, None] + np.arange(m)
     i, j = (ends[longest] * (n * m) + planes for ends in (edge_i, edge_j))
@@ -195,7 +202,8 @@ def points(weights, W):
 def bisect(s):
     """Split at the midpoint of a longest edge; children keep vertex order."""
     volume(s)  # reject degenerate input
-    left, right = unpack(split(*s.batch()))
+    W, e2 = s.batch()
+    left, right = unpack(split(W, longest_edges(e2)))
     return Simplex(left), Simplex(right)
 
 

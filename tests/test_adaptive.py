@@ -253,6 +253,24 @@ def test_result_fields_are_python_floats():
                                   result.K_used)] == [float] * 3
 
 
+@pytest.mark.parametrize("kwargs", [{"k_override": 2 * math.e},
+                                    {"k_mode": "global"}],
+                         ids=["override", "global"])
+def test_one_k_is_given_to_every_leaf(kwargs):
+    # The loop keeps a global or override K as one float; the diagnostics
+    # give it to every leaf, and K_used is it.
+    diag = RunDiagnostics()
+    result = integrate_adaptive(
+        EXP_SUM_2D, UNIT_TRIANGLE,
+        AdaptiveConfig(tolerance=1e-4, **kwargs), diagnostics=diag)
+    assert result.cells > 1
+    assert diag.k_cells.shape == (result.cells,)
+    assert diag.k_cells.dtype == np.float64
+    assert (diag.k_cells == result.K_used).all()
+    if "k_override" in kwargs:
+        assert result.K_used == kwargs["k_override"]
+
+
 def test_k_override_marks_certified():
     result = integrate_adaptive(
         EXP_SUM_2D, UNIT_TRIANGLE,
@@ -624,8 +642,8 @@ def test_rule_of_another_dimension_fails_before_any_split(monkeypatch,
     # is sampled and no cell is split.
     calls = []
     split, spectrum = geometry.split, field_mod.lattice_spectrum
-    monkeypatch.setattr(geometry, "split", lambda W, e2: calls.append(
-        "split") or split(W, e2))
+    monkeypatch.setattr(geometry, "split", lambda W, longest: calls.append(
+        "split") or split(W, longest))
     monkeypatch.setattr(field_mod, "lattice_spectrum", lambda *a, **k:
                         calls.append("K") or spectrum(*a, **k))
     cfg = AdaptiveConfig(tolerance=1e-8, rule=stroud_t3_rule(),

@@ -18,6 +18,32 @@ UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 NORM_SQ_2D = polynomial_field(2, {(2, 0): 1.0, (0, 2): 1.0})
 
 
+@pytest.mark.parametrize("values", [
+    [1e100, 1.0, -1e100],
+    [0.1] * 10 + [-1.0],
+    [1e16, 1.0, 1.0, -1e16, 3e-300, -5e-324],
+    np.random.default_rng(5).standard_normal(300)
+    * 10.0 ** np.random.default_rng(6).integers(-30, 30, 300),
+    [2.5],
+    []], ids=["cancel", "tenths", "mixed", "random", "one", "empty"])
+def test_exact_sum_is_fsum_bit_for_bit(values):
+    x = np.array(values, dtype=float)
+    for view in (x, x[::3], x[1::3][::-1]):
+        got = bounds.exact_sum(view)
+        assert type(got) is float
+        assert got.hex() == math.fsum(view.tolist()).hex()
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([math.inf, -math.inf], "nan"),
+    ([1e308, 1e308], "nan"),
+    ([math.nan, 1.0], "nan"),
+    ([math.inf, 1.0], "inf")])
+def test_exact_sum_of_special_values(values, expected):
+    got = bounds.exact_sum(np.array(values))
+    assert math.isnan(got) if expected == "nan" else got == math.inf
+
+
 def test_sandwich_norm_squared():
     result = bounds.hh_sandwich(NORM_SQ_2D, UNIT_TRIANGLE)
     assert result.lower == pytest.approx(1 / 9)

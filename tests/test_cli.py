@@ -531,6 +531,13 @@ def test_report_k_source_is_the_one_the_run_settled(unit2, tmp_path, k,
     assert code == 0
     assert f"K_source {diag.k_source}\n" in report.read_text()
     assert diag.k_source == source
+    if source != "centered-lattice":  # one K for every leaf
+        lines = report.read_text().splitlines()
+        keys = dict(line.split() for line in
+                    lines[:lines.index("depth histogram")])
+        assert float(keys["K_max"]) == float(keys["K_min"]) == \
+            result.K_used
+        assert k is None or result.K_used == k
     assert result.K_certified == (source == "override")
     certified = "yes" if result.K_certified else "no"
     assert f"(certified: {certified})\n" in text

@@ -79,7 +79,7 @@ def test_split_of_a_batch_is_bisect_of_each_simplex(n):
         geometry.Simplex(rng.permutation(unit)) for _ in range(10)]
     W = np.concatenate([s.batch()[0] for s in simplices], axis=-1)
     e2 = geometry.edge_lengths_sq(W)
-    children = geometry.unpack(geometry.split(W, e2))
+    children = geometry.unpack(geometry.split(W, geometry.longest_edges(e2)))
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     for k, s in enumerate(simplices):
         assert np.array_equal(e2[:, k:k + 1], s.batch()[1])
@@ -103,20 +103,28 @@ def _same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 23])
 def test_batch_kernels_match_reference_formulas(n):
     # The gather-free kernels do the reference's arithmetic in its order:
     # on a batch, a batch of one cell, a strided view and (edge lengths)
-    # a cell with no cell axis, including exact Fractions.
+    # a cell with no cell axis, including exact Fractions. At n = 23 a
+    # cell has E = 276 edges, so its cut edge needs a 16-bit index.
     rng = np.random.default_rng(100 + n)
-    W = np.concatenate([rand_simplex(rng, n).batch()[0] for _ in range(9)],
-                       axis=-1)
+    if n < 5:
+        cells = [rand_simplex(rng, n).vertices for _ in range(9)]
+    else:  # jittered unit simplices: random ones are mostly too flat
+        unit = geometry.unit_simplex(n).vertices
+        cells = [unit + rng.uniform(-0.2, 0.2, unit.shape) for _ in range(9)]
+    W = np.stack(cells, axis=-1)
     weights = np.vstack([cubature.builtin("barycenter", n).nodes,
                          geometry.lattice_weights(n, 3)])
     for batch in (W, W[..., 4:5], W[..., 1::3]):
         e2 = geometry.edge_lengths_sq(batch)
         assert _same_bits(e2, edge_lengths_sq_reference(batch))
-        assert _same_bits(geometry.split(batch, e2),
+        longest = geometry.longest_edges(e2)
+        assert np.iinfo(longest.dtype).max >= len(e2) - 1
+        assert np.array_equal(longest, np.argmax(e2, axis=0))
+        assert _same_bits(geometry.split(batch, longest),
                           split_reference(batch, e2))
         assert _same_bits(geometry.points(weights, batch),
                           points_reference(weights, batch))
