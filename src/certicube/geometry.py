@@ -178,6 +178,8 @@ def split(W, longest):
     and its right half at 2k+1, both in the cell's vertex order."""
     k, n, m = W.shape
     edge_i, edge_j = _edge_pairs(k)
+    # Indexing with a narrow integer type is about three times slower.
+    longest = longest.astype(np.intp)
     # Flat offsets o of the cut edge's ends; the children hold 2o, 2o + 1.
     planes = np.arange(0, n * m, m)[:, None] + np.arange(m)
     i, j = (ends[longest] * (n * m) + planes for ends in (edge_i, edge_j))

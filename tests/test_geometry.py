@@ -115,6 +115,9 @@ def test_batch_kernels_match_reference_formulas(n):
     else:  # jittered unit simplices: random ones are mostly too flat
         unit = geometry.unit_simplex(n).vertices
         cells = [unit + rng.uniform(-0.2, 0.2, unit.shape) for _ in range(9)]
+        # Cell 4 (in every view below) is longest at its last edge, E - 1.
+        cells[4] = unit.copy()
+        cells[4][-1] += unit[-1] - unit[-2]
     W = np.stack(cells, axis=-1)
     weights = np.vstack([cubature.builtin("barycenter", n).nodes,
                          geometry.lattice_weights(n, 3)])
@@ -124,6 +127,7 @@ def test_batch_kernels_match_reference_formulas(n):
         longest = geometry.longest_edges(e2)
         assert np.iinfo(longest.dtype).max >= len(e2) - 1
         assert np.array_equal(longest, np.argmax(e2, axis=0))
+        assert n < 5 or longest.max() == len(e2) - 1
         assert _same_bits(geometry.split(batch, longest),
                           split_reference(batch, e2))
         assert _same_bits(geometry.points(weights, batch),
