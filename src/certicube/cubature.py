@@ -8,8 +8,6 @@ of its dimension.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -17,12 +15,11 @@ from typing import Optional
 import numpy as np
 
 from . import field as field_mod
-from . import geometry, moments
+from . import geometry
 from .errors import (DimensionMismatch, InvariantViolation, ParseError,
                      UnknownRule)
 
-STRUCTURAL_TOL = 1e-12
-EXACTNESS_TOL = 1e-12
+TOL = 1e-12
 
 BUILTIN_NAMES = ("barycenter", "vertex", "hh-mix-2d")
 
@@ -56,15 +53,15 @@ class CubatureRule:
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise InvariantViolation("non-finite node or weight")
         for k, node in enumerate(nodes):
-            if np.any(node < -STRUCTURAL_TOL):
+            if np.any(node < -TOL):
                 raise InvariantViolation(
                     f"negative barycentric coordinate at node {k}")
             total = float(node.sum())
-            if abs(total - 1.0) > STRUCTURAL_TOL:
+            if abs(total - 1.0) > TOL:
                 raise InvariantViolation(
                     f"barycentric sum {total!r} != 1 at node {k}")
         wsum = float(weights.sum())
-        if abs(wsum - 1.0) > STRUCTURAL_TOL:
+        if abs(wsum - 1.0) > TOL:
             raise InvariantViolation(f"weights sum {wsum:g} != 1")
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -127,45 +124,43 @@ def _exact_rule(n, nodes, weights, provenance):
     )
 
 
-def _multi_indices(n, max_degree):
-    for degree in range(max_degree + 1):
-        for alpha in itertools.combinations_with_replacement(range(n), degree):
-            yield tuple(map(alpha.count, range(n)))
-
-
 def verify(rule):
     """Check positivity, the barycenter condition, and exactness <= 2.
 
-    Exactness compares T(x^alpha) on the unit simplex against the
-    mean-value moments n! * int_{S1} x^alpha dx, absolute tolerance
-    1e-12 per monomial. The report is computed once per rule and kept
-    on it: a rule and its arrays are immutable, so it cannot go stale.
+    On the unit simplex x_i = lambda_i (i >= 1), and the means of
+    lambda_i and lambda_i lambda_j are 1/(n+1) and
+    (1 + [i=j]) / ((n+1)(n+2)) in every dimension. The rule's weighted
+    first-moment vector gives the barycenter condition and the degree-1
+    residuals, its weighted second-moment matrix the degree-2 ones, each
+    against its closed form rounded once, absolute tolerance TOL;
+    residuals are keyed by Cartesian multi-index. The report is computed
+    once per rule and kept on it: a rule and its arrays are immutable,
+    so it cannot go stale.
     """
     return rule.report
 
 
 def _verify(rule):
     n = rule.dimension
-    positivity = bool(np.all(rule.weights >= 0.0))
-    node_mean = rule.weights @ rule.nodes
-    barycenter_ok = bool(
-        np.max(np.abs(node_mean - 1.0 / (n + 1))) <= STRUCTURAL_TOL)
+    w, lam = rule.weights, rule.nodes
+    first = np.abs(w @ lam - 1 / (n + 1))
+    second = np.abs((w * lam.T) @ lam
+                    - (1 + np.eye(n + 1)) / ((n + 1) * (n + 2)))
+    rows, cols = np.triu_indices(n)
+    linear, quadratic = first[1:], second[1:, 1:][rows, cols]
 
-    # Cartesian coordinates of nodes on S1 (vertex 0 at the origin).
-    cart = rule.nodes[:, 1:]
-    nfact = math.factorial(n)
-    residuals = {}
-    degree_ok = {0: True, 1: True, 2: True}
-    for alpha in _multi_indices(n, 2):
-        t_val = float(rule.weights @ np.prod(cart ** np.array(alpha), axis=1))
-        mean = nfact * moments.monomial_moment(n, alpha)
-        residual = abs(t_val - mean)
-        residuals[alpha] = residual
-        if residual > EXACTNESS_TOL:
-            degree_ok[sum(alpha)] = False
-    # Degree 0 holds by the weight-sum invariant.
-    exactness = (2 if all(degree_ok.values())
-                 else 1 if degree_ok[0] and degree_ok[1] else 0)
+    def key(*axes):
+        return tuple(axes.count(i) for i in range(n))
+
+    # Degree 0 holds: the constructor checks this same weight sum.
+    residuals = {key(): abs(float(w.sum()) - 1.0)}
+    residuals.update(zip(map(key, range(n)), linear.tolist()))
+    residuals.update(zip(map(key, rows.tolist(), cols.tolist()),
+                         quadratic.tolist()))
+    positivity = bool(np.all(w >= 0.0))
+    barycenter_ok = bool(first.max() <= TOL)
+    exactness = (0 if linear.max() > TOL
+                 else 1 if quadratic.max() > TOL else 2)
     return RuleReport(
         positivity=positivity,
         barycenter_ok=barycenter_ok,

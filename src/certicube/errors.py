@@ -26,7 +26,7 @@ class UnsupportedDegree(CerticubeError):
 
 
 class UnsupportedDimension(CerticubeError):
-    """Dimension too large for exact 64-bit factorials, or for a sampled
+    """Dimension past the exact moment tables, or too large for a sampled
     lattice to fit in memory."""
 
 

@@ -22,7 +22,8 @@ from . import geometry
 from .errors import (InvariantViolation, UnsupportedDegree,
                      UnsupportedDimension)
 
-# Exact 64-bit factorials require n + 2 <= 20.
+# Bounds the exact tables below, which `moments --dim` builds from
+# outside input (about 10 ms at n = 18); no certificate reads them.
 MAX_DIMENSION = 18
 
 
@@ -31,7 +32,8 @@ def _check_dimension(n):
         raise UnsupportedDimension(f"dimension must be >= 1, got {n}")
     if n > MAX_DIMENSION:
         raise UnsupportedDimension(
-            f"dimension {n} exceeds {MAX_DIMENSION} (64-bit factorials)")
+            f"dimension {n} exceeds {MAX_DIMENSION}, the largest exact "
+            "moment table")
 
 
 def monomial_moment_exact(n, alpha):
@@ -123,7 +125,6 @@ def integrate_poly2(q, s):
     """
     c, b, phi = q
     n = s.dimension
-    _check_dimension(n)
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
     a = np.zeros((n, n)) if phi is None else phi.coeffs
     pbar = s.vertices.mean(axis=0)

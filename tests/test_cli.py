@@ -810,20 +810,26 @@ def test_sandwich_on_a_huge_triangle(tmp_path):
                                   "simplex is too large\n")
 
 
-def test_dimension_19_stops_at_the_moment_table(tmp_path):
-    # Every rule's report is checked against the exact moment table,
-    # which ends at n = 18; the sandwich reads no rule report.
-    spx, rule = tmp_path / "unit19.spx", tmp_path / "bary19.rule"
+@pytest.mark.parametrize("n", [19, 23])
+def test_certificates_past_the_moment_table(tmp_path, n):
+    # A rule report reads no moment table: integrate, bound and
+    # verify-rule work on simplices past moments.MAX_DIMENSION.
+    spx, rule = tmp_path / f"unit{n}.spx", tmp_path / f"bary{n}.rule"
     spx.write_text("\n".join(" ".join("1" if j == i else "0"
-                                       for j in range(19))
-                             for i in range(-1, 19)) + "\n")
-    rule.write_text("dim 19\nnodes 1\n" + "1/20 " * 20 + "\n1\n")
+                                       for j in range(n))
+                             for i in range(-1, n)) + "\n")
+    rule.write_text(f"dim {n}\nnodes 1\n" + f"1/{n + 1} " * (n + 1)
+                    + "\n1\n")
     shape = ["--expr", "x1^2", "--simplex", str(spx)]
-    refused = (1, "error: dimension 19 exceeds 18 (64-bit factorials)\n")
-    for argv in (["integrate", "--tol", "1", "--K", "1"],
-                 ["bound", "--rule", "barycenter", "--K", "1"]):
-        assert invoke(argv + shape) == refused
-    assert invoke(["verify-rule", str(rule)]) == refused
+    exact = 2 / math.factorial(n + 2)
+    for argv in (["integrate", "--tol", "1", "--K", "2"],
+                 ["bound", "--rule", "barycenter", "--K", "2"]):
+        code, out = invoke(argv + shape)
+        lo, hi = map(float, re.search(r"interval: \[(\S+), (\S+)\]",
+                                      out).groups())
+        assert code == 0 and lo <= exact <= hi
+    code, out = invoke(["verify-rule", str(rule)])
+    assert code == 0 and "certificate: midpoint, factor 1/2\n" in out
     code, out = invoke(["sandwich"] + shape)
     assert code == 0 and out.startswith("lower: ")
 
@@ -931,6 +937,8 @@ def test_package_import_graph_is_acyclic():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     # Cells, volumes and second moments sit below every other module.
     assert graph["geometry"] == {"errors"}
+    # A rule report is checked in closed form, with no moment table.
+    assert "moments" not in graph["cubature"]
 
 
 def test_numpy_eigensolvers_are_called_only_by_qform():

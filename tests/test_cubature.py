@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,7 @@ from certicube.errors import (DimensionMismatch, InvariantViolation,
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
-from util import rand_convex_quadratic, rand_simplex
+from util import rand_convex_quadratic, rand_simplex, stroud_t3_rule
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -198,6 +202,75 @@ def test_thm2_implies_barycenter_on_random_rules():
         report = cubature.verify(rule)
         if report.thm2_applicable:
             assert report.barycenter_ok
+
+
+def exact_residuals(rule):
+    """The verify() residuals and barycenter residuals in Fractions of the
+    rule's float nodes and weights: |T(x^alpha) - n! alpha! / (n+|alpha|)!|
+    per Cartesian multi-index (x_i = lambda_i on the unit simplex), and
+    |T(lambda_i) - 1/(n+1)| for every barycentric coordinate."""
+    n = rule.dimension
+    weights = [Fraction(w) for w in rule.weights.tolist()]
+    nodes = [[Fraction(c) for c in node] for node in rule.nodes.tolist()]
+
+    def mean(*axes):
+        return sum(w * math.prod(node[i] for i in axes)
+                   for w, node in zip(weights, nodes))
+
+    residuals = {}
+    for degree in range(3):
+        for axes in itertools.combinations_with_replacement(range(n), degree):
+            alpha = tuple(map(axes.count, range(n)))
+            target = Fraction(
+                math.factorial(n) * math.prod(map(math.factorial, alpha)),
+                math.factorial(n + degree))
+            residuals[alpha] = abs(mean(*(i + 1 for i in axes)) - target)
+    barycenter = [abs(mean(i) - Fraction(1, n + 1)) for i in range(n + 1)]
+    return residuals, barycenter
+
+
+def oracle_rules():
+    for n in range(1, 26):
+        yield cubature.builtin("barycenter", n)
+        yield cubature.builtin("vertex", n)
+    yield cubature.builtin("hh-mix-2d", 2)
+    yield stroud_t3_rule()
+    rng = np.random.default_rng(29)
+    for trial in range(200):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        weights = rng.dirichlet(np.ones(m))
+        if trial % 2:  # signed weights summing to 1, each in (-0.5, 1.5)
+            weights = 1.5 * weights - 0.5 * rng.dirichlet(np.ones(m))
+        yield CubatureRule(dimension=n,
+                           nodes=rng.dirichlet(np.ones(n + 1), size=m),
+                           weights=weights)
+
+
+def test_verify_matches_an_exact_oracle():
+    # The closed-form report against exact sums over the same floats.
+    checked = 0
+    for rule in oracle_rules():
+        report = cubature.verify(rule)
+        residuals, barycenter = exact_residuals(rule)
+        assert report.residuals.keys() == residuals.keys()
+        for alpha, exact in residuals.items():
+            assert abs(Fraction(report.residuals[alpha]) - exact) <= 1e-15
+        tol = Fraction(cubature.TOL)
+        if any(abs(r - tol) <= 1e-15
+               for r in [*residuals.values(), *barycenter]):
+            continue
+        positivity = bool(np.all(rule.weights >= 0))
+        barycenter_ok = max(barycenter) <= tol
+        within = {d: all(r <= tol for alpha, r in residuals.items()
+                         if sum(alpha) <= d) for d in (1, 2)}
+        exactness = 2 if within[2] else 1 if within[1] else 0
+        assert (report.positivity, report.barycenter_ok,
+                report.exactness_degree, report.hh_applicable,
+                report.thm2_applicable) == (
+            positivity, barycenter_ok, exactness,
+            positivity and barycenter_ok, positivity and exactness == 2)
+        checked += 1
+    assert checked >= 250
 
 
 def test_rule_file_round_trip(tmp_path):

@@ -125,6 +125,12 @@ def test_integrate_poly2_examples():
     poly = (1.0, np.array([-2.0, 0.0]),
             QuadraticForm([[1.0, 0.0], [0.0, 0.0]]))
     assert moments.integrate_poly2(poly, shifted) == pytest.approx(1 / 12)
+    # x1^2 + x1*x2 past MAX_DIMENSION: (2 + 1) / 22! on the unit 20-simplex
+    a = np.zeros((20, 20))
+    a[0, 0], a[0, 1], a[1, 0] = 1.0, 0.5, 0.5
+    value = moments.integrate_poly2((0.0, None, QuadraticForm(a)),
+                                    geometry.unit_simplex(20))
+    assert value == pytest.approx(3 / math.factorial(22), rel=1e-14)
 
 
 def test_lemma_affine_integral_identity():
