@@ -138,10 +138,9 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
     max_cells or max_depth is reached first; the partial bound is still
     valid, just larger than requested.
     """
-    rule, factor = certificate(
+    rule, factor = certificate(  # dimension and certificate before any K
         cubature_mod.builtin("barycenter", s.dimension) if cfg.rule is None
-        else cfg.rule)
-    cubature_mod.check_dimension(rule, s.dimension)  # before any K
+        else cfg.rule, s.dimension)
 
     if cfg.k_override is not None:
         k_source, global_k = "override", cfg.k_override

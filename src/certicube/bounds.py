@@ -1,7 +1,7 @@
 """Error certificates: the convex sandwich, the midpoint bound, and the
 positive-rule bound.
 
-certificate(rule) alone decides which radius a rule earns (K/2 times
+certificate(rule, n) alone decides which radius a rule earns (K/2 times
 the second moment at the barycenter, K times it for a positive
 degree-2-exact rule), and cell_radii alone computes a batch's radii
 from its second moments and K, with no integrand value;
@@ -127,18 +127,20 @@ def hh_sandwich(f, s, screen=False):
     return SandwichResult(lower=vol * values.item(0), upper=upper)
 
 
-def certificate(rule):
+def certificate(rule, n):
     """(certifying rule, radius factor): the one place a rule gets its
-    certificate.
+    certificate on an n-simplex.
 
-    A one-node rule at the barycenter is the midpoint operator; it is
-    replaced by the exact builtin barycenter rule of its dimension, with
+    The dimension comes first (DimensionMismatch), before any report. A
+    one-node rule at the barycenter is the midpoint operator; it is
+    replaced by the builtin barycenter rule of its dimension, with
     factor 1/2. A positive degree-2-exact rule keeps itself, with factor
     1. Any other rule has no certificate: RuleNotApplicable.
     """
+    cubature_mod.check_dimension(rule, n)
     report = rule.report
     if len(rule.weights) == 1 and report.barycenter_ok:
-        return cubature_mod.builtin("barycenter", rule.dimension), 0.5
+        return cubature_mod.builtin("barycenter", n), 0.5
     if not report.thm2_applicable:
         raise RuleNotApplicable(
             f"rule {rule.provenance!r}: positivity={report.positivity}, "
@@ -167,13 +169,13 @@ def cell_radii(factor, gauge, m2):
 
 
 def rule_bound(rule, f, s, gauge, gauge_certified=False):
-    """Rule estimate with the radius certificate(rule) gives: K * moment
+    """Rule estimate with the radius that certificate gives: K * moment
     for a positive degree-2-exact rule, (K/2) * moment at the barycenter.
 
     Refuses every other rule; there is no valid certificate for it.
     """
     field_mod.check_gauge(gauge)
-    rule, factor = certificate(rule)
+    rule, factor = certificate(rule, s.dimension)
     est = cubature_mod.estimate(rule, f, s.batch()[0], geometry.volume(s))
     rad = cell_radii(factor, float(gauge), s.second_moment)
     return CertifiedResult(estimate=est[0], radius=rad, K_used=gauge,

@@ -1,7 +1,7 @@
 """Command-line interface: moments, verify-rule, bound, integrate, sandwich.
 
-Exit codes: 0 success, 1 invariant/verification failure, 2 parse or IO
-error, 3 refinement budget exhausted.
+Exit codes: 0 success, 1 invariant/verification failure or out of
+memory, 2 parse or IO error, 3 refinement budget exhausted.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _cmd_verify_rule(args, out):
     print(f"max residual: {_fmt(max(report.residuals.values()))}", file=out)
     print(f"degree-2 certificate: {yn(report.thm2_applicable)}", file=out)
     try:
-        _, factor = bounds_mod.certificate(rule)
+        _, factor = bounds_mod.certificate(rule, rule.dimension)
     except RuleNotApplicable:
         print("certificate: none", file=out)
         return EXIT_FAIL
@@ -144,8 +144,7 @@ def _cmd_bound(args, out):
     # Certificate and dimension first: a rule refused for either must not
     # pay for a K lattice.
     rule, factor = bounds_mod.certificate(
-        _load_rule_arg(args.rule, simplex.dimension))
-    cubature_mod.check_dimension(rule, simplex.dimension)
+        _load_rule_arg(args.rule, simplex.dimension), simplex.dimension)
     certified = args.K is not None
     gauge = args.K if certified else field_mod.d2f_sup_norm(f, simplex)
     result = bounds_mod.rule_bound(rule, f, simplex, gauge,
@@ -223,6 +222,9 @@ def run(argv, out=None):
         return EXIT_PARSE
     except CerticubeError as exc:
         print(f"error: {exc}", file=out)
+        return EXIT_FAIL
+    except MemoryError:
+        print("error: out of memory", file=out)
         return EXIT_FAIL
 
 

@@ -2,7 +2,8 @@
 
 Stored weights represent the mean-value functional (they sum to 1);
 applying a rule multiplies by vol(S), so one rule serves every simplex
-of its dimension.
+of its dimension. A rule is two read-only float arrays; save_rule writes
+decimals that load_rule reads back as the same floats.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class CubatureRule:
     nodes: np.ndarray
     weights: np.ndarray
     provenance: str = "unnamed"
-    nodes_exact: Optional[tuple] = None
-    weights_exact: Optional[tuple] = None
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
@@ -52,14 +50,16 @@ class CubatureRule:
             raise InvariantViolation("one weight per node required")
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise InvariantViolation("non-finite node or weight")
-        for k, node in enumerate(nodes):
-            if np.any(node < -TOL):
+        # The first bad node raises; at that node a negative coordinate
+        # is named ahead of its sum.
+        negative = (nodes < -TOL).any(axis=1)
+        sums = nodes.sum(axis=1)
+        for k in np.flatnonzero(negative | (np.abs(sums - 1.0) > TOL)):
+            if negative[k]:
                 raise InvariantViolation(
                     f"negative barycentric coordinate at node {k}")
-            total = float(node.sum())
-            if abs(total - 1.0) > TOL:
-                raise InvariantViolation(
-                    f"barycentric sum {total!r} != 1 at node {k}")
+            raise InvariantViolation(
+                f"barycentric sum {float(sums[k])!r} != 1 at node {k}")
         wsum = float(weights.sum())
         if abs(wsum - 1.0) > TOL:
             raise InvariantViolation(f"weights sum {wsum:g} != 1")
@@ -91,37 +91,19 @@ def builtin(name, n):
     Rules are immutable, so each (name, n) is built once and shared.
     """
     if name == "barycenter":
-        node = (Fraction(1, n + 1),) * (n + 1)
-        return _exact_rule(n, [node], [Fraction(1)], "barycenter")
+        return CubatureRule(n, np.full((1, n + 1), 1 / (n + 1)), np.ones(1),
+                            "barycenter")
     if name == "vertex":
-        nodes = [tuple(Fraction(1) if j == i else Fraction(0)
-                       for j in range(n + 1)) for i in range(n + 1)]
-        weights = [Fraction(1, n + 1)] * (n + 1)
-        return _exact_rule(n, nodes, weights, "vertex")
+        return CubatureRule(n, np.eye(n + 1), np.full(n + 1, 1 / (n + 1)),
+                            "vertex")
     if name == "hh-mix-2d":
         if n != 2:
             raise DimensionMismatch(f"hh-mix-2d requires n=2, got {n}")
-        third = Fraction(1, 3)
-        nodes = [(Fraction(1), Fraction(0), Fraction(0)),
-                 (Fraction(0), Fraction(1), Fraction(0)),
-                 (Fraction(0), Fraction(0), Fraction(1)),
-                 (third, third, third)]
+        nodes = np.vstack((np.eye(3), np.full((1, 3), 1 / 3)))
         # Printed integral weights 1/24, 1/24, 1/24, 3/8 sum to vol = 1/2;
         # mean-value normalization divides them out.
-        weights = [Fraction(1, 12)] * 3 + [Fraction(3, 4)]
-        return _exact_rule(2, nodes, weights, "hh-mix-2d")
+        return CubatureRule(2, nodes, [1 / 12] * 3 + [3 / 4], "hh-mix-2d")
     raise UnknownRule(f"no built-in rule named {name!r}")
-
-
-def _exact_rule(n, nodes, weights, provenance):
-    return CubatureRule(
-        dimension=n,
-        nodes=np.array([[float(c) for c in node] for node in nodes]),
-        weights=np.array([float(w) for w in weights]),
-        provenance=provenance,
-        nodes_exact=tuple(tuple(node) for node in nodes),
-        weights_exact=tuple(weights),
-    )
 
 
 def verify(rule):
@@ -195,14 +177,15 @@ def apply_rule(rule, f, s):
 
 
 def _parse_number(token, lineno):
+    """The nearest float, via a Fraction: p/q rounds once, inf and nan fail."""
     try:
-        return Fraction(token if "/" in token else float(token))
+        return float(Fraction(token if "/" in token else float(token)))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad number {token!r}: {exc}", line=lineno)
 
 
 def load_rule(path):
-    """Line-oriented rule file; fractions p/q are parsed exactly."""
+    """Line-oriented rule file; p/q is read as its nearest float."""
     lines = geometry.read_lines(path)
     cursor = 0
 
@@ -226,7 +209,7 @@ def load_rule(path):
 
     n, m = header("dim", "n"), header("nodes", "m")
 
-    nodes_exact = []
+    nodes = []
     for k in range(m):
         lineno, text = take(f"node {k}")
         coords = [_parse_number(tok, lineno) for tok in text.split()]
@@ -234,15 +217,15 @@ def load_rule(path):
             raise ParseError(
                 f"node {k} has {len(coords)} coordinates, expected {n + 1}",
                 line=lineno)
-        nodes_exact.append(tuple(coords))
-    weights_exact = []
+        nodes.append(coords)
+    weights = []
     for k in range(m):
         lineno, text = take(f"weight {k}")
         values = [_parse_number(tok, lineno) for tok in text.split()]
         if len(values) != 1:
             raise ParseError(f"expected one weight, found {len(values)}",
                              line=lineno)
-        weights_exact.append(values[0])
+        weights.append(values[0])
     if cursor < len(lines):
         lineno, text = lines[cursor]
         raise ParseError(f"unexpected line after the last weight: {text!r}",
@@ -250,26 +233,20 @@ def load_rule(path):
 
     # The constructor checks the nodes and the weight sum; it leaves
     # weight signs to verify(), but a rule file must not have negatives.
-    for k, weight in enumerate(weights_exact):
-        if float(weight) < 0:
+    for k, weight in enumerate(weights):
+        if weight < 0:
             raise InvariantViolation(f"negative weight at node {k}")
-    return _exact_rule(n, nodes_exact, weights_exact, str(path))
+    return CubatureRule(n, np.array(nodes), np.array(weights), str(path))
 
 
 def save_rule(rule, path):
-    """Write a rule back out; exact fractions are kept when available."""
-    def fmt(exact, value):
-        return repr(float(value)) if exact is None else str(exact)
-
+    """Write each entry as repr of its float, the shortest decimal that
+    load_rule reads back as the same bits (but -0.0 as 0.0)."""
     with open(path, "w") as fh:
         fh.write(f"# cubature rule: {rule.provenance}\n")
         fh.write(f"dim {rule.dimension}\n")
         fh.write(f"nodes {len(rule.weights)}\n")
-        for k, node in enumerate(rule.nodes):
-            exact = rule.nodes_exact[k] if rule.nodes_exact else None
-            fh.write(" ".join(
-                fmt(exact[j] if exact else None, c)
-                for j, c in enumerate(node)) + "\n")
-        for k, weight in enumerate(rule.weights):
-            exact = rule.weights_exact[k] if rule.weights_exact else None
-            fh.write(fmt(exact, weight) + "\n")
+        for node in rule.nodes.tolist():
+            fh.write(" ".join(map(repr, node)) + "\n")
+        for weight in rule.weights.tolist():
+            fh.write(f"{weight!r}\n")

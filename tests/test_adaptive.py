@@ -638,10 +638,13 @@ def test_only_per_cell_runs_are_centered(monkeypatch, mode):
 @pytest.mark.parametrize("k_mode", ["per-cell", "global"])
 def test_rule_of_another_dimension_fails_before_any_split(monkeypatch,
                                                           k_mode):
-    # The rule's dimension is checked before the root cell is built: no K
-    # is sampled and no cell is split.
+    # The rule's dimension is checked before the root cell is built: no
+    # report is computed, no K is sampled and no cell is split.
     calls = []
     split, spectrum = geometry.split, field_mod.lattice_spectrum
+    verify = cubature._verify
+    monkeypatch.setattr(cubature, "_verify", lambda rule: calls.append(
+        "verify") or verify(rule))
     monkeypatch.setattr(geometry, "split", lambda W, longest: calls.append(
         "split") or split(W, longest))
     monkeypatch.setattr(field_mod, "lattice_spectrum", lambda *a, **k:

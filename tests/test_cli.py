@@ -279,10 +279,14 @@ def test_bound_refuses_the_rule_before_sampling_k(unit2, monkeypatch):
 def test_bound_checks_the_rule_dimension_before_sampling_k(mix_rule, tmp_path,
                                                            monkeypatch):
     # A 2-D rule file on the unit 6-simplex: refused at once, before the
-    # resolution-20 lattice of K (230,230 points) is sampled.
-    samples = []
+    # rule's report is computed and before the resolution-20 lattice of K
+    # (230,230 points) is sampled.
+    calls = []
+    verify = cubature._verify
+    monkeypatch.setattr(cubature, "_verify",
+                        lambda rule: calls.append("verify") or verify(rule))
     monkeypatch.setattr(certicube.field, "lattice_spectrum",
-                        lambda *args, **kwargs: samples.append(args))
+                        lambda *args, **kwargs: calls.append("K"))
     path = tmp_path / "unit6.spx"
     path.write_text("\n".join(" ".join("1" if j == i else "0"
                                         for j in range(6))
@@ -290,7 +294,7 @@ def test_bound_checks_the_rule_dimension_before_sampling_k(mix_rule, tmp_path,
     code, text = invoke(["bound", "--rule", mix_rule, "--expr", "exp(x1+x2)",
                          "--simplex", str(path)])
     assert (code, text) == (1, "error: rule dimension 2 vs simplex 6\n")
-    assert samples == []
+    assert calls == []
 
 
 def test_integrate_exp(unit2, tmp_path):
@@ -899,6 +903,31 @@ def fresh_python(script, *args):
     done = fresh_run("-c", script, *args)
     done.check_returncode()
     return done.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmSize from /proc/self/status")
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
+    # A 6,000-D rule's weighted second-moment matrix takes 288 MB; after
+    # import the address space may grow by 256 MiB only.
+    path = tmp_path / "vertex6000.rule"
+    path.write_text("dim 6000\nnodes 1\n1" + " 0" * 6000 + "\n1\n")
+    script = (
+        "import resource, sys\n"
+        "from certicube import cli\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    kb = next(int(line.split()[1]) for line in fh\n"
+        "             if line.startswith('VmSize:'))\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = kb * 1024 + 256 * 2 ** 20\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    soft = min(soft, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "sys.argv[1:] = ['verify-rule', sys.argv[1]]\n"
+        "cli.main()\n")
+    done = fresh_run("-c", script, str(path))
+    assert (done.returncode, done.stdout) == (1, "error: out of memory\n")
+    assert "Traceback" not in done.stderr
 
 
 def test_numpy_is_the_only_runtime_dependency():

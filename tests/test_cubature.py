@@ -1,9 +1,11 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certicube import cubature, field, geometry, moments
 from certicube.cubature import CubatureRule
@@ -32,6 +34,27 @@ def test_builtin_barycenter_rule():
 def test_builtin_mix_rule_weights():
     rule = cubature.builtin("hh-mix-2d", 2)
     assert np.allclose(sorted(rule.weights), [1 / 12, 1 / 12, 1 / 12, 3 / 4])
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_builtin_rules_are_their_fractions_rounded_once(n):
+    # Each entry is the float nearest its exact value, as float(Fraction)
+    # rounds it; the arrays are float64 and read-only.
+    vertex = [[Fraction(int(i == j)) for j in range(n + 1)]
+              for i in range(n + 1)]
+    expected = {
+        "barycenter": ([[Fraction(1, n + 1)] * (n + 1)], [Fraction(1)]),
+        "vertex": (vertex, [Fraction(1, n + 1)] * (n + 1)),
+    }
+    if n == 2:
+        expected["hh-mix-2d"] = (vertex + [[Fraction(1, 3)] * 3],
+                                 [Fraction(1, 12)] * 3 + [Fraction(3, 4)])
+    for name, (nodes, weights) in expected.items():
+        rule = cubature.builtin(name, n)
+        for got, exact in ((rule.nodes, nodes), (rule.weights, weights)):
+            want = np.array(exact, dtype=object).astype(float)
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 def test_builtin_errors():
@@ -83,6 +106,19 @@ def test_rule_invariant_checks():
     with pytest.raises(InvariantViolation, match="non-finite"):
         CubatureRule(dimension=1, nodes=np.array([[np.nan, 0.5]]),
                      weights=np.array([1.0]))
+
+
+@pytest.mark.parametrize("nodes,message", [
+    ([[0.5, 0.5], [0.7, 0.5], [1.2, -0.2]],
+     "barycentric sum 1.2 != 1 at node 1"),
+    ([[0.5, 0.5], [1.2, -0.3], [0.7, 0.5]],
+     "negative barycentric coordinate at node 1"),
+])
+def test_rule_names_its_first_bad_node(nodes, message):
+    # Node order first; at one node the negative coordinate comes before
+    # the sum.
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        CubatureRule(dimension=1, nodes=nodes, weights=[0.5, 0.25, 0.25])
 
 
 def one_field(n):
@@ -278,9 +314,39 @@ def test_rule_file_round_trip(tmp_path):
     path = tmp_path / "mix.rule"
     cubature.save_rule(rule, path)
     loaded = cubature.load_rule(path)
-    assert np.array_equal(loaded.nodes, rule.nodes)
-    assert np.array_equal(loaded.weights, rule.weights)
-    assert loaded.weights_exact == rule.weights_exact
+    assert loaded.nodes.tobytes() == rule.nodes.tobytes()
+    assert loaded.weights.tobytes() == rule.weights.tobytes()
+    assert cubature.verify(loaded) == cubature.verify(rule)
+
+
+def _normalized(rows):
+    """Rows scaled to sum 1; + 0.0 turns a -0.0, which loads back as
+    0.0, into 0.0."""
+    rows = np.array(rows)
+    return rows / rows.sum(axis=-1, keepdims=True) + 0.0
+
+
+@st.composite
+def float_rules(draw):
+    """A valid rule of arbitrary floats: nodes and weights normalized
+    from non-negative draws, subnormals included."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.floats(0.0, 1.0)
+    positive_row = lambda size: st.lists(entry, min_size=size,
+                                         max_size=size).filter(any)
+    nodes = draw(st.lists(positive_row(n + 1), min_size=m, max_size=m))
+    return CubatureRule(n, _normalized(nodes),
+                        _normalized(draw(positive_row(m))), "random")
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule=float_rules())
+def test_saved_float_rules_load_back_bit_identical(tmp_path_factory, rule):
+    path = tmp_path_factory.mktemp("rules") / "random.rule"
+    cubature.save_rule(rule, path)
+    loaded = cubature.load_rule(path)
+    assert loaded.nodes.tobytes() == rule.nodes.tobytes()
+    assert loaded.weights.tobytes() == rule.weights.tobytes()
     assert cubature.verify(loaded) == cubature.verify(rule)
 
 
@@ -295,8 +361,16 @@ def test_rule_file_fraction_parsing(tmp_path):
         "2/3\n"
         "1/3\n")
     rule = cubature.load_rule(path)
-    assert rule.weights_exact[0].numerator == 2
+    assert rule.weights[0] == 2 / 3
     assert np.allclose(rule.weights, [2 / 3, 1 / 3])
+
+
+def test_rule_file_fraction_too_large_for_a_float(tmp_path):
+    path = tmp_path / "huge.rule"
+    path.write_text(f"dim 1\nnodes 1\n{10 ** 400}/1 0\n1\n")
+    with pytest.raises(ParseError, match="too large for a float") as err:
+        cubature.load_rule(path)
+    assert err.value.line == 3
 
 
 def test_rule_file_bad_weight_sum(tmp_path):

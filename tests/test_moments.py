@@ -161,6 +161,26 @@ def test_moments_match_exact_rationals():
             moments.central_second_moment_unit_exact(n))
 
 
+@pytest.mark.parametrize("n", range(1, 19))
+def test_closed_forms_match_the_monomial_moments(n):
+    # Central matrix, its trace and the table entries against the
+    # factorial formula: M_ij = int u_i u_j - int u_i int u_j / vol.
+    def moment(*axes):
+        return moments.monomial_moment_exact(n, [axes.count(i)
+                                                 for i in range(n)])
+
+    vol = moment()
+    central = [[moment(i, j) - moment(i) * moment(j) / vol
+                for j in range(n)] for i in range(n)]
+    assert moments.central_matrix_exact(n) == central
+    assert moments.central_second_moment_unit_exact(n) == sum(
+        central[i][i] for i in range(n))
+    table = moments.moment_table(n)
+    assert (table.first, table.square, table.mixed, table.volume) == (
+        moment(0), moment(0, 0), moment(0, 1) if n >= 2 else 0, vol)
+    assert table.central_matrix == tuple(map(tuple, central))
+
+
 def test_moment_table_consistency():
     table = moments.moment_table(2)
     assert table.volume == Fraction(1, 2)
