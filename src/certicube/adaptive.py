@@ -6,26 +6,40 @@ so refining the largest-radius cells until the summed radius meets the
 tolerance certifies the whole simplex. The radius needs only K and the
 cell's geometry (bounds.cell_radii), so the rounds evaluate no
 integrand: the rule is applied once, to the final leaves, when the run
-returns or exhausts its budget. The leaves are numpy arrays kept
-in creation order. Each round bisects, in one kernel call, the leaves
-with radius >= grow * max, taken by (-radius, creation index), and keeps
-the longest prefix in which each leaf's radius is at least every child
-radius made before it: exactly the pops of a greedy max-heap (ties that
-survive rounding go to the older cell). The prefix also ends where the
-running total reaches the tolerance, at max_depth and at max_cells; the
-other children are discarded. grow is the largest child/parent radius
-ratio among the last round's kept splits, capped at 1: a leaf below
-grow * max is likely outgrown by a child of the largest leaf, which
-would end the prefix before it. The band serves runs whose largest
-leaves have children above many smaller leaves, such as per-cell K on
-a peaked integrand or on 3-D cells: without it, a round builds splits
-of those smaller leaves that the prefix discards. A round is also cut
-short where the tolerance is predicted to fall, from the radius shrink
-of the last round's splits; a cut that falls short only leaves work for
-the next round. The run computes one determinant, the root's, and a leaf at
-depth d inherits 2^-d of it; a float cell's rounded midpoints leave its
-edges, so its true volume differs slightly, which the radius does not
-yet cover. Leaves are a coordinate-major batch (see geometry) and carry
+returns or exhausts its budget. The leaves are numpy arrays. A round
+splits, in one kernel call, the leaves with radius >= grow * max, taken
+by decreasing radius, exact ties first in tree order (depth first, the
+half that geometry.split puts at 2k ahead of the one at 2k+1). It keeps
+the longest prefix in which each leaf's radius is above every child
+radius made before it: exactly the pops of a greedy max-heap with that
+tie rule, which depends on no round size. The prefix also ends where
+the running total reaches the tolerance, at max_depth and at max_cells;
+the other children are discarded. grow is the largest child/parent
+radius ratio among the last round's kept splits, capped at 1: a leaf
+below grow * max is likely outgrown by a child of the largest leaf,
+which would end the prefix before it. The band serves runs whose
+largest leaves have children above many smaller leaves, such as
+per-cell K on a peaked integrand or on 3-D cells: without it, a round
+builds splits of those smaller leaves that the prefix discards. A round
+is also cut short where the tolerance is predicted to fall, from the
+radius shrink of the last round's splits; a cut that falls short only
+leaves work for the next round.
+
+The leaves start in tree order, and a round that provably splits every
+leaf keeps them in it without a sort: split in place, its children are
+the leaves, in tree order. It needs the band to be every leaf, no
+budget, depth or predicted cut to end it, no child above a leaf and the
+total above tol even with every shrinking split first; if a check on
+the children fails, they are put in heap order and the prefix runs as
+in any other round. Any other round sorts its band, and its children
+follow the leaves it keeps, out of tree order: from then on each leaf
+carries an integer tree-order key (MAX_DEPTH), which breaks exact ties
+only where a sorted band has one.
+
+The run computes one determinant, the root's, and a leaf at depth d
+inherits 2^-d of it; a float cell's rounded midpoints leave its edges,
+so its true volume differs slightly, which the radius does not yet
+cover. Leaves are a coordinate-major batch (see geometry) and carry
 only what a later round or the final estimate reads: radius, depth, cut
 edge, and a per-cell K and A where the run has them. A new cell's
 squared edge lengths give its second moment (geometry.cell_stats) and
@@ -71,6 +85,10 @@ from .errors import BudgetExhausted
 POINTS_PER_ROUND = 2 ** 20
 # Per-cell K is sampled by field.lattice_spectrum at this resolution.
 K_RESOLUTION = 4
+# Leaves out of tree order carry an int64 key: the sum, over the levels
+# d at which a leaf's path takes the half that geometry.split puts
+# second, of 2^(MAX_DEPTH - d). It has room for MAX_DEPTH levels.
+MAX_DEPTH = 62
 
 
 @dataclass(frozen=True)
@@ -87,8 +105,9 @@ class AdaptiveConfig:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_cells < 1:
             raise ValueError(f"max_cells must be >= 1, got {self.max_cells}")
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if not 0 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max_depth must be in [0, MAX_DEPTH = "
+                             f"{MAX_DEPTH}], got {self.max_depth}")
         if self.k_mode not in ("per-cell", "global"):
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
         if self.rule is not None and not isinstance(self.rule, CubatureRule):
@@ -99,8 +118,9 @@ class AdaptiveConfig:
 
 @dataclass
 class RunDiagnostics:
-    """What a run did; the leaf arrays are the run's own, in creation
-    order: vertices (m, n+1, n), estimates, radii, K and depths (m,).
+    """What a run did; the leaf arrays are the run's own, in the loop's
+    order (tree order until a round sorts its band): vertices
+    (m, n+1, n), estimates, radii, K and depths (m,).
     In per-cell mode a leaf's K bounds ||D^2 f - A||, A the Hessian at
     its barycenter; a global or override K, which the run keeps as one
     float, is filled in for every leaf when the run ends.
@@ -129,6 +149,41 @@ class RunDiagnostics:
     def depth_histogram(self):
         levels, counts = np.unique(self.depths, return_counts=True)
         return dict(zip(levels.tolist(), counts.tolist()))
+
+
+def _child_keys(key, c_depth):
+    """Keys of the halves of leaves with keys key, in geometry.split's
+    order: the first half keeps its parent's key, the second adds its own
+    span."""
+    c_key = np.repeat(key, 2)
+    c_key[1::2] += np.left_shift(np.int64(1), MAX_DEPTH - c_depth[1::2])
+    return c_key
+
+
+def _round_keys(key, depth, keep, taken, c_depth):
+    """Keys of the leaves after a round that sorted its band: the kept
+    leaves' (keep), then the children's of the leaves it split (taken),
+    from the keys key of the leaves before it, or from their depths if
+    they were in tree order (key None)."""
+    if key is None:
+        # A leaf at depth d spans 2^(MAX_DEPTH - d) keys, and its key is
+        # the span of the leaves before it.
+        span = np.left_shift(np.int64(1), MAX_DEPTH - depth)
+        key = np.cumsum(span) - span
+    return np.concatenate((key[keep], _child_keys(key[taken], c_depth)))
+
+
+def _heap_order(rad, band, key):
+    """The leaves band (ascending positions) by decreasing radius, exact
+    ties first in tree order: a stable sort while the leaves are in tree
+    order (key None), else by key where the sorted radii tie."""
+    neg = -rad[band]
+    order = np.argsort(neg, kind="stable")
+    if key is not None:
+        ranked = neg[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.lexsort((key[band], neg))
+    return band[order]
 
 
 def integrate_adaptive(f, s, cfg, diagnostics=None):
@@ -207,42 +262,89 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
                                K_certified=k_source == "override",
                                cells=len(rad))
 
+    # Tree-order keys, from the first round that sorts on; pending holds
+    # a sorted round's _round_keys arguments until a later round needs
+    # the keys (the last round's are never made).
+    key = pending = None
+
     while True:
         if running <= cfg.tolerance:
             # Re-sum exactly to rule out running-total drift.
             running = exact_sum(rad)
             if running <= cfg.tolerance:
                 return finish("tolerance", running)
-        band = np.flatnonzero(rad >= grow * rad.max())
-        band = band[np.argsort(-rad[band], kind="stable")]
-        limit = ("max_depth" if depth[band[0]] >= cfg.max_depth else
-                 "max_cells" if len(rad) + 1 > cfg.max_cells else None)
-        if limit is not None:
-            raise BudgetExhausted(
-                f"{limit} {getattr(cfg, limit)} reached with radius "
-                f"{running:g} > tolerance {cfg.tolerance:g}",
-                result=finish(limit))
-        band = band[:min(max_band, cfg.max_cells - len(rad))]
-        b_rad = rad[band]
-        if shrink < 1:
-            # Predicted totals if each split shrinks as the last round's
-            # did; split up to the first at or below tol.
-            left = running - (1 - shrink) * np.cumsum(b_rad)
-            cut = np.count_nonzero(left > cfg.tolerance) + 1
-            band, b_rad = band[:cut], b_rad[:cut]
-        c_depth = np.repeat(depth[band] + 1, 2)
-        children = geometry.split(W.take(band, axis=-1),
-                                  longest.take(band))
+        if pending is not None:
+            key, pending = _round_keys(*pending), None
+        m, top = len(rad), rad.max()
+        # Whole round: the band is every leaf, and neither the budget,
+        # max_depth nor the predicted cut can stop it before the last.
+        whole = (rad.min() >= grow * top and m <= max_band
+                 and 2 * m <= cfg.max_cells and depth.max() < cfg.max_depth
+                 and (shrink >= 1 or running - (1 - shrink) * rad.sum()
+                      > cfg.tolerance))
+        if whole:  # split in place: no sort, no gather
+            b_rad, c_depth = rad, np.repeat(depth + 1, 2)
+            children = geometry.split(W, longest)
+        else:
+            band = _heap_order(rad, np.flatnonzero(rad >= grow * top), key)
+            limit = ("max_depth" if depth[band[0]] >= cfg.max_depth else
+                     "max_cells" if m + 1 > cfg.max_cells else None)
+            if limit is not None:
+                raise BudgetExhausted(
+                    f"{limit} {getattr(cfg, limit)} reached with radius "
+                    f"{running:g} > tolerance {cfg.tolerance:g}",
+                    result=finish(limit))
+            band = band[:min(max_band, cfg.max_cells - m)]
+            b_rad = rad[band]
+            if shrink < 1:
+                # Predicted totals if each split shrinks as the last
+                # round's did; split up to the first at or below tol.
+                left = running - (1 - shrink) * np.cumsum(b_rad)
+                cut = np.count_nonzero(left > cfg.tolerance) + 1
+                band, b_rad = band[:cut], b_rad[:cut]
+            c_depth = np.repeat(depth[band] + 1, 2)
+            children = geometry.split(W.take(band, axis=-1),
+                                      longest.take(band))
         c_rad, c_k, c_longest, c_hess = _cells(children, c_depth)
         pair_sum = c_rad[0::2] + c_rad[1::2]
         pair_max = np.maximum(c_rad[0::2], c_rad[1::2])
+        if whole:
+            gain = b_rad - pair_sum
+            if (c_rad.max() < b_rad.min()
+                    and running - np.maximum(gain, 0).sum() > cfg.tolerance):
+                # No child outgrows a leaf, and the total stays above tol
+                # with every shrinking split first: the heap pops every
+                # leaf, in any order. The children are the leaves, in
+                # the leaves' order. Shrink's leading half needs no sort.
+                kth = m - 1 - (m - 1) // 2
+                lead = np.argpartition(b_rad, kth)[kth:]
+                shrink = float(min(pair_sum.sum() / b_rad.sum(),
+                                   pair_sum[lead].sum() / b_rad[lead].sum()))
+                grow = min(1.0, (pair_max / b_rad).max())
+                if key is not None:
+                    key = _child_keys(key, c_depth)
+                W, longest, rad, k_cell, depth, hess = (
+                    children, c_longest, c_rad, c_k, c_depth, c_hess)
+                running -= gain.sum()
+                rounds += 1
+                continue
+            # A check failed: the children built go into heap order, and
+            # the prefix decides as in any other round.
+            band = _heap_order(rad, np.arange(m), key)
+            b_rad, pair_sum, pair_max = (rad[band], pair_sum[band],
+                                         pair_max[band])
+            pick = np.column_stack((2 * band, 2 * band + 1)).ravel()
+            children, c_longest, c_rad, c_k, c_depth, c_hess = (
+                None if add is None else add.take(pick, axis=-1)
+                for add in (children, c_longest, c_rad, c_k, c_depth, c_hess))
         # totals[k]: the heap's running total before its k-th pop.
         totals = np.cumsum(np.concatenate(([running], pair_sum - b_rad)))
         # The heap pops band[k] next only if no child made earlier in
-        # the round has a larger radius, the total still exceeds tol and
-        # band[k] is above max_depth.
+        # the round has as large a radius (an equal one may come first
+        # in tree order), the total still exceeds tol and band[k] is
+        # above max_depth.
         child_max = np.maximum.accumulate(pair_max)
-        stop = ((b_rad[1:] < child_max[:-1])
+        stop = ((b_rad[1:] <= child_max[:-1])
                 | (totals[1:-1] <= cfg.tolerance)
                 | (depth[band[1:]] >= cfg.max_depth))
         take = 1 + int(np.argmax(np.append(stop, True)))
@@ -258,19 +360,17 @@ def integrate_adaptive(f, s, cfg, diagnostics=None):
         # A child's K can exceed its parent's: capped, a band is never empty.
         if b_rad[take - 1] > 0:
             grow = min(1.0, (pair_max[:take] / b_rad[:take]).max())
-        new = (children, c_longest, c_rad, c_k, c_depth, c_hess)
-        if take == len(rad):  # every leaf split: its children are the leaves
-            W, longest, rad, k_cell, depth, hess = new
-        else:
-            keep = np.ones(len(rad), dtype=bool)
-            keep[band[:take]] = False
-            W, longest, rad, k_cell, depth, hess = (
-                None if old is None else np.concatenate(
-                    (old.compress(keep, axis=-1), add[..., :2 * take]),
-                    axis=-1)
-                for old, add in zip((W, longest, rad, k_cell, depth, hess),
-                                    new))
+        # The kept leaves stay in place and the children follow them: out
+        # of tree order from here on, the leaves carry keys.
+        keep = np.ones(m, dtype=bool)
+        keep[band[:take]] = False
+        pending = (key, depth, keep, band[:take], c_depth[:2 * take])
+        W, longest, rad, k_cell, depth, hess = (
+            None if old is None else np.concatenate(
+                (old.compress(keep, axis=-1), add[..., :2 * take]), axis=-1)
+            for old, add in zip((W, longest, rad, k_cell, depth, hess),
+                                (children, c_longest, c_rad, c_k, c_depth,
+                                 c_hess)))
         running = totals[take]
         rounds += 1
         discarded += len(band) - take
-

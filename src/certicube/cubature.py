@@ -9,6 +9,7 @@ decimals that load_rule reads back as the same floats.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,9 +80,65 @@ class RuleReport:
     positivity: bool
     barycenter_ok: bool
     exactness_degree: int
-    residuals: dict  # multi-index -> |T(x^alpha) - mean moment|
+    residuals: Mapping  # multi-index -> |T(x^alpha) - mean moment|
     hh_applicable: bool
     thm2_applicable: bool
+
+
+class Residuals(Mapping):
+    """A report's residuals, read-only: Cartesian multi-index alpha (n
+    counts, |alpha| <= 2) -> |T(x^alpha) - mean moment|, by degree, then
+    by the axes in lexicographic order. Only the floats are kept; a key is
+    built when it is read or iterated, so max(residuals.values()) builds
+    none (at n = 150 the keys are 11,476 tuples of 150 counts)."""
+
+    __slots__ = ("_n", "_values")
+
+    def __init__(self, n, values):
+        self._n, self._values = n, values
+
+    def __len__(self):
+        return len(self._values)
+
+    def __iter__(self):
+        n = self._n
+        yield (0,) * n
+        for i in range(n):
+            yield (0,) * i + (1,) + (0,) * (n - 1 - i)
+        for i in range(n):
+            for j in range(i, n):
+                alpha = [0] * n
+                alpha[i] += 1
+                alpha[j] += 1
+                yield tuple(alpha)
+
+    def __getitem__(self, alpha):
+        n = self._n
+        if not isinstance(alpha, tuple) or len(alpha) != n:
+            raise KeyError(alpha)
+        axes = [i for i, count in enumerate(alpha) if count]
+        counts = [alpha[i] for i in axes]
+        if counts == []:
+            return self._values[0]
+        if counts == [1]:
+            return self._values[1 + axes[0]]
+        if counts == [2] or counts == [1, 1]:
+            i, j = axes[0], axes[-1]
+            return self._values[1 + n + i * n - i * (i - 1) // 2 + j - i]
+        raise KeyError(alpha)
+
+    def values(self):
+        return _ResidualValues(self)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+class _ResidualValues(ValuesView):
+    """The values of Residuals, read without their keys."""
+
+    def __iter__(self):
+        return iter(self._mapping._values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,9 +172,9 @@ def verify(rule):
     first-moment vector gives the barycenter condition and the degree-1
     residuals, its weighted second-moment matrix the degree-2 ones, each
     against its closed form rounded once, absolute tolerance TOL;
-    residuals are keyed by Cartesian multi-index. The report is computed
-    once per rule and kept on it: a rule and its arrays are immutable,
-    so it cannot go stale.
+    residuals are keyed by Cartesian multi-index (Residuals). The report
+    is computed once per rule and kept on it: a rule and its arrays are
+    immutable, so it cannot go stale.
     """
     return rule.report
 
@@ -131,14 +188,9 @@ def _verify(rule):
     rows, cols = np.triu_indices(n)
     linear, quadratic = first[1:], second[1:, 1:][rows, cols]
 
-    def key(*axes):
-        return tuple(axes.count(i) for i in range(n))
-
     # Degree 0 holds: the constructor checks this same weight sum.
-    residuals = {key(): abs(float(w.sum()) - 1.0)}
-    residuals.update(zip(map(key, range(n)), linear.tolist()))
-    residuals.update(zip(map(key, rows.tolist(), cols.tolist()),
-                         quadratic.tolist()))
+    residuals = Residuals(n, [abs(float(w.sum()) - 1.0), *linear.tolist(),
+                              *quadratic.tolist()])
     positivity = bool(np.all(w >= 0.0))
     barycenter_ok = bool(first.max() <= TOL)
     exactness = (0 if linear.max() > TOL

@@ -189,6 +189,12 @@ def _pow(a, b):
     return np.power(a, b)
 
 
+def _powc(a, c):
+    """a^c for a constant c. A square is a * a, the bits np.power's own
+    short cut gives, without the ufunc's cost on an np.float64."""
+    return a * a if c == 2.0 else np.power(a, c)
+
+
 class Floats:
     """A slot holds a float if constant, else an array (m,) of one value
     per point of a batch (m, n), or at one point (1, n) an np.float64.
@@ -211,7 +217,7 @@ class Floats:
     mul = staticmethod(operator.mul)
     div = staticmethod(operator.truediv)
     pow = staticmethod(_pow)
-    powc = staticmethod(np.power)
+    powc = staticmethod(_powc)
     exp = staticmethod(np.exp)
     sin = staticmethod(np.sin)
     cos = staticmethod(np.cos)

@@ -17,9 +17,10 @@ from certicube.errors import (BudgetExhausted, CerticubeError,
 from certicube.field import ScalarField
 from certicube.qform import QuadraticForm
 
-from util import (centered_k, heap_integrate, mc_integral, polynomial_field,
-                  quadratic_terms, rand_simplex, refine_steps,
-                  stroud_t3_rule, vertices_plus_barycenter_rule)
+from util import (centered_k, heap_integrate, heap_leaves, mc_integral,
+                  polynomial_field, quadratic_terms, rand_simplex,
+                  refine_steps, stroud_t3_rule,
+                  vertices_plus_barycenter_rule)
 
 UNIT_TRIANGLE = geometry.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EXP_SUM_2D = ScalarField(
@@ -411,6 +412,122 @@ def test_partition_does_not_depend_on_round_size(monkeypatch, points):
     assert integrate_adaptive(f, s, cfg, diagnostics=diag) == expected
     assert diag.depth_histogram == base.depth_histogram
     assert diag.rounds != base.rounds
+
+
+def _placed_triangle():
+    """(simplex, f, K, tol): the right isosceles triangle placed by a
+    seeded rotation, scale and shift, and f = exp(a.x) along a seeded
+    unit direction, as the refine-midpoint benchmark workload builds its
+    seed-2 input; K bounds ||D^2 f|| on the simplex, and tol is 5e-4 of
+    the root's radius. Its cells are congruent a level at a time, so
+    many of their radii tie exactly."""
+    rng = np.random.default_rng([2, 0])
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)))
+    rotation = q * np.sign(np.diag(r))
+    scale, shift = rng.uniform(0.6, 1.5), rng.uniform(-1.0, 1.0, 2)
+    s = geometry.Simplex(scale * UNIT_TRIANGLE.vertices @ rotation.T + shift)
+    a = rng.standard_normal(2)
+    a /= np.linalg.norm(a)
+    f = field_mod.parse_expr(
+        f"exp({float(a[0])!r}*x1 + {float(a[1])!r}*x2)", 2)
+    k = 1.01 * float(a @ a) * math.exp(float(np.max(s.vertices @ a)))
+    return s, f, k, 5e-4 * 0.5 * k * moments.central_second_moment(s)
+
+
+def _leaf_set(vertices):
+    return {v.tobytes() for v in vertices}
+
+
+def test_placed_triangle_separates_the_tie_rules():
+    # Ties by creation order and by tree order split different cells
+    # here, so the test below tells the two rules apart.
+    s, f, k, tol = _placed_triangle()
+    tree, oldest = (heap_leaves(f, s, tol, K=k, ties=ties,
+                                inherited_volume=True)[0]
+                    for ties in ("tree", "oldest"))
+    assert len(tree) == len(oldest)
+    assert _leaf_set(c[0].vertices for c in tree) \
+        != _leaf_set(c[0].vertices for c in oldest)
+
+
+@pytest.mark.parametrize("points, max_cells", [
+    (2 ** 20, 10 ** 6), (64, 10 ** 6), (2, 10 ** 6), (2 ** 20, 1500)])
+def test_exact_ties_go_to_the_leaf_first_in_tree_order(monkeypatch, points,
+                                                       max_cells):
+    # Small rounds sort most bands and carry leaves out of tree order.
+    s, f, k, tol = _placed_triangle()
+    leaves, stop = heap_leaves(f, s, tol, K=k, max_cells=max_cells,
+                               inherited_volume=True)
+    monkeypatch.setattr(adaptive_mod, "POINTS_PER_ROUND", points)
+    diag = RunDiagnostics()
+    cfg = AdaptiveConfig(tolerance=tol, max_cells=max_cells, k_override=k)
+    if stop == "tol":
+        integrate_adaptive(f, s, cfg, diagnostics=diag)
+    else:
+        with pytest.raises(BudgetExhausted):
+            integrate_adaptive(f, s, cfg, diagnostics=diag)
+    assert (stop, diag.stop) == (("tol", "tolerance") if max_cells > 1500
+                                 else ("max_cells", "max_cells"))
+    assert _leaf_set(diag.vertices) == _leaf_set(c[0].vertices
+                                                 for c in leaves)
+
+
+def test_round_of_every_leaf_stops_where_the_tolerance_falls():
+    # Centered K shrinks faster than the last round's splits predicted,
+    # so the total reaches tol inside a round whose band is every leaf:
+    # the heap stops there and leaves one of the four leaves unsplit.
+    rng = np.random.default_rng(105)
+    s = rand_simplex(rng, 3)
+    f = _exp_field(rng.uniform(-2.0, 2.0, size=3), "tape")
+    tol = 0.25 * heap_integrate(f, s, math.inf)[1]
+    cells, hist, stop = heap_integrate(f, s, tol)[2:]
+    diag = RunDiagnostics()
+    result = integrate_adaptive(f, s, AdaptiveConfig(tolerance=tol),
+                                diagnostics=diag)
+    assert (result.cells, diag.depth_histogram, stop) \
+        == (cells, hist, "tol") == (7, {2: 1, 3: 6}, "tol")
+
+
+def _power_of_two(rad):
+    """A radius, or an array of them, rounded down to a power of two."""
+    if isinstance(rad, float):
+        return math.ldexp(0.5, math.frexp(rad)[1])
+    return np.ldexp(0.5, np.frexp(rad)[1])
+
+
+@pytest.mark.parametrize("points", [2 ** 20, 64])
+def test_matches_reference_heap_when_radii_tie_everywhere(monkeypatch,
+                                                          points):
+    # Radii rounded down to powers of two tie across depths and places,
+    # children with leaves of their own round among them, so the tie
+    # rule picks most pops; a cell budget stops the heap after each one.
+    rng = np.random.default_rng(0)
+    s = rand_simplex(rng, 2)
+    f = _exp_field(rng.uniform(-2.0, 2.0, size=2), "tape")
+    monkeypatch.setattr(adaptive_mod, "cell_radii", lambda *args:
+                        _power_of_two(bounds.cell_radii(*args)))
+    monkeypatch.setattr(adaptive_mod, "POINTS_PER_ROUND", points)
+    tol = 1e-3 * heap_leaves(f, s, math.inf, inherited_volume=True,
+                             quantize=_power_of_two)[0][0][3]
+    for max_cells in [*range(2, 40), 10 ** 6]:
+        leaves, stop = heap_leaves(f, s, tol, max_cells=max_cells,
+                                   inherited_volume=True,
+                                   quantize=_power_of_two)
+        diag = RunDiagnostics()
+        try:
+            integrate_adaptive(f, s, AdaptiveConfig(
+                tolerance=tol, max_cells=max_cells), diagnostics=diag)
+        except BudgetExhausted:
+            pass
+        assert diag.stop == ("tolerance" if stop == "tol" else stop)
+        assert _leaf_set(diag.vertices) == _leaf_set(c[0].vertices
+                                                     for c in leaves)
+
+
+def test_config_rejects_depths_past_the_tree_keys():
+    AdaptiveConfig(tolerance=1e-6, max_depth=adaptive_mod.MAX_DEPTH)
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        AdaptiveConfig(tolerance=1e-6, max_depth=adaptive_mod.MAX_DEPTH + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

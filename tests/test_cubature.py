@@ -79,6 +79,33 @@ def test_verify_mix_rule_degree_2():
     assert max(report.residuals.values()) <= 1e-15
 
 
+def test_residuals_are_a_read_only_mapping_with_keys_on_demand(monkeypatch):
+    residuals = cubature._verify(cubature.builtin("vertex", 3)).residuals
+    keys = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0),
+            (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    assert list(residuals) == keys
+    assert list(residuals.values()) == [residuals[k] for k in keys]
+    assert residuals == dict(residuals.items())
+    for missing in [(3, 0, 0), (2, 1, 0), (1, 1, 1), (0, 0), (-1, 1, 0),
+                    [0, 0, 0]]:
+        assert missing not in residuals
+    with pytest.raises(TypeError):
+        residuals[(0, 0, 0)] = 0.0
+
+    # The values of a 150-D rule are read with no key built.
+    report = cubature._verify(cubature.builtin("vertex", 150))
+
+    def no_keys(self):
+        raise AssertionError("a key was built")
+
+    monkeypatch.setattr(cubature.Residuals, "__iter__", no_keys)
+    assert len(report.residuals) == 1 + 150 + 150 * 151 // 2
+    # The largest residual is x1^2's: 1/(n+1) against 2/((n+1)(n+2)).
+    largest = max(report.residuals.values())
+    assert largest == pytest.approx(1 / 151 - 2 / (151 * 152))
+    assert report.residuals[(2,) + (0,) * 149] == largest
+
+
 def test_verify_negative_weight_rule():
     rule = CubatureRule(
         dimension=1,

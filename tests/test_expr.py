@@ -282,6 +282,29 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+# Signed zeros, infinities and NaNs, subnormals and squares that
+# underflow or overflow.
+SQUARE_EDGES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-170, -1e-170, 1e200, -1e200,
+    1.7976931348623157e308, 1.5, -3.0])
+
+
+def test_square_has_np_powers_bits():
+    # Floats.powc squares by a multiply; np.power at 2.0 has the same
+    # bits, at one point (an np.float64) and on a batch, alone and in x1^2.
+    square = expr.parse("x1^2", 1)
+    with np.errstate(all="ignore"):
+        for x in SQUARE_EDGES:
+            assert_same_bits(expr.Floats.powc(x, 2.0), np.power(x, 2.0))
+            assert_same_bits(square(np.array([[x]])),
+                             np.power(np.array([x]), 2.0))
+        assert_same_bits(expr.Floats.powc(SQUARE_EDGES, 2.0),
+                         np.power(SQUARE_EDGES, 2.0))
+        assert_same_bits(square(SQUARE_EDGES[:, None]),
+                         np.power(SQUARE_EDGES, 2.0))
+
+
 def _assert_jets_match_sympy(text, sympy_expr, n, points):
     tape = field.parse_expr(text, n).evaluator
     jets = expr.Jets(points)

@@ -188,21 +188,36 @@ def centered_k(f, simplex, resolution):
     return a, k
 
 
-def heap_integrate(f, s, tol, rule=None, K=None, k_resolution=4,
-                   max_cells=10 ** 6, max_depth=60):
+def heap_leaves(f, s, tol, rule=None, K=None, k_resolution=4,
+                max_cells=10 ** 6, max_depth=60, ties="tree",
+                inherited_volume=False, quantize=None):
     """Reference greedy refinement, one max-heap pop per bisection.
 
-    Pops the largest radius (the oldest cell on ties) and stops in the
-    same order of checks as integrate_adaptive. Without K, each cell is
-    centered, one cell at a time: A is the Hessian at its barycenter
-    pbar, K is the largest operator norm of D^2 f - A at pbar and on its
-    lattice, and a midpoint estimate adds the integral of
+    Pops by (-radius, tree position): the largest radius, and on an
+    exact tie the leaf first in tree order, depth first with the half
+    geometry.bisect returns first ahead of the other. ties="oldest" pops
+    the oldest cell on ties instead. It stops in the same order of checks
+    as integrate_adaptive. Without K, each cell is centered, one cell at
+    a time: A is the Hessian at its barycenter pbar, K is the largest
+    operator norm of D^2 f - A at pbar and on its lattice, and a
+    midpoint estimate adds the integral of
     q_A(x) = (x - pbar)^T A (x - pbar) / 2 (moments.integrate_poly2).
-    Returns (estimate, radius, cells, depth histogram, stop) with stop
-    one of "tol", "max_depth" or "max_cells".
+    A cell's volume is its own |det| / n!, or with inherited_volume the
+    root's halved once per level, as integrate_adaptive takes it, so that
+    radii, and their exact ties, are the loop's bit for bit. quantize,
+    if given, maps each radius to the one the heap uses.
+    Returns (leaves, stop): leaves a list of (simplex, depth, estimate,
+    radius), stop one of "tol", "max_depth" or "max_cells".
     """
+    root_vol = geometry.volume(s)
+
     def make(simplex, depth):
-        vol = geometry.volume(simplex)
+        if inherited_volume:
+            vol = math.ldexp(root_vol, -depth)
+            moment = float(geometry.cell_stats(simplex.batch()[1], vol)[0])
+        else:
+            vol = geometry.volume(simplex)
+            moment = moments.central_second_moment(simplex)
         pbar = barycenter(simplex)
         if rule is None:
             est = vol * field.evaluate(f, pbar)
@@ -216,30 +231,39 @@ def heap_integrate(f, s, tol, rule=None, K=None, k_resolution=4,
                 est += moments.integrate_poly2(
                     (0.5 * pbar @ a @ pbar, -a @ pbar, QuadraticForm(0.5 * a)),
                     simplex)
-        rad = (0.5 if rule is None else 1.0) * k * \
-            moments.central_second_moment(simplex)
+        rad = (0.5 if rule is None else 1.0) * k * moment
+        if quantize is not None:
+            rad = quantize(rad)
         return simplex, depth, est, rad
 
     cells = [make(s, 0)]
-    heap = [(-cells[0][3], 0)]
+    heap = [(-cells[0][3], (), 0)]  # (-radius, tie key, cell)
     running = cells[0][3]
     while True:
         if running <= tol:
-            running = math.fsum(cells[i][3] for _, i in heap)
+            running = math.fsum(cells[i][3] for _, _, i in heap)
             if running <= tol:
                 stop = "tol"
                 break
-        simplex, depth, _, radius = cells[heap[0][1]]
+        _, key, top = heap[0]
+        simplex, depth, _, radius = cells[top]
         if depth >= max_depth or len(heap) + 1 > max_cells:
             stop = "max_depth" if depth >= max_depth else "max_cells"
             break
         heapq.heappop(heap)
         children = [make(c, depth + 1) for c in geometry.bisect(simplex)]
-        for child in children:
-            heapq.heappush(heap, (-child[3], len(cells)))
+        for half, child in enumerate(children):
+            tie = key + (half,) if ties == "tree" else len(cells)
+            heapq.heappush(heap, (-child[3], tie, len(cells)))
             cells.append(child)
         running += children[0][3] + children[1][3] - radius
-    live = [cells[i] for _, i in heap]
+    return [cells[i] for _, _, i in heap], stop
+
+
+def heap_integrate(f, s, tol, **kwargs):
+    """heap_leaves summed: (estimate, radius, cells, depth histogram,
+    stop)."""
+    live, stop = heap_leaves(f, s, tol, **kwargs)
     hist = {}
     for cell in live:
         hist[cell[1]] = hist.get(cell[1], 0) + 1
