@@ -15,11 +15,14 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from certicube import expr, field
 from certicube.errors import InvariantViolation, ParseError
 
-from util import Intervals, rand_polynomial_field, run_tape
+from util import (Intervals, rand_polynomial_field, reference_parse,
+                  run_tape)
 
 FUNCTION_NAMES = ("exp", "sin", "cos", "log", "sqrt")
 EXPONENTS = (0.0, 1.0, 2.0, 3.0, 0.5, -1.0, 2.5)
@@ -491,6 +494,148 @@ def test_function_name_needs_an_open_bracket(text, message, position):
     assert str(err.value) == message
     assert err.value.position == position
     assert err.value.expected == ("(",)
+
+
+def _outcome(parse, text, n):
+    """A parse's result: the tape's skeleton, constant bits and text, or
+    the error's type, message, position and expected tokens."""
+    try:
+        tape = parse(text, n)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "position", None),
+                getattr(exc, "expected", None))
+    return (tape.skeleton, [c.hex() for c in tape.constants], tape.text)
+
+
+def _chain(pairs):
+    """Operands joined by binary operators, with no brackets."""
+    return [token for op, operand in pairs for token in [op] + operand][1:]
+
+
+def _nest(args):
+    """An operand inside ``depth`` openers: brackets, calls or minuses."""
+    depth, opener, inner = args
+    if opener == "-":
+        return ["-"] * depth + inner
+    return opener * depth + inner + [")"] * depth
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "2", "0.5", ".5", "3.", "007", "1e3", "2E-2",
+                     "1.5e+1", "1e400", "1e-400"]),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr))
+_VARIABLES = st.sampled_from(
+    ["x1"] * 6 + ["x2"] * 2 + ["x3", "x01", "x0", "x4", "x12"])
+_EXPRESSIONS = st.recursive(
+    st.one_of(_NUMBERS, _VARIABLES).map(lambda token: [token]),
+    lambda inner: st.lists(st.tuples(st.sampled_from("+-*/^"), st.one_of(
+        inner,
+        st.tuples(st.sampled_from(FUNCTION_NAMES), inner).map(
+            lambda t: [t[0], "("] + t[1] + [")"]),
+        inner.map(lambda t: ["-"] + t),
+        inner.map(lambda t: ["("] + t + [")"]),
+        st.tuples(st.integers(1, 400),
+                  st.sampled_from([["("], ["-"], ["sin", "("], ["-", "("]]),
+                  inner).map(_nest))), min_size=1, max_size=4).map(_chain),
+    max_leaves=12)
+# Grammar tokens and characters that start none ('²' and fullwidth
+# letters are not ASCII; '.' alone is no number).
+_STRAYS = ["+", "-", "*", "/", "^", "(", ")", "x1", "x9", "2", ".", "e5",
+           "exp", "foo", "_", "$", "@", "#", ",", "[", "é", "²", "ｘ", "π"]
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", " \u2003 "])
+
+
+@st.composite
+def _texts(draw):
+    """A text from grammar tokens: an expression, then a few stray tokens
+    put in or tokens taken out, joined with or without spaces, and a few
+    runs of whitespace."""
+    tokens = draw(_EXPRESSIONS)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(tokens)))
+        if draw(st.booleans()):
+            tokens.insert(at, draw(st.sampled_from(_STRAYS)))
+        else:
+            del tokens[at:at + 1]
+    text = draw(st.sampled_from(["", " "])).join(tokens)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_SPACES) + text[at:]
+    return text
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_texts(), n=st.integers(1, 3))
+@example(text="sin(x1)^2 - -x2^-x1^2*exp(x1)/-(x2)^3^0.5", n=2)
+@example(text="-cos(-2)^x1 + log(4)^0.5*sqrt(x1^2)^-1 - -(1/0)", n=1)
+def test_parse_matches_the_reference_parser(text, n):
+    # The same tapes, constant bits included, and the same errors as the
+    # parser that parse replaced, on valid and broken texts.
+    assert _outcome(expr.parse, text, n) == _outcome(reference_parse, text, n)
+
+
+def test_parse_matches_the_reference_parser_on_battery_texts():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4) * 25:
+        text = _battery_quadratic(rng, n)
+        assert (_outcome(expr.parse, text, n)
+                == _outcome(reference_parse, text, n))
+
+
+_VALUE = ("number", "variable", "function", "(", "-")
+
+
+@pytest.mark.parametrize("text,message,position,expected", [
+    # A character that starts no token is the error, wherever it is.
+    ("x1 + + $", "unexpected character '$' at 7", 7, ()),
+    ("x1 $ +", "unexpected character '$' at 3", 3, ()),
+    ("sin x1 $", "unexpected character '$' at 7", 7, ()),
+    ("x5 + $", "unexpected character '$' at 5", 5, ()),
+    ("foo + @", "unexpected character '@' at 6", 6, ()),
+    ("x1 x2 #", "unexpected character '#' at 6", 6, ()),
+    ("cos(x1) . ", "unexpected character '.' at 8", 8, ()),
+    # At the end of the input.
+    ("", "expected a value, found end of input at 0", 0, _VALUE),
+    ("x1 +", "expected a value, found end of input at 4", 4, _VALUE),
+    ("x1^ ", "expected a value, found end of input at 4", 4, _VALUE),
+    ("(x1", "expected ')', found end of input at 3", 3, (")",)),
+    ("exp(sin(x1)", "expected ')', found end of input at 11", 11, (")",)),
+    ("sin", "expected '(', found end of input at 3", 3, ("(",)),
+    # Inside nested calls.
+    ("sin(cos(x1 x2))", "expected ')', found x2 at 11", 11, (")",)),
+    ("exp(log(+))", "expected a value, found + at 8", 8, _VALUE),
+    ("sin(cos x1)", "expected '(', found x1 at 8", 8, ("(",)),
+    ("sqrt((x1)))", "unexpected trailing input ')' at 10", 10,
+     ("end of input",)),
+    ("exp(log(foo))", "unknown identifier 'foo' at 8", 8,
+     ("cos", "exp", "log", "sin", "sqrt", "x<i>")),
+    # After whitespace.
+    ("   ", "expected a value, found end of input at 3", 3, _VALUE),
+    ("x1 +   *", "expected a value, found * at 7", 7, _VALUE),
+    ("  )", "expected a value, found ) at 2", 2, _VALUE),
+    ("x1\t\n y", "unexpected trailing input 'y' at 5", 5, ("end of input",)),
+    ("x1 +  $", "unexpected character '$' at 6", 6, ()),
+    ("2 *\n\tfoo", "unknown identifier 'foo' at 5", 5,
+     ("cos", "exp", "log", "sin", "sqrt", "x<i>"))])
+def test_parse_error_and_its_position(text, message, position, expected):
+    with pytest.raises(ParseError) as err:
+        expr.parse(text, 2)
+    assert (str(err.value), err.value.position, err.value.expected) == (
+        message, position, expected)
+    assert _outcome(reference_parse, text, 2) == _outcome(expr.parse, text, 2)
+
+
+@pytest.mark.parametrize("text,position", [
+    ("٣*x1", 0), ("x٣", 1), ("1٣", 1), ("x1 + ３", 5)])
+def test_numbers_are_ascii_digits(text, position):
+    # Another script's digit starts no token; the replaced parser read
+    # '٣*x1' as 3*x1 and '1٣' as 13.
+    with pytest.raises(ParseError) as err:
+        expr.parse(text, 1)
+    assert str(err.value) == (
+        f"unexpected character {text[position]!r} at {position}")
+    assert err.value.position == position
+    assert reference_parse("٣*x1", 1) == expr.parse("3*x1", 1)
 
 
 def _parse_down(frames, text):

@@ -5,6 +5,7 @@ import heapq
 import itertools
 import math
 import operator
+import re
 from dataclasses import replace
 
 import mpmath
@@ -12,7 +13,8 @@ import numpy as np
 
 from certicube import cubature, field, geometry, moments, qform
 from certicube.adaptive import integrate_adaptive
-from certicube.errors import BudgetExhausted
+from certicube.errors import ArityError, BudgetExhausted, ParseError
+from certicube.expr import FUNCTIONS, Floats, Tape, _shared
 from certicube.field import ScalarField
 from certicube.geometry import Simplex
 from certicube.qform import QuadraticForm
@@ -427,3 +429,174 @@ def frobenius_ceiling(hessian, shift=0.0):
     for entry in (Intervals.box(0.0, 0.0) + hessian - shift).data.flat:
         total += abs(entry).b ** 2
     return float(mpmath.iv.sqrt(total).b)
+
+
+# The parser that expr.parse replaced, copied as it was, kept as its
+# oracle: the same tapes (skeleton, constant bits and text) and the same
+# errors, except that its numbers take any Unicode digit.
+
+_TOKEN_RE = re.compile(r"""
+    \s*(?:
+        (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op>[-+*/^()])
+      | (?P<bad>\S)
+    )
+""", re.VERBOSE)
+
+
+def _tokens(text):
+    """(kind, text, position) of each token, then ("end", "", len(text))."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind, pos = match.lastgroup, match.start(match.lastgroup)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[pos]!r} at {pos}",
+                             position=pos)
+        tokens.append((kind, match.group(kind), pos))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _expected(value, token):
+    """The ParseError for ``token`` where ``value`` was needed."""
+    kind, text, pos = token
+    shown = text if kind != "end" else "end of input"
+    return ParseError(f"expected {value!r}, found {shown} at {pos}",
+                      position=pos, expected=(value,))
+
+
+_VAR_RE = re.compile(r"x(\d+)")
+# Binary operators: opcode, precedence, and the lowest precedence of a
+# pending operator applied before it. A unary minus binds between '*'
+# and '^', so -a*b is (-a)*b and -a^b is -(a^b); '^' alone groups to the
+# right, so a pending '^' waits for the next.
+_BINARY = {"+": ("add", 1, 1), "-": ("sub", 1, 1), "*": ("mul", 2, 2),
+           "/": ("div", 2, 2), "^": ("pow", 4, 5)}
+_NEG = ("neg", 3)
+
+
+class _Compiler:
+    """Parses and emits the tape in one pass over the tokens. An operand
+    is a slot (int) or, for a sub-expression without a variable, its
+    value (float).
+
+    The grammar is read by operator precedence (shunting-yard): operands
+    wait in one list and operators in another, and an operator is
+    applied once no later one binds tighter, so instructions are emitted
+    in postorder, as recursive descent would emit them. A pending '(' or
+    function call has precedence 0, so no operator is applied past it.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.skeleton = []
+        self.constants = []
+        self.operands = []
+        self.pending = []  # (opcode, precedence); '(' or a function: 0
+
+    def emit(self, op, args=(), operand=None):
+        self.skeleton.append((op, args, operand))
+        return len(self.skeleton) - 1
+
+    def emit_float(self, op, args, value):
+        """Emit an instruction whose operand is the float value."""
+        self.constants.append(value)
+        return self.emit(op, args, len(self.constants) - 1)
+
+    def slot(self, operand):
+        return self.emit_float("const", (), operand) \
+            if isinstance(operand, float) else operand
+
+    def apply(self, op, *operands):
+        if int not in map(type, operands):  # no slot: fold
+            # A constant exponent is a scalar, as in powc.
+            fold = getattr(Floats, "powc" if op == "pow" else op)
+            return float(fold(*map(np.float64, operands)))
+        if op == "pow" and isinstance(operands[1], float):
+            return self.emit_float("powc", (operands[0],), operands[1])
+        return self.emit(op, tuple(map(self.slot, operands)))
+
+    def reduce(self, precedence):
+        """Apply the pending operators that bind at least this tightly."""
+        pending, operands = self.pending, self.operands
+        while pending and pending[-1][1] >= precedence:
+            op, _ = pending.pop()
+            if op == "neg":
+                operands.append(self.apply(op, operands.pop()))
+            else:
+                right = operands.pop()
+                operands.append(self.apply(op, operands.pop(), right))
+
+    def compile(self, tokens):
+        """The slot (or folded value) of the whole expression."""
+        tokens, pending, operands = iter(tokens), self.pending, self.operands
+        groups = 0
+        while True:
+            # An operand: its unary minuses and opening brackets, then a
+            # number or a variable.
+            kind, text, pos = next(tokens)
+            if text == "-":
+                pending.append(_NEG)
+                continue
+            if text == "(" or text in FUNCTIONS:
+                if text != "(":
+                    token = next(tokens)
+                    if token[1] != "(":
+                        raise _expected("(", token)
+                pending.append((text, 0))
+                groups += 1
+                continue
+            operands.append(float(text) if kind == "number"
+                            else self.variable(kind, text, pos))
+            # Closing brackets, then an operator or the end.
+            while True:
+                token = next(tokens)
+                kind, text, pos = token
+                binary = _BINARY.get(text)
+                if binary:
+                    op, precedence, bound = binary
+                    if pending and pending[-1][1] >= bound:
+                        self.reduce(bound)
+                    pending.append((op, precedence))
+                    break
+                if groups == 0:
+                    if kind != "end":
+                        raise ParseError(
+                            f"unexpected trailing input {text!r} at {pos}",
+                            position=pos, expected=("end of input",))
+                    self.reduce(0)
+                    return operands.pop()
+                if text != ")":
+                    raise _expected(")", token)
+                self.reduce(1)
+                name = pending.pop()[0]
+                groups -= 1
+                if name != "(":
+                    operands.append(self.apply(name, operands.pop()))
+
+    def variable(self, kind, text, pos):
+        """The slot of the variable that the token already read names."""
+        match = _VAR_RE.fullmatch(text) if kind == "ident" else None
+        if match:
+            index = int(match.group(1))
+            if not 1 <= index <= self.n:
+                raise ArityError(f"variable {text} outside x1..x{self.n}")
+            return self.emit("var", operand=index - 1)
+        if kind == "ident":
+            raise ParseError(
+                f"unknown identifier {text!r} at {pos}", position=pos,
+                expected=tuple(sorted(FUNCTIONS)) + ("x<i>",))
+        shown = text if kind != "end" else "end of input"
+        raise ParseError(
+            f"expected a value, found {shown} at {pos}", position=pos,
+            expected=("number", "variable", "function", "(", "-"))
+
+
+def reference_parse(text, n):
+    """Compile ``text`` over variables x1..xn into a Tape."""
+    compiler = _Compiler(n)
+    with np.errstate(all="ignore"):  # a folded 1/0 is inf, as evaluated
+        compiler.slot(compiler.compile(_tokens(text)))
+    return Tape(_shared(tuple(compiler.skeleton)), tuple(compiler.constants),
+                text)
